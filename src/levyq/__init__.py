@@ -13,10 +13,8 @@ from .bounds import (
     OneJumpRefiner,
     StepComponents,
     jump_aggregation_error,
-    jump_aggregation_refined,
     jump_cut_error_mg1,
     jump_cut_error_specneg,
-    step_bound,
     truncation_error_mg1,
     truncation_error_specneg,
 )
@@ -91,14 +89,12 @@ __all__ = [
     "discretize_initial",
     "empirical_wasserstein",
     "jump_aggregation_error",
-    "jump_aggregation_refined",
     "jump_cut_error_mg1",
     "jump_cut_error_specneg",
     "lift",
     "rescale_for_speed",
     "simulate",
     "solve",
-    "step_bound",
     "truncation_error_mg1",
     "truncation_error_specneg",
     "wasserstein",

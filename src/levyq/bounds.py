@@ -7,9 +7,9 @@ components, weighted by the current discrete distribution p:
 * jump aggregation: conditioned on one jump in the step, the true law is
   replaced by a piecewise-uniform one with the same interval masses.  The
   basic bound charges the full interval width: lam * delta^2 * e^{-lam*delta}.
-  The refined variant computes the actual distance between the exact
-  one-jump CDF mixture and its grid projection, which is usually far
-  smaller.
+  The refined variant charges each start interval the actual distance
+  between its exact one-jump law and that law's grid projection, which is
+  usually far smaller.
 * jump cut: two or more jumps per step are ignored (and, for the M/G/1
   queue, so are single jumps leaving the truncated space -- that part is
   charged per starting interval under "truncation").
@@ -33,23 +33,23 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import CertificationError
 from .jobsize import JobSize
 from .kernel import ModelKind, ModelSpec
 from .measure import DiscreteDist, Grid
 
+SUBGRID = 256  # sub-grid points per interval in the refined term
+_CHUNK = 256  # blocks sampled at once while building the refiner
+
 __all__ = [
     "jump_aggregation_error",
-    "jump_aggregation_refined",
     "jump_cut_error_mg1",
     "jump_cut_error_specneg",
     "truncation_error_mg1",
     "truncation_error_specneg",
     "OneJumpRefiner",
     "StepComponents",
-    "step_bound",
     "BoundLedger",
 ]
 
@@ -88,15 +88,19 @@ def jump_cut_error_specneg(
 
 
 def truncation_error_mg1(
-    lam: float, delta: float, i: int, grid: Grid, job: JobSize
-) -> float:
-    """Cost of cutting single jumps out of [0, M], starting from interval i."""
+    lam: float, delta: float, i: int | np.ndarray, grid: Grid, job: JobSize
+) -> float | np.ndarray:
+    """Cost of cutting single jumps out of [0, M], starting from interval i.
+
+    ``i`` may be an index array; the result then has its shape.
+    """
     tm = job.tail_mean(grid.m - i * delta)
     if tm is None:
         raise CertificationError(
             "the M/G/1 truncation bound requires a finite job-size mean"
         )
-    return lam * delta * float(np.exp(-lam * delta)) * float(tm)
+    out = lam * delta * float(np.exp(-lam * delta)) * np.asarray(tm, dtype=float)
+    return out if np.ndim(out) else float(out)
 
 
 def truncation_error_specneg(lam: float, delta: float, i: int, grid: Grid) -> float:
@@ -117,24 +121,6 @@ class RefinedTerm(NamedTuple):
     value: float
     slack: float
 
-    @property
-    def total(self) -> float:
-        return self.value + self.slack
-
-
-class _CachedFftConv:
-    """Linear convolution with a fixed kernel whose transform is cached."""
-
-    def __init__(self, kernel: np.ndarray, sig_len: int):
-        self.out_len = sig_len + len(kernel) - 1
-        self.nfft = scipy.fft.next_fast_len(self.out_len, real=True)
-        self.kernel_fft = scipy.fft.rfft(kernel, self.nfft)
-
-    def conv(self, sig: np.ndarray) -> np.ndarray:
-        f = scipy.fft.rfft(sig, self.nfft)
-        f *= self.kernel_fft
-        return scipy.fft.irfft(f, self.nfft)[: self.out_len]
-
 
 class OneJumpRefiner:
     """Distance between the exact one-jump law and its grid projection.
@@ -142,24 +128,22 @@ class OneJumpRefiner:
     Conditioned on exactly one jump in a step, the end-of-step CDF for a
     start uniform in interval i is an explicit window integral of the
     job-size CDF; for interior intervals it is a fixed shape translated
-    along the grid.  This object precomputes that shape (and the special
-    near-empty-queue shapes for the M/G/1 states 0 and 1) on a sub-grid of
-    ``subgrid`` points per interval, together with rigorous Lipschitz
-    envelopes derived from CDF monotonicity alone.
+    along the grid.  The M/G/1 state 1 has its own near-empty-queue shape
+    (state 0 shares the interior one), and on the bottom interval of the
+    spectrally negative model the shape carries a late-jump factor.  Each
+    shape's deviation from its per-interval chord is sampled on ``SUBGRID``
+    points per interval, with a rigorous Lipschitz envelope (from CDF
+    monotonicity alone) on the sampling error.
 
-    ``weighting="per_step"`` (default) evaluates the full mixture CDF
-    against its piecewise-linear interpolation for the current p each step;
-    ``"per_interval"`` charges each start interval its own worst case,
-    computed once (an upper bound of the mixture value, cheaper per step).
-
-    Either way :meth:`term` returns a certified upper bound with the
-    sub-grid quadrature deficit reported as slack.
+    Built once per run: a value vector ``w`` and a slack vector ``s`` over
+    start states.  ``w[i]`` is the sampled distance for a one-jump start in
+    interval i (capped at delta), ``s[i]`` its sampling deficit.  The
+    mixture deviation is linear in p, so by the triangle inequality
+    ``p @ w + p @ s`` bounds the one-jump distance for every p, and
+    :meth:`term` is certified by construction.
     """
 
-    def __init__(self, spec: ModelSpec, grid: Grid, weighting: str = "per_step",
-                 subgrid: int = 64):
-        if weighting not in ("per_step", "per_interval"):
-            raise ValueError(f"unknown weighting {weighting!r}")
+    def __init__(self, spec: ModelSpec, grid: Grid):
         if not spec.job.exact:
             raise CertificationError(
                 "the refined jump-aggregation bound needs closed-form CDF "
@@ -167,39 +151,51 @@ class OneJumpRefiner:
             )
         self.spec = spec
         self.grid = grid
-        self.weighting = weighting
-        self.L = int(subgrid)
-        self.lam = spec.lam
-        self.enl = float(np.exp(-spec.lam * grid.delta))
-        self._build()
+        self.L = SUBGRID
+        d = grid.delta
+        self.scale = spec.lam * d * float(np.exp(-spec.lam * d))
+        self.w, self.s = self._build()
 
     # -- construction ------------------------------------------------------
 
-    def _shape_on_subgrid(self, k_lo: int, k_hi: int, fn):
-        """Sample fn minus its per-interval chord on blocks k_lo..k_hi.
+    def _abs_sums(self, k_lo: int, k_hi: int, fn, visit=None) -> np.ndarray:
+        """Sampled integral of |fn - chord| on each block k_lo..k_hi.
 
-        Returns (flat deviation array of length (k_hi - k_lo + 1) * L, grid
-        values of fn).  Deviation is exactly 0 at block starts.
+        Blocks are sampled _CHUNK at a time; ``visit(ks, dev)``, if given,
+        sees each chunk, where ``dev[b, m]`` is fn minus its chord on block
+        ``ks[b]`` at ``(ks[b] + m / L) * delta`` (exactly 0 at block starts).
         """
         d, L = self.grid.delta, self.L
-        n_blocks = k_hi - k_lo + 1
-        r = np.arange(n_blocks * L)
-        u = (k_lo + r / L) * d
-        vals = fn(u)
-        g = fn(np.arange(k_lo, k_hi + 2) * d)
-        chord = np.repeat(g[:-1], L) + np.repeat(np.diff(g), L) * np.tile(
-            np.arange(L) / L, n_blocks
-        )
-        dev = vals - chord
-        dev[::L] = 0.0
-        return dev, g
+        frac = np.arange(L) / L
+        sums = []
+        for lo in range(k_lo, k_hi + 1, _CHUNK):
+            ks = np.arange(lo, min(lo + _CHUNK, k_hi + 1))
+            g = fn(np.arange(lo, ks[-1] + 2) * d)
+            chord = g[:-1, None] + np.diff(g)[:, None] * frac
+            dev = fn((ks[:, None] + frac) * d) - chord
+            dev[:, 0] = 0.0
+            if visit is not None:
+                visit(ks, dev)
+            sums.append(d / L * np.abs(dev).sum(axis=1))
+        return np.concatenate(sums)
 
-    def _build(self):
+    def _window(self, per_block: np.ndarray, k_lo: int, base: int, first: int):
+        """For start states i = base..n: the sum of per_block over the blocks
+        k whose target y-block i + k lies in first..n-1."""
+        n = self.grid.m_delta
+        i = np.arange(base, n + 1)
+        csum = np.concatenate([[0.0], np.cumsum(per_block)])
+        lo = np.clip(first - i - k_lo, 0, len(per_block))
+        hi = np.clip(n - i - k_lo, lo, len(per_block))
+        return csum[hi] - csum[lo]
+
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
         spec, grid, L = self.spec, self.grid, self.L
         job, d, n = spec.job, grid.delta, grid.m_delta
         J = job.prefix_cdf
         K = job.prefix_x_cdf
         F = job.cdf
+        q = d**2 / (4 * L)  # sampling deficit per unit of Lipschitz constant
 
         if spec.kind is ModelKind.MG1:
             sup = job.sup_support
@@ -209,193 +205,70 @@ class OneJumpRefiner:
             def phi(u):
                 return (J(u + 2 * d) - J(u + d)) / d
 
-            self.dev_gen, _ = self._shape_on_subgrid(k_lo, k_hi, phi)
-            self.k_lo = k_lo
-            self.base_state = 2  # generic shape applies to states >= 2
-            ks = np.arange(k_lo, k_hi + 1)
-            self.c1_gen = (F((ks + 3) * d) - F((ks + 1) * d)) / d
-
-            def f0(y):
-                return (J(y + d) - J(y)) / d
-
             def f1(y):
                 return (2.0 / d**2) * (
                     (y + d) * (J(y + d) - J(y)) - (K(y + d) - K(y))
                 )
 
-            k_hi0 = min(n - 1, k_hi)
-            self.dev_s0, _ = self._shape_on_subgrid(0, k_hi0, f0)
-            self.dev_s1, _ = self._shape_on_subgrid(0, k_hi0, f1)
-            ks0 = np.arange(0, k_hi0 + 1)
-            self.c1_s0 = (F((ks0 + 2) * d) - F(ks0 * d)) / d
-            self.c1_s1 = 2.0 * self.c1_s0
+            ks = np.arange(k_lo, k_hi + 1)
+            c1_gen = (F((ks + 3) * d) - F((ks + 1) * d)) / d
+            # a start in interval i >= 2 has the one-jump CDF phi(y - i*delta),
+            # and a start at 0 has phi(y - delta), as if it were in interval 1.
+            # State 1 has its own shape f1; like phi(y - delta) it is 0 on
+            # y-blocks below k_lo + 1, and its slope envelope is twice state 0's.
+            w_gen = self._window(self._abs_sums(k_lo, k_hi, phi), k_lo, 1, 0)
+            s_gen = q * self._window(c1_gen, k_lo, 1, 0)
+            w1 = self._abs_sums(max(0, k_lo + 1), min(n - 1, k_hi), f1).sum()
+            w = np.concatenate([w_gen[:1], [w1], w_gen[1:]])
+            s = np.concatenate([s_gen[:1], [2.0 * s_gen[0]], s_gen[1:]])
         else:
             sup = job.sup_support
             k_lo = -n if not np.isfinite(sup) else max(-n, -(int(np.ceil(sup / d)) + 1))
-            k_hi = 0
 
             def psi(u):
                 return 1.0 - (J(d - u) - J(-u)) / d
 
-            self.dev_gen, psi_grid = self._shape_on_subgrid(k_lo, k_hi, psi)
-            self.k_lo = k_lo
-            self.base_state = 1
-            ks = np.arange(k_lo, k_hi + 1)
-            self.c1_gen = (F((1 - ks) * d) - F((-1 - ks) * d)) / d
-            # one-jump mass below delta / below 0-drift per start state i = 1..n,
-            # plus a slope envelope for the late-jump factor on the bottom block
+            ks = np.arange(k_lo, 1)
+            c1_gen = (F((1 - ks) * d) - F((-1 - ks) * d)) / d
+            # on y-block 0 the one-jump CDF carries the late-jump factor
+            # y/delta: rebuild it per start state from the generic block
+            # k = -i and the shape's grid values below delta and below 0,
+            # with a slope envelope for the factor
             ii = np.arange(1, n + 1)
-            self.bottom_mass = psi((1 - ii) * d)
-            self.zero_mass = psi(-ii * d)
-            self.c1_bottom = (F((1 + ii) * d) - F((ii - 1) * d)) / d
+            bottom_mass = psi((1 - ii) * d)
+            gap = psi(-ii * d) - bottom_mass
+            c1_bottom = (F((1 + ii) * d) - F((ii - 1) * d)) / d
+            frac = np.arange(L) / L
+            b_val = np.empty(n)
+            b_lip = np.empty(n)
 
-        # per-interval worst-case weights (shared by the cheap mode)
-        dL = d / L
-        self.w_gen = dL * float(np.abs(self.dev_gen).sum())
-        self.s_gen = d**2 / (4 * L) * float(self.c1_gen.sum())
-        if spec.kind is ModelKind.MG1:
-            self.w_s0 = dL * float(np.abs(self.dev_s0).sum())
-            self.w_s1 = dL * float(np.abs(self.dev_s1).sum())
-            self.s_s0 = d**2 / (4 * L) * float(self.c1_s0.sum())
-            self.s_s1 = d**2 / (4 * L) * float(self.c1_s1.sum())
+            def bottom(j, dev):  # start states j + 1, generic block k = -(j + 1)
+                dev_bottom = frac * (dev + gap[j, None] * (1.0 - frac))
+                b_val[j] = d / L * np.abs(dev_bottom).sum(axis=1)
+                b_lip[j] = (2.0 * np.abs(gap[j]) + np.abs(dev).max(axis=1)) / d
+                b_lip[j] += c1_bottom[j]
 
-        # sparse path bookkeeping for the mixture mode: blocks whose sampled
-        # deviation is rounding dust are dropped, with their (tiny) sampled
-        # mass charged to the slack channel so the bound stays certified
-        blocks = self.dev_gen.reshape(-1, L)
-        block_max = np.abs(blocks).max(axis=1)
-        dust = block_max.max() * 1e-6
-        keep = block_max > dust
-        self.nz_blocks = np.nonzero(keep)[0]
-        self.gen_blocks = blocks[keep].copy()
-        self.drop_slack = (d / L) * float(np.abs(blocks[~keep]).sum())
-        self.use_sparse = len(self.nz_blocks) * grid.m_delta * L <= 8_000_000
-        self._fft = None
-        if not self.use_sparse:
-            sig_len = (n if spec.kind is not ModelKind.MG1 else max(n - 1, 1)) * L
-            self._fft = _CachedFftConv(self.dev_gen, sig_len)
-        if spec.kind is ModelKind.MG1:
-            self.dev_s0_t = np.ascontiguousarray(self.dev_s0.reshape(-1, L).T)
-            self.dev_s1_t = np.ascontiguousarray(self.dev_s1.reshape(-1, L).T)
+            a = self._abs_sums(
+                k_lo, 0, psi, visit=lambda ks, dev: bottom(-ks[ks < 0] - 1, dev[ks < 0])
+            )
+            # starts above the job support put no generic block on y-block 0
+            for j in range(-k_lo, n, _CHUNK):
+                jj = np.arange(j, min(j + _CHUNK, n))
+                bottom(jj, np.zeros((len(jj), L)))
+            b_slack = q * b_lip
+            cap = d * bottom_mass
+            capped = b_val + b_slack >= cap  # the worst case is tighter
+            w = self._window(a, k_lo, 1, 1) + np.where(capped, cap, b_val)
+            s = q * self._window(c1_gen, k_lo, 1, 1) + np.where(capped, 0.0, b_slack)
+        return np.minimum(w, d), s
 
     # -- evaluation ----------------------------------------------------------
 
     def term(self, dist: DiscreteDist) -> RefinedTerm:
-        if self.weighting == "per_interval":
-            return self._term_per_interval(dist)
-        return self._term_mixture(dist)
-
-    def _term_per_interval(self, dist: DiscreteDist) -> RefinedTerm:
         p = dist.p
-        lam, d, enl = self.lam, self.grid.delta, self.enl
-        scale = lam * d * enl
-        if self.spec.kind is ModelKind.MG1:
-            mass2 = float(p[2:].sum())
-            value = p[0] * self.w_s0 + p[1] * self.w_s1 + mass2 * self.w_gen
-            slack = p[0] * self.s_s0 + p[1] * self.s_s1 + mass2 * self.s_gen
-        else:
-            value = float(p.sum()) * self.w_gen + d * float(np.dot(p, self.bottom_mass))
-            slack = float(p.sum()) * self.s_gen
-        return RefinedTerm(scale * min(value, d), scale * slack)
-
-    def _term_mixture(self, dist: DiscreteDist) -> RefinedTerm:
-        grid, L = self.grid, self.L
-        n, d = grid.m_delta, grid.delta
-        p = dist.p
-        lam, enl = self.lam, self.enl
-        if self.spec.kind is ModelKind.MG1:
-            body = p[2:]
-            base = self.base_state
-        else:
-            body = p
-            base = self.base_state
-
-        y = self._mixture_deviation(body, base, n)
-        dropped = self.drop_slack * float(body.sum()) if self.use_sparse else 0.0
-        if self.spec.kind is ModelKind.MG1:
-            n0 = self.dev_s0_t.shape[1]
-            if p[0] > 0.0:
-                y[:, :n0] += p[0] * self.dev_s0_t
-            if p[1] > 0.0:
-                y[:, :n0] += p[1] * self.dev_s1_t
-            trapz = (d / L) * float(np.abs(y).sum())
-            slack = dropped + (d**2 / (4 * L)) * (
-                float(body.sum()) * float(self.c1_gen.sum())
-                + p[0] * float(self.c1_s0.sum())
-                + p[1] * float(self.c1_s1.sum())
-            )
-        else:
-            # bottom interval: the one-jump CDF carries the late-jump factor
-            # y/delta, so reconstruct it from the convolution output plus the
-            # mixture's grid values g0 = sum p_i shape(-i d), g1 at (1-i) d
-            g0 = float(np.dot(p, self.zero_mass))
-            g1 = float(np.dot(p, self.bottom_mass))
-            block = y[:, 0].copy()
-            frac = np.arange(L) / L
-            dev_bottom = frac * (block + (g0 - g1) * (1.0 - frac))
-            b_trapz = (d / L) * float(np.abs(dev_bottom).sum())
-            lip = (2.0 * abs(g0 - g1) + float(np.abs(block).max())) / d + float(
-                np.dot(p, self.c1_bottom)
-            )
-            b_slack = d**2 / (4 * L) * lip
-            if b_trapz + b_slack >= d * g1:  # worst case is tighter
-                b_trapz, b_slack = d * g1, 0.0
-            y[:, 0] = 0.0
-            trapz = (d / L) * float(np.abs(y).sum()) + b_trapz
-            slack = dropped + (d**2 / (4 * L)) * float(body.sum()) * float(
-                self.c1_gen.sum()
-            ) + b_slack
-        scale = lam * d * enl
-        return RefinedTerm(scale * min(trapz, d), scale * slack)
-
-    def _mixture_deviation(self, body: np.ndarray, base: int, n: int) -> np.ndarray:
-        """sum_i p(i) * dev(y - i*delta) on the sub-grid of [0, M), laid out
-        as (subgrid offset, y-block) for contiguous accumulation."""
-        L = self.L
-        out = np.zeros((L, n))
-        if self.use_sparse:
-            for b_idx, b in enumerate(self.nz_blocks):
-                k = self.k_lo + int(b)
-                # start interval i adds its block at y-block i + k
-                dst_lo = base + k
-                src_lo = 0
-                if dst_lo < 0:
-                    src_lo = -dst_lo
-                    dst_lo = 0
-                count = min(len(body) - src_lo, n - dst_lo)
-                if count <= 0:
-                    continue
-                seg = body[src_lo : src_lo + count]
-                blk = self.gen_blocks[b_idx]
-                for m in range(L):
-                    out[m, dst_lo : dst_lo + count] += blk[m] * seg
-            return out
-        up = np.zeros(len(body) * L)
-        up[::L] = body
-        c = self._fft.conv(up)
-        pad = (-len(c)) % L
-        if pad:
-            c = np.concatenate([c, np.zeros(pad)])
-        cb = c.reshape(-1, L)
-        shift_blocks = base + self.k_lo
-        src_lo = max(0, -shift_blocks)
-        dst_lo = max(0, shift_blocks)
-        count = min(len(cb) - src_lo, n - dst_lo)
-        if count > 0:
-            out[:, dst_lo : dst_lo + count] += cb[src_lo : src_lo + count].T
-        return out
-
-
-def jump_aggregation_refined(
-    spec: ModelSpec,
-    grid: Grid,
-    p: DiscreteDist,
-    weighting: str = "per_step",
-    subgrid: int = 64,
-) -> float:
-    """Certified refined jump-aggregation term (value plus quadrature slack)."""
-    refiner = OneJumpRefiner(spec, grid, weighting=weighting, subgrid=subgrid)
-    return refiner.term(p).total
+        return RefinedTerm(
+            self.scale * float(p @ self.w), self.scale * float(p @ self.s)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -417,34 +290,28 @@ class StepComponents(NamedTuple):
 class BoundContext:
     """Precomputed per-run data for fast step bounds inside the solver."""
 
-    def __init__(self, spec: ModelSpec, grid: Grid, refined: bool,
-                 weighting: str = "per_step", subgrid: int = 64):
+    def __init__(self, spec: ModelSpec, grid: Grid, refined: bool):
         self.spec = spec
         self.grid = grid
         self.refined = refined
         lam, d = spec.lam, grid.delta
-        self.enl = float(np.exp(-lam * d))
         self.basic_agg = jump_aggregation_error(lam, d)
         mean_b = spec.job.mean()
         if spec.kind is ModelKind.MG1:
             self.cut = jump_cut_error_mg1(lam, d, mean_b)
-            tm = spec.job.tail_mean(grid.m - np.arange(grid.m_delta + 1) * d)
-            if tm is None:
-                raise CertificationError(
-                    "the M/G/1 Wasserstein bound requires a finite job-size mean"
-                )
-            self.trunc_vec = lam * d * self.enl * np.asarray(tm)
+            self.trunc_vec = truncation_error_mg1(
+                lam, d, np.arange(grid.m_delta + 1), grid, spec.job
+            )
             self.overshoot_rate = 0.0
         else:
             self.cut = jump_cut_error_specneg(lam, d, mean_b, grid.m)
-            self.trunc_top = d * self.enl
+            self.trunc_top = truncation_error_specneg(lam, d, grid.m_delta, grid)
             # single small jump from the top interval may overshoot M; the
             # displaced mass is covered here rather than by the aggregation
             # charge (distance can reach 2*delta instead of delta)
-            self.overshoot_rate = 2.0 * d * lam * d * self.enl * float(
-                spec.job.cdf(d)
-            )
-        self.refiner = OneJumpRefiner(spec, grid, weighting, subgrid) if refined else None
+            enl = float(np.exp(-lam * d))
+            self.overshoot_rate = 2.0 * d * lam * d * enl * float(spec.job.cdf(d))
+        self.refiner = OneJumpRefiner(spec, grid) if refined else None
         self.kernel_slack = 0.0  # per-step, set by the solver from the kernel
 
     def components(self, dist: DiscreteDist) -> StepComponents:
@@ -461,19 +328,6 @@ class BoundContext:
             trunc = self.trunc_top * float(p[-1])
             slack += self.overshoot_rate * float(p[-1])
         return StepComponents(agg, self.cut, trunc, slack)
-
-
-def step_bound(
-    spec: ModelSpec,
-    grid: Grid,
-    p: DiscreteDist,
-    refined: bool = False,
-    ctx: BoundContext | None = None,
-) -> StepComponents:
-    """Per-step certified error, weighted by the current distribution p."""
-    if ctx is None:
-        ctx = BoundContext(spec, grid, refined)
-    return ctx.components(p)
 
 
 @dataclass(eq=False)

@@ -43,6 +43,12 @@ _FAMILIES = {
 }
 
 
+_CONFIG_KEYS = (
+    "model", "grid", "initial", "horizon", "bound_mode", "queries", "validation",
+    "output",
+)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -119,6 +125,13 @@ class RunConfig:
 
     def __init__(self, raw: dict):
         self.raw = raw
+        # a key this version ignores would make a replayed run differ from
+        # the run that wrote it, so it is refused rather than dropped
+        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(
+                f"unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}"
+            )
         model = raw.get("model")
         if not isinstance(model, dict):
             raise ConfigError("config needs a 'model' object")
@@ -172,9 +185,6 @@ class RunConfig:
         self.bound_mode = raw.get("bound_mode", "refined")
         if self.bound_mode not in ("basic", "refined"):
             raise ConfigError("bound_mode must be 'basic' or 'refined'")
-        self.refined_weighting = raw.get("refined_weighting", "per_step")
-        if self.refined_weighting not in ("per_step", "per_interval"):
-            raise ConfigError("refined_weighting must be 'per_step' or 'per_interval'")
 
         self.queries = []
         snapshot_set = set(self.snapshot_steps)
@@ -248,7 +258,6 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         cfg.horizon_steps,
         snapshot_steps=cfg.snapshot_steps,
         bound_mode=cfg.bound_mode,
-        refined_weighting=cfg.refined_weighting,
     )
     files = {}
     for t, dist in zip(result.times, result.distributions):
@@ -289,7 +298,6 @@ def run_validate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         cfg.horizon_steps,
         snapshot_steps=cfg.snapshot_steps,
         bound_mode=cfg.bound_mode,
-        refined_weighting=cfg.refined_weighting,
     )
     rows = []
     ok = True
@@ -339,7 +347,7 @@ def run_matrix(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 def _write_manifest(cfg: RunConfig, out_dir: Path, command: str, files: dict) -> None:
     manifest = {
         "command": command,
-        "config": cfg.raw,
+        "config": {**cfg.raw, "bound_mode": cfg.bound_mode},  # effective config
         "outputs": files,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -361,7 +369,6 @@ def main(argv=None) -> int:
         p.add_argument("config", help="JSON config file (or a previous manifest)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--bound-mode", choices=["basic", "refined"], default=None)
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
@@ -372,13 +379,7 @@ def main(argv=None) -> int:
         runner = {"solve": run_solve, "validate": run_validate, "matrix": run_matrix}[
             args.command
         ]
-        if args.threads and args.threads > 1:
-            import scipy.fft
-
-            with scipy.fft.set_workers(args.threads):
-                code, extra = runner(cfg, out_dir)
-        else:
-            code, extra = runner(cfg, out_dir)
+        code, extra = runner(cfg, out_dir)
         _write_manifest(cfg, out_dir, args.command, extra.get("files", {}))
         return code
     except ConfigError as exc:

@@ -107,14 +107,12 @@ def solve(
     snapshot_every: int | None = None,
     snapshot_steps=None,
     bound_mode: str = "refined",
-    refined_weighting: str = "per_step",
 ) -> TransientResult:
     """Run the discretized chain and accumulate the certified bound.
 
-    ``bound_mode`` is "basic" or "refined"; the refined mode recomputes the
-    one-jump aggregation term from the evolving distribution every step
-    (``refined_weighting="per_interval"`` switches to the cheaper
-    once-per-run worst case, still certified).
+    ``bound_mode`` is "basic" or "refined"; the refined mode weights a
+    per-start-state one-jump aggregation cost, computed once per run, by the
+    evolving distribution every step (see :class:`OneJumpRefiner`).
     """
     if horizon_steps < 0:
         raise ValueError("horizon_steps must be >= 0")
@@ -148,9 +146,7 @@ def solve(
         return _result(spec, grid, snaps, ledger)
 
     kern = build_kernel(spec, grid)
-    ctx = BoundContext(
-        spec, grid, refined=(bound_mode == "refined"), weighting=refined_weighting
-    )
+    ctx = BoundContext(spec, grid, refined=(bound_mode == "refined"))
     # kernel entry errors displace mass by at most M per unit, every step
     ctx.kernel_slack = kern.row_quadrature_error * grid.m
     for k in range(1, horizon_steps + 1):

@@ -15,11 +15,9 @@ from levyq import (
     Pareto,
     Uniform,
     jump_aggregation_error,
-    jump_aggregation_refined,
     jump_cut_error_mg1,
     jump_cut_error_specneg,
     solve,
-    step_bound,
     truncation_error_mg1,
     truncation_error_specneg,
 )
@@ -179,16 +177,23 @@ class TestRefined:
         rng = np.random.default_rng(11)
         for spec, args in self.CASES:
             grid = spec.grid_for(*args)
+            refiner = OneJumpRefiner(spec, grid)
+            scale = spec.lam * grid.delta * np.exp(-spec.lam * grid.delta)
             for _ in range(3):
                 p = rng.random(grid.n_states)
                 p /= p.sum()
-                dist = DiscreteDist(grid, p)
-                term = OneJumpRefiner(spec, grid, "per_step").term(dist)
-                scale = spec.lam * grid.delta * np.exp(-spec.lam * grid.delta)
+                term = refiner.term(DiscreteDist(grid, p))
                 oracle = oracle_mixture_wd(spec, grid, p)
                 # certified: value + slack covers the truth
                 assert term.value + term.slack >= scale * oracle - 1e-13
-                # and tracks it: the value does not exceed truth + slack
+            # a start in a single interval is charged its own distance: the
+            # value tracks the truth up to the slack, and covers it with it
+            for i in range(grid.n_states):
+                p = np.zeros(grid.n_states)
+                p[i] = 1.0
+                term = refiner.term(DiscreteDist(grid, p))
+                oracle = oracle_mixture_wd(spec, grid, p)
+                assert term.value + term.slack >= scale * oracle - 1e-13
                 assert term.value <= scale * oracle + term.slack + 1e-13
 
     def test_point_mass_initial_distribution(self):
@@ -197,7 +202,7 @@ class TestRefined:
         p = np.zeros(201)
         p[10] = 1.0
         dist = DiscreteDist(grid, p)
-        term = OneJumpRefiner(REF_MG1, grid, "per_step").term(dist)
+        term = OneJumpRefiner(REF_MG1, grid).term(dist)
         scale = 0.25 * 0.1 * np.exp(-0.025)
         oracle = oracle_mixture_wd(REF_MG1, grid, p, fine=256)
         assert term.value + term.slack >= scale * oracle - 1e-14
@@ -210,7 +215,7 @@ class TestRefined:
         grid = spec.grid_for(0.5, 30)
         p = np.zeros(31)
         p[10] = 1.0
-        term = OneJumpRefiner(spec, grid, "per_step").term(DiscreteDist(grid, p))
+        term = OneJumpRefiner(spec, grid).term(DiscreteDist(grid, p))
         assert term.value == pytest.approx(0.0, abs=1e-15)
 
     def test_refined_below_basic_plus_slack(self):
@@ -218,38 +223,12 @@ class TestRefined:
         for spec, args in self.CASES:
             grid = spec.grid_for(*args)
             basic = jump_aggregation_error(spec.lam, grid.delta)
-            for weighting in ("per_step", "per_interval"):
-                refiner = OneJumpRefiner(spec, grid, weighting)
-                for _ in range(3):
-                    p = rng.random(grid.n_states)
-                    p /= p.sum()
-                    term = refiner.term(DiscreteDist(grid, p))
-                    assert term.value <= basic + 1e-15
-
-    def test_per_interval_dominates_mixture(self):
-        # the cheap mode is an upper bound of the per-step mixture value
-        rng = np.random.default_rng(13)
-        for spec, args in self.CASES:
-            grid = spec.grid_for(*args)
-            mix = OneJumpRefiner(spec, grid, "per_step")
-            cheap = OneJumpRefiner(spec, grid, "per_interval")
+            refiner = OneJumpRefiner(spec, grid)
             for _ in range(3):
                 p = rng.random(grid.n_states)
                 p /= p.sum()
-                dist = DiscreteDist(grid, p)
-                t_mix = mix.term(dist)
-                t_cheap = cheap.term(dist)
-                assert t_cheap.value + t_cheap.slack >= t_mix.value - t_mix.slack - 1e-14
-
-    def test_module_level_helper(self):
-        grid = REF_MG1.grid_for(0.5, 30)
-        p = np.ones(31) / 31
-        dist = DiscreteDist(grid, p)
-        total = jump_aggregation_refined(REF_MG1, grid, dist)
-        basic = jump_aggregation_error(0.25, 0.5)
-        term = OneJumpRefiner(REF_MG1, grid).term(dist)
-        assert total == pytest.approx(term.value + term.slack, rel=1e-12)
-        assert total <= basic + term.slack
+                term = refiner.term(DiscreteDist(grid, p))
+                assert term.value <= basic + 1e-15
 
     def test_custom_cdf_rejected(self):
         from levyq import CustomCdf
@@ -266,7 +245,7 @@ class TestStepBound:
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))
         grid = spec.grid_for(0.5, 100)
         p = np.ones(101) / 101
-        comp = step_bound(spec, grid, DiscreteDist(grid, p))
+        comp = BoundContext(spec, grid, refined=False).components(DiscreteDist(grid, p))
         assert comp.total < 1e-11
 
     def test_interior_mass_has_no_truncation_term(self):
@@ -274,7 +253,7 @@ class TestStepBound:
         grid = spec.grid_for(0.25, 80)
         p = np.zeros(81)
         p[10] = 1.0
-        comp = step_bound(spec, grid, DiscreteDist(grid, p))
+        comp = BoundContext(spec, grid, refined=False).components(DiscreteDist(grid, p))
         assert comp.truncation_weighted == 0.0
         assert comp.jump_aggregation == pytest.approx(
             jump_aggregation_error(0.4, 0.25), rel=1e-14
@@ -288,7 +267,7 @@ class TestStepBound:
         grid = spec.grid_for(0.1, 50)
         p = np.zeros(50)
         p[-1] = 1.0
-        comp = step_bound(spec, grid, DiscreteDist(grid, p))
+        comp = BoundContext(spec, grid, refined=False).components(DiscreteDist(grid, p))
         assert comp.truncation_weighted == pytest.approx(
             0.1 * np.exp(-0.05), rel=1e-13
         )
@@ -297,12 +276,15 @@ class TestStepBound:
         spec = ModelSpec(ModelKind.MG1, 0.5, Pareto(1.0, 0.9))
         grid = spec.grid_for(0.25, 20)
         with pytest.raises(CertificationError):
-            step_bound(spec, grid, DiscreteDist(grid, np.ones(21) / 21))
+            BoundContext(spec, grid, refined=False).components(
+                DiscreteDist(grid, np.ones(21) / 21)
+            )
 
     def test_specneg_heavy_tail_allowed(self):
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Pareto(1.0, 0.9))
         grid = spec.grid_for(0.25, 20)
-        comp = step_bound(spec, grid, DiscreteDist(grid, np.ones(20) / 20))
+        ctx = BoundContext(spec, grid, refined=False)
+        comp = ctx.components(DiscreteDist(grid, np.ones(20) / 20))
         assert comp.total > 0.0
 
 

@@ -64,6 +64,12 @@ class TestConfigParsing:
         with pytest.raises(Exception, match="multiple"):
             load_config(write_config(tmp_path, cfg))
 
+    def test_unknown_key_named(self, tmp_path, capsys):
+        # a removed option cannot be replayed, so it is refused, not ignored
+        cfg = base_config(refined_weighting="per_interval")
+        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "refined_weighting" in capsys.readouterr().err
+
     def test_unknown_family(self, tmp_path):
         cfg = base_config()
         cfg["model"]["job"] = {"family": "zeta", "params": {}}
@@ -120,11 +126,15 @@ class TestSolveCommand:
         )
         assert cum[-1] == pytest.approx(cum[0] + parts, rel=1e-12)
 
-    def test_manifest_roundtrip_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags", [(), ("--bound-mode", "basic")], ids=["plain", "bound-mode-override"]
+    )
+    def test_manifest_roundtrip_bit_identical(self, tmp_path, flags):
+        # the manifest records the effective config, CLI overrides included
         path = write_config(tmp_path, base_config())
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
-        assert main(["solve", path, "--out", str(out1)]) == EXIT_OK
+        assert main(["solve", path, "--out", str(out1), *flags]) == EXIT_OK
         manifest = out1 / "manifest.json"
         assert main(["solve", str(manifest), "--out", str(out2)]) == EXIT_OK
         d1 = json.loads(manifest.read_text())["outputs"]
