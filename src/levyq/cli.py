@@ -224,6 +224,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     if "config" in raw and isinstance(raw["config"], dict):
         raw = raw["config"]  # accept a previously written manifest
     return RunConfig(raw)

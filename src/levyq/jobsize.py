@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "JobSize",
@@ -305,6 +304,8 @@ class Erlang(JobSize):
 
     def _stage_cdfs(self, x, n):
         # regularized lower incomplete gamma = Erlang(m, rate) CDF, m = 1..n
+        from scipy import special
+
         out = np.empty((n,) + np.shape(x))
         rx = self.rate * np.asarray(x)
         for m in range(1, n + 1):
@@ -312,6 +313,8 @@ class Erlang(JobSize):
         return out
 
     def _cdf(self, x):
+        from scipy import special
+
         return special.gammainc(self.shape, self.rate * x)
 
     def _J(self, x):
@@ -337,6 +340,8 @@ class Erlang(JobSize):
         return self.shape / self.rate
 
     def tail_mean(self, a):
+        from scipy import special
+
         aa = np.maximum(_as_float_array(a), 0.0)
         out = self.mean() * special.gammaincc(self.shape + 1, self.rate * aa)
         return _scalarize(out, a)

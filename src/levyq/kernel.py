@@ -14,6 +14,12 @@ this package targets has tens of thousands of states, where a dense matrix
 would be both too large and too slow.  A dense reconstruction exists for
 small grids, used by tests and the `matrix` CLI subcommand.
 
+One chain step multiplies the Toeplitz part by a single real FFT pair.  The
+band's spectrum is computed once, when the kernel is built, at the smallest
+5-smooth length (2^a 3^b 5^c) that holds the full linear convolution; each
+step transforms the distribution, multiplies and transforms back.  Every
+grid size takes this one path.
+
 Window integrals are second differences of the CDF prefix integral
 J(x) = int_0^x F_B: int_{k d}^{(k+1) d} (F_B(s + d) - F_B(s)) ds
 = J((k+2)d) - 2 J((k+1)d) + J(k d), with J clamped to 0 on the negative
@@ -23,10 +29,9 @@ axis.  J is convex, so these are nonnegative up to rounding.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 from .errors import CertificationError, GridError
 from .jobsize import JobSize
@@ -102,6 +107,12 @@ class TransitionKernel:
     holds D(i, i) >= 0 per state.  ``row_quadrature_error`` bounds the total
     absolute error of any single row's entries (nonzero only for job-size
     families without closed-form integrals).
+
+    At construction the band's real FFT is cached: ``nfft`` is the smallest
+    5-smooth length >= len(body) + len(band) - 1, where the body is p[2:]
+    (M/G/1) or the n non-sink states (spectrally negative) and the band is
+    ``toeplitz`` (M/G/1) or ``toeplitz[::-1]`` (spectrally negative).  Each
+    :meth:`apply` then costs one rfft/irfft pair of that length.
     """
 
     grid: Grid
@@ -116,6 +127,17 @@ class TransitionKernel:
     col1: np.ndarray | None = None
     col0: np.ndarray | None = None
     row_quadrature_error: float = 0.0
+    nfft: int = field(init=False)
+    _band_fft: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.grid.m_delta
+        if self.kind is ModelKind.MG1:
+            body_len, band = n - 1, self.toeplitz
+        else:
+            body_len, band = n, self.toeplitz[::-1]
+        self.nfft = _fft_len(body_len + len(band) - 1)
+        self._band_fft = np.fft.rfft(band, self.nfft)
 
     # -- application ---------------------------------------------------------
 
@@ -131,15 +153,19 @@ class TransitionKernel:
         out[out < 0.0] = 0.0  # convolution rounding noise
         return DiscreteDist(self.grid, out)
 
+    def _convolve(self, x: np.ndarray, length: int) -> np.ndarray:
+        """First ``length`` entries of the linear convolution of x with the band."""
+        spec = np.fft.rfft(x, self.nfft) * self._band_fft
+        return np.fft.irfft(spec, self.nfft)[:length]
+
     def _apply_mg1(self, p: np.ndarray) -> np.ndarray:
         n = self.grid.m_delta
         out = p[0] * self.row0 + p[1] * self.row1
         q = p[2:]
         if len(q):
-            c = signal.convolve(q, self.toeplitz, method="auto")
             # c[j - 1] = sum_i p[i] t[j - i] for the rows i >= 2
-            take = min(n, len(c))
-            out[1 : 1 + take] += c[:take]
+            take = min(n, len(q) + len(self.toeplitz) - 1)
+            out[1 : 1 + take] += self._convolve(q, take)
         out += p * self.diag
         return out
 
@@ -151,12 +177,9 @@ class TransitionKernel:
             body = p
         out_body = np.zeros(n)
         out_body[0] = float(np.dot(body, self.col1))
-        rev = self.toeplitz[::-1]
-        c = signal.convolve(body, rev, method="auto")
         # states j >= 2 sit at c[L - 1 + (j - 2)], L = len(toeplitz)
         L = len(self.toeplitz)
-        seg = c[L - 1 : L - 1 + (n - 1)]
-        out_body[1 : 1 + len(seg)] += seg
+        out_body[1:] += self._convolve(body, L - 1 + (n - 1))[L - 1 :]
         if self.absorbing_zero:
             out = np.empty(n + 1)
             out[0] = p[0] + float(np.dot(body, self.col0))
@@ -405,6 +428,20 @@ def _prefix_window_numeric(job: JobSize, d: float, i: int) -> tuple[float, float
     # g is non-decreasing (window of a non-decreasing F)
     val, err = _bracket_monotone(g, (i - 1) * d, i * d, tol=1e-12)
     return val / d, err / d
+
+
+def _fft_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n (1 for n <= 1)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-n // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _trim_band(t: np.ndarray) -> np.ndarray:

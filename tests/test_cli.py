@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from levyq.cli import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def base_config(**overrides):
@@ -69,6 +73,13 @@ class TestConfigParsing:
         cfg = base_config(refined_weighting="per_interval")
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert "refined_weighting" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw", [["model"], ["config"], 5], ids=["list", "list-config", "number"]
+    )
+    def test_non_object_config_refused(self, tmp_path, capsys, raw):
+        assert main(["solve", write_config(tmp_path, raw)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_unknown_family(self, tmp_path):
         cfg = base_config()
@@ -144,7 +155,8 @@ class TestSolveCommand:
     def test_heavy_tail_mg1_refused(self, tmp_path, capsys):
         cfg = base_config()
         cfg["model"]["job"] = {"family": "pareto", "params": {"x_min": 1, "alpha": 0.9}}
-        assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CERTIFICATION
+        args = ["solve", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_CERTIFICATION
         assert "mean" in capsys.readouterr().err
 
     def test_bound_mode_flag(self, tmp_path):
@@ -229,3 +241,18 @@ class TestShippedConfigs:
         with (out / "ledger.csv").open() as f:
             rows = list(csv.DictReader(f))
         assert float(rows[-1]["cumulative"]) > 0.0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only needed for Erlang job sizes, which import it on first use
+    code = (
+        "import levyq.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

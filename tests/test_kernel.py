@@ -17,6 +17,7 @@ from levyq import (
     build_mg1,
     build_specneg,
 )
+from levyq.kernel import _fft_len
 
 
 def riemann_window(job, delta, a, b, n=500_000):
@@ -218,6 +219,44 @@ class TestApply:
         kern = build_mg1(REF_MG1, grid)
         with pytest.raises(GridError):
             kern.apply(DiscreteDist(other, np.ones(62) / 62))
+
+    @pytest.mark.parametrize("m_delta", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "job,delta",
+        # band of length 1 (the jump leaves the grid) / band spanning the grid
+        [(Deterministic(0.05), 0.01), (Pareto(1.0, 1.5), 0.5)],
+        ids=["narrow-band", "full-band"],
+    )
+    @pytest.mark.parametrize(
+        "kind,absorbing",
+        [
+            (ModelKind.MG1, False),
+            (ModelKind.SPECTRALLY_NEGATIVE, False),
+            (ModelKind.SPECTRALLY_NEGATIVE, True),
+        ],
+        ids=["mg1", "specneg", "specneg-absorbing"],
+    )
+    def test_edge_sizes_match_dense(self, kind, absorbing, job, delta, m_delta):
+        spec = ModelSpec(kind, 0.5, job, absorbing)
+        grid = spec.grid_for(delta, m_delta)
+        kern = build_kernel(spec, grid)
+        p = np.random.default_rng(m_delta).dirichlet(np.ones(len(grid.states())))
+        out = kern.apply(DiscreteDist(grid, p)).p
+        assert np.max(np.abs(out - p @ kern.dense())) < 1e-14
+
+
+def test_fft_len_is_smallest_5_smooth():
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    expected = 1
+    for n in range(1, 2049):
+        while expected < n or not smooth(expected):
+            expected += 1
+        assert _fft_len(n) == expected
 
 
 class TestStochasticity:
