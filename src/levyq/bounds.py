@@ -364,9 +364,6 @@ class BoundLedger:
     def final(self) -> float:
         return float(self.cumulative[-1])
 
-    def bound_at(self, k: int) -> float:
-        return float(self.cumulative[k])
-
     def rows(self, delta: float):
         """CSV rows (step, time, jump_aggregation, jump_cut, truncation_weighted,
         slack, cumulative); step 0 carries the initial error."""

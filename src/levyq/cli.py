@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,8 @@ _FAMILIES = {
     "erlang": (jobsize.Erlang, ("shape", "rate")),
     "pareto": (jobsize.Pareto, ("x_min", "alpha")),
     "deterministic": (jobsize.Deterministic, ("value",)),
-}
+    "tabulated": (jobsize.TabulatedCdf, ("xs", "cdf")),
+}  # family: (class, its constructor arguments in order)
 
 
 _CONFIG_KEYS = (
@@ -49,11 +51,8 @@ _CONFIG_KEYS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _as_fraction(value, what: str) -> Fraction:
+    """Exact value of a JSON number or a decimal / rational string (finite only)."""
     try:
         if isinstance(value, str):
             return Fraction(value)
@@ -61,40 +60,65 @@ def _as_fraction(value, what: str) -> Fraction:
             return Fraction(value)
         if isinstance(value, float):
             return Fraction(value).limit_denominator(10**12)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # NaN, inf
         raise ConfigError(f"{what}: cannot parse {value!r} as a number") from exc
     raise ConfigError(f"{what}: cannot parse {value!r} as a number")
 
 
 def _as_float(value, what: str) -> float:
     if isinstance(value, str):
-        return float(_as_fraction(value, what))
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"{what}: expected a number, got {value!r}")
+        value = _as_fraction(value, what)
+    elif not isinstance(value, (int, float)):
+        raise ConfigError(f"{what}: expected a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer or fraction beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{what}: expected a finite number, got {value!r}")
+    return out
+
+
+def _as_int(value, what: str) -> int:
+    frac = _as_fraction(value, what)
+    if frac.denominator != 1:
+        raise ConfigError(f"{what}: expected an integer, got {value!r}")
+    return int(frac)
+
+
+def _as_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _as_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _job_param(name: str, value):
+    what = f"job.params.{name}"
+    if name == "shape":
+        return _as_int(value, what)
+    if name in ("xs", "cdf"):  # tabulated knots and CDF values
+        return np.array([_as_float(v, what) for v in _as_list(value, what)])
+    return _as_float(value, what)
 
 
 def parse_job(cfg: dict) -> jobsize.JobSize:
     family = cfg.get("family")
-    if family == "tabulated":
-        params = cfg.get("params", {})
-        return jobsize.TabulatedCdf(
-            np.asarray(params["xs"], dtype=float),
-            np.asarray(params["cdf"], dtype=float),
-        )
     if family not in _FAMILIES:
         raise ConfigError(f"unknown job-size family {family!r}")
     cls, names = _FAMILIES[family]
-    params = cfg.get("params", {})
+    params = _as_object(cfg.get("params", {}), "model.job.params")
     missing = [k for k in names if k not in params]
     if missing:
         raise ConfigError(f"job family {family!r} is missing parameters {missing}")
-    kwargs = {}
-    for k in names:
-        v = params[k]
-        kwargs[k] = int(v) if k == "shape" else _as_float(v, f"job.params.{k}")
+    args = [_job_param(k, params[k]) for k in names]
     try:
-        return cls(**kwargs)
+        return cls(*args)
     except ValueError as exc:
         raise ConfigError(f"invalid job-size parameters: {exc}") from exc
 
@@ -116,7 +140,7 @@ def parse_initial(cfg: dict) -> GeneralMeasure:
             for a, b, w in cfg.get("uniform_pieces", [])
         ]
         return GeneralMeasure(atoms=atoms, pieces=pieces)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid initial law: {exc}") from exc
 
 
@@ -132,9 +156,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}"
             )
-        model = raw.get("model")
-        if not isinstance(model, dict):
-            raise ConfigError("config needs a 'model' object")
+        model = _as_object(raw.get("model"), "model")
         kind_name = model.get("kind")
         try:
             kind = ModelKind(kind_name)
@@ -145,16 +167,14 @@ class RunConfig:
         lam = _as_float(model.get("lambda"), "model.lambda")
         if lam <= 0:
             raise ConfigError("model.lambda must be positive")
-        job = parse_job(model.get("job", {}))
+        job = parse_job(_as_object(model.get("job", {}), "model.job"))
         absorbing = bool(model.get("absorbing_zero", False))
         try:
             self.spec = ModelSpec(kind, lam, job, absorbing)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-        grid = raw.get("grid")
-        if not isinstance(grid, dict):
-            raise ConfigError("config needs a 'grid' object")
+        grid = _as_object(raw.get("grid"), "grid")
         delta_frac = _as_fraction(grid.get("delta"), "grid.delta")
         m_frac = _as_fraction(grid.get("m"), "grid.m")
         if delta_frac <= 0 or m_frac <= 0:
@@ -169,42 +189,44 @@ class RunConfig:
         self.grid = self.spec.grid_for(self.delta, int(m_delta))
         self.delta_frac = delta_frac
 
-        self.initial = parse_initial(raw.get("initial", {}))
+        self.initial = parse_initial(_as_object(raw.get("initial", {}), "initial"))
 
-        horizon = raw.get("horizon")
-        if not isinstance(horizon, dict):
-            raise ConfigError("config needs a 'horizon' object")
+        horizon = _as_object(raw.get("horizon"), "horizon")
         t_end = _as_fraction(horizon.get("t_end"), "horizon.t_end")
         self.horizon_steps = self._steps_of(t_end, "horizon.t_end")
-        self.snapshot_steps = sorted(
-            {self._steps_of(_as_fraction(t, "snapshot_times"), "snapshot_times")
-             for t in horizon.get("snapshot_times", [])}
-            | {0, self.horizon_steps}
-        )
+        snapshot_set = {0, self.horizon_steps}
+        for t in _as_list(horizon.get("snapshot_times", []), "horizon.snapshot_times"):
+            snapshot_set.add(self._time_step(t, "horizon.snapshot_times"))
 
         self.bound_mode = raw.get("bound_mode", "refined")
         if self.bound_mode not in ("basic", "refined"):
             raise ConfigError("bound_mode must be 'basic' or 'refined'")
 
         self.queries = []
-        snapshot_set = set(self.snapshot_steps)
-        for q in raw.get("queries", []):
-            t = _as_fraction(q.get("time"), "queries.time")
-            step = self._steps_of(t, "queries.time")
+        for q in _as_list(raw.get("queries", []), "queries"):
+            q = _as_object(q, "queries entry")
+            step = self._time_step(q.get("time"), "queries.time")
             snapshot_set.add(step)  # certified answers need a snapshot there
+            slack = _as_float(q.get("slack"), "queries.slack")
+            if slack <= 0:
+                raise ConfigError(f"queries.slack must be positive, got {slack!r}")
             self.queries.append(
                 {
-                    "time": float(t),
+                    "time": float(_as_fraction(q["time"], "queries.time")),
                     "step": step,
                     "threshold": _as_float(q.get("threshold"), "queries.threshold"),
-                    "slack": _as_float(q.get("slack"), "queries.slack"),
+                    "slack": slack,
                 }
             )
         self.snapshot_steps = sorted(snapshot_set)
-        val = raw.get("validation", {})
+        val = _as_object(raw.get("validation", {}), "validation")
         self.validation_enabled = bool(val.get("enabled", False))
-        self.n_paths = int(val.get("n_paths", 100_000))
-        self.seed = int(val.get("seed", 42))
+        self.n_paths = _as_int(val.get("n_paths", 100_000), "validation.n_paths")
+        if self.n_paths < 2:
+            raise ConfigError(f"validation.n_paths must be >= 2, got {self.n_paths}")
+        self.seed = _as_int(val.get("seed", 42), "validation.seed")
+        if self.seed < 0:
+            raise ConfigError(f"validation.seed must be >= 0, got {self.seed}")
         self.output = raw.get("output")
 
     def _steps_of(self, t: Fraction, what: str) -> int:
@@ -215,6 +237,13 @@ class RunConfig:
         if steps < 0:
             raise ConfigError(f"{what} must be >= 0")
         return int(steps)
+
+    def _time_step(self, value, what: str) -> int:
+        """Grid step of a snapshot or query time, which must not pass t_end."""
+        step = self._steps_of(_as_fraction(value, what), what)
+        if step > self.horizon_steps:
+            raise ConfigError(f"{what} = {value} is past horizon.t_end")
+        return step
 
 
 def load_config(path: str) -> RunConfig:
@@ -237,10 +266,22 @@ def load_config(path: str) -> RunConfig:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Strings as they are, numbers with 17 significant digits (round-trippable).
+
+    A file has one or two patterns of cell types (an atom row, a status
+    column), so the row format is built once per pattern, not per cell.
+    """
+    formats = {}
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                cells = ("%s" if k is str else "%.17g" for k in kinds)
+                fmt = formats[kinds] = ",".join(cells) + "\n"
+            f.write(fmt % row)
 
 
 def _digest(path: Path) -> str:

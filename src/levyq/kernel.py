@@ -314,10 +314,8 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     diag[0] = 1.0 - row0.sum()
     diag[1] = 1.0 - row1.sum()
     csum = np.cumsum(toeplitz)
-    last = len(csum) - 1
-    for i in range(2, n + 1):
-        # row i covers offsets k = -1 .. n - i; entries past the band are 0
-        diag[i] = 1.0 - csum[min(n - i + 1, last)]
+    # row i >= 2 covers offsets k = -1 .. n - i; entries past the band are 0
+    diag[2:] = 1.0 - csum[np.minimum(n - np.arange(2, n + 1) + 1, len(csum) - 1)]
     _check_diag(diag, row_err)
     return TransitionKernel(
         grid=grid,
@@ -371,18 +369,12 @@ def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     np.maximum(col1, 0.0, out=col1)
 
     csum = np.cumsum(toeplitz)
-    last = len(csum) - 1
-    diag_body = np.empty(n)
-    for a, i in enumerate(ii):
-        # offsets k = max(-1, i - n) .. i - 2 exist for columns j in [2, n];
-        # the topmost row has no j = i + 1, its k = -1 mass stays in place
-        if n >= 2:
-            s = csum[min(i - 1, last)]
-            if i == n:
-                s -= toeplitz[0]
-        else:
-            s = 0.0
-        diag_body[a] = 1.0 - col1[a] - s
+    # offsets k = max(-1, i - n) .. i - 2 exist for columns j in [2, n];
+    # the topmost row has no j = i + 1, its k = -1 mass stays in place
+    # (for n = 1 that leaves csum[0] - toeplitz[0] = 0)
+    moved = csum[np.minimum(ii - 1, len(csum) - 1)]
+    moved[-1] -= toeplitz[0]
+    diag_body = 1.0 - col1 - moved
 
     col0 = None
     if spec.absorbing_zero:

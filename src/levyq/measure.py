@@ -6,7 +6,10 @@ Three measure representations live here:
 * :class:`LiftedDistribution` -- an atom at 0 plus a piecewise-constant
   density over the grid intervals ((i-1)*delta, i*delta],
 * :class:`GeneralMeasure` -- finite mixtures of point atoms and uniform
-  pieces, used for initial laws and empirical measures.
+  pieces, used for initial laws.
+
+Empirical measures stay arrays: :func:`empirical_distance` takes counts over
+the sorted distinct sample values.
 
 All of these have piecewise-linear CDFs with jumps, so the order-1
 Wasserstein distance, which on the line equals the L1 distance of the CDFs,
@@ -20,6 +23,7 @@ Everything is immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +36,7 @@ __all__ = [
     "LiftedDistribution",
     "GeneralMeasure",
     "wasserstein",
+    "empirical_distance",
 ]
 
 _MASS_TOL = 1e-9
@@ -90,7 +95,7 @@ class DiscreteDist:
         if np.any(p < -1e-12):
             raise ValueError("negative probabilities")
         total = p.sum()
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:  # a NaN total fails too
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         self.p = p
 
@@ -116,25 +121,13 @@ class LiftedDistribution:
         if not self.grid.zero_state and self.atom0 != 0.0:
             raise GridError("grid without zero state cannot carry an atom at 0")
         total = self.atom0 + w.sum()
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:
             raise ValueError(f"total mass is {total!r}, expected 1")
         self.interval_mass = w
 
     def cdf(self, x):
         """Right-continuous CDF value(s) at x."""
-        xa = np.asarray(x, dtype=float)
-        d = self.grid.delta
-        cum = np.concatenate([[self.atom0], self.atom0 + np.cumsum(self.interval_mass)])
-        k = np.clip(np.floor(xa / d).astype(int), 0, self.grid.m_delta)
-        frac = np.clip(xa / d - k, 0.0, 1.0)
-        inner = np.where(
-            k >= self.grid.m_delta,
-            cum[-1],
-            cum[np.minimum(k, self.grid.m_delta - 1)]
-            + frac * self.interval_mass[np.minimum(k, self.grid.m_delta - 1)],
-        )
-        out = np.where(xa < 0.0, 0.0, np.where(xa >= self.grid.m, cum[-1], inner))
-        return float(out) if np.ndim(x) == 0 else out
+        return self._step_linear_cdf().right_at(x)
 
     def threshold_mass(self, x: float) -> float:
         """Exact mass of (x, inf); 1 for x < 0, 0 for x >= m."""
@@ -177,7 +170,7 @@ class GeneralMeasure:
         atoms = [(float(x), float(w)) for x, w in self.atoms]
         pieces = [(float(a), float(b), float(w)) for a, b, w in self.pieces]
         for x, w in atoms:
-            if x < 0:
+            if not x >= 0:
                 raise ValueError("atom locations must be >= 0")
             if w < 0:
                 raise ValueError("negative atom mass")
@@ -187,7 +180,7 @@ class GeneralMeasure:
             if w < 0:
                 raise ValueError("negative piece mass")
         total = sum(w for _, w in atoms) + sum(w for _, _, w in pieces)
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:
             raise ValueError(f"total mass is {total!r}, expected 1")
         self.atoms = atoms
         self.pieces = pieces
@@ -201,17 +194,6 @@ class GeneralMeasure:
     @classmethod
     def uniform(cls, a: float, b: float) -> "GeneralMeasure":
         return cls(pieces=[(a, b, 1.0)])
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "GeneralMeasure":
-        """Empirical measure of the samples (atoms of equal weight)."""
-        samples = np.asarray(samples, dtype=float)
-        xs, counts = np.unique(samples, return_counts=True)
-        n = float(len(samples))
-        m = cls.__new__(cls)
-        m.atoms = list(zip(xs.tolist(), (counts / n).tolist()))
-        m.pieces = []
-        return m
 
     # -- queries --------------------------------------------------------------
 
@@ -254,32 +236,19 @@ class GeneralMeasure:
     def _step_linear_cdf(self) -> "_StepLinearCdf":
         atom_x = np.array([x for x, _ in self.atoms])
         atom_w = np.array([w for _, w in self.atoms])
-        if not self.pieces and len(atom_x):
-            # pure atomic fast path (empirical measures)
-            ax, inv = np.unique(atom_x, return_inverse=True)
-            aw = np.bincount(inv, weights=atom_w)
-            cum = np.cumsum(aw)
-            return _StepLinearCdf(ax, cum - aw, cum)
-        xs = {x for x, _ in self.atoms}
-        for a, b, _ in self.pieces:
-            xs.add(a)
-            xs.add(b)
-        xs = np.array(sorted(xs)) if xs else np.array([0.0])
+        order = np.argsort(atom_x)
+        atom_cum = np.concatenate([[0.0], np.cumsum(atom_w[order])])
+        ends = [e for a, b, _ in self.pieces for e in (a, b)]
+        xs = np.unique(np.concatenate([atom_x, ends]))
 
-        def eval_cdf(points, side):
-            out = np.zeros(len(points))
-            if len(atom_x):
-                order = np.argsort(atom_x)
-                ax, aw = atom_x[order], np.cumsum(atom_w[order])
-                idx = np.searchsorted(ax, points, side=side)
-                out += np.where(idx > 0, aw[np.maximum(idx - 1, 0)], 0.0)
+        def eval_cdf(side):
+            # mass of the atoms left of (or at) each breakpoint, plus the pieces
+            out = atom_cum[np.searchsorted(atom_x[order], xs, side=side)]
             for a, b, w in self.pieces:
-                out += w * np.clip((points - a) / (b - a), 0.0, 1.0)
+                out += w * np.clip((xs - a) / (b - a), 0.0, 1.0)
             return out
 
-        y_right = eval_cdf(xs, "right")
-        y_left = eval_cdf(xs, "left")
-        return _StepLinearCdf(xs, y_left, y_right)
+        return _StepLinearCdf(xs, eval_cdf("left"), eval_cdf("right"))
 
 
 class _StepLinearCdf:
@@ -298,18 +267,18 @@ class _StepLinearCdf:
         self.y_right = np.asarray(y_right, dtype=float)
 
     def right_at(self, q):
-        q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-        k = np.searchsorted(self.xs, q_arr, side="right") - 1
-        out = self._interp(q_arr, k)
-        return float(out[0]) if np.ndim(q) == 0 else out
+        return self._interp(q, "right")
 
     def left_at(self, q):
-        q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-        k = np.searchsorted(self.xs, q_arr, side="left") - 1
-        out = self._interp(q_arr, k)
-        return float(out[0]) if np.ndim(q) == 0 else out
+        return self._interp(q, "left")
 
-    def _interp(self, q, k):
+    def on_segments(self, xs):
+        """F at each segment start xs[:-1] and its left limit at each end xs[1:]."""
+        return self.right_at(xs[:-1]), self.left_at(xs[1:])
+
+    def _interp(self, q_in, side):
+        q = np.atleast_1d(np.asarray(q_in, dtype=float))
+        k = np.searchsorted(self.xs, q, side=side) - 1
         n = len(self.xs)
         kc = np.clip(k, 0, n - 1)
         out = np.empty(len(q))
@@ -325,12 +294,10 @@ class _StepLinearCdf:
             f0 = self.y_right[km]
             f1 = self.y_left[km + 1]
             out[mid] = f0 + (f1 - f0) * (q[mid] - x0) / (x1 - x0)
-        return out
+        return float(out[0]) if np.ndim(q_in) == 0 else out
 
 
 def _to_step_linear(m) -> _StepLinearCdf:
-    if isinstance(m, _StepLinearCdf):
-        return m
     if isinstance(m, (LiftedDistribution, GeneralMeasure)):
         return m._step_linear_cdf()
     raise TypeError(f"cannot interpret {type(m).__name__} as a measure")
@@ -339,24 +306,48 @@ def _to_step_linear(m) -> _StepLinearCdf:
 def wasserstein(a, b) -> float:
     """Exact order-1 Wasserstein distance between two measures on [0, inf).
 
-    Computed as the integral of |F_a - F_b|: the integrand is piecewise
-    linear in absolute value between the merged breakpoints, and every
-    segment is integrated exactly (splitting at the sign-change root when
-    the endpoint values differ in sign).
+    Computed as the integral of |F_a - F_b|: both CDFs are evaluated at their
+    merged breakpoints, between which the integrand is linear, and every
+    segment is integrated exactly.
     """
     fa = _to_step_linear(a)
     fb = _to_step_linear(b)
     xs = np.union1d(fa.xs, fb.xs)
-    if len(xs) < 2:
-        return 0.0
-    u = xs[:-1]
-    v = xs[1:]
-    d_left = fa.right_at(u) - fb.right_at(u)
-    d_right = fa.left_at(v) - fb.left_at(v)
-    length = v - u
-    same_sign = d_left * d_right >= 0.0
-    denom = np.abs(d_left) + np.abs(d_right)
+    (a_start, a_end), (b_start, b_end) = fa.on_segments(xs), fb.on_segments(xs)
+    return _abs_linear_integral(np.diff(xs), a_start - b_start, a_end - b_end)
+
+
+def empirical_distance(values: np.ndarray, m) -> Callable[[np.ndarray], float]:
+    """Exact W1 from m to empirical measures on the sorted distinct ``values``.
+
+    Returns a function of a count vector over ``values``.  The merged
+    breakpoints and m's CDF on them are computed once; the empirical CDF is
+    constant between breakpoints, so each call is one cumsum, one gather and
+    the segment integral of :func:`wasserstein`.
+    """
+    fm = _to_step_linear(m)
+    xs = np.union1d(values, fm.xs)
+    m_start, m_end = fm.on_segments(xs)
+    length = np.diff(xs)
+    at = np.searchsorted(values, xs[:-1], side="right")
+
+    def distance(counts: np.ndarray) -> float:
+        cum = np.concatenate([[0], np.cumsum(counts)])
+        f = cum[at] / cum[-1]
+        return _abs_linear_integral(length, f - m_start, f - m_end)
+
+    return distance
+
+
+def _abs_linear_integral(length, d_start, d_end) -> float:
+    """Exact sum of the integrals of |g| over segments on which g is linear.
+
+    g runs from ``d_start`` to ``d_end`` over a segment of ``length``; a
+    segment whose end values differ in sign is split at its root.
+    """
+    same_sign = d_start * d_end >= 0.0
+    denom = np.abs(d_start) + np.abs(d_end)
     with np.errstate(invalid="ignore", divide="ignore"):
-        crossing = (d_left**2 + d_right**2) / np.where(denom > 0, denom, 1.0)
-    seg = np.where(same_sign, np.abs(d_left + d_right), crossing) * 0.5 * length
+        crossing = (d_start**2 + d_end**2) / np.where(denom > 0, denom, 1.0)
+    seg = np.where(same_sign, np.abs(d_start + d_end), crossing) * 0.5 * length
     return float(seg.sum())

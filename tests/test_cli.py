@@ -10,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levyq import ConfigError
 from levyq.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
     EXIT_OK,
+    _as_float,
+    _as_fraction,
     load_config,
     main,
 )
@@ -37,6 +40,18 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def erlang_job(shape):
+    return {"family": "erlang", "params": {"shape": shape, "rate": 2}}
+
+
+def tabulated_job(**params):
+    return {"family": "tabulated", "params": params}
+
+
+def query(time=1, slack=0.1):
+    return {"time": time, "threshold": 5, "slack": slack}
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -80,6 +95,60 @@ class TestConfigParsing:
     def test_non_object_config_refused(self, tmp_path, capsys, raw):
         assert main(["solve", write_config(tmp_path, raw)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), "nan", "inf"],
+        ids=["nan", "inf", "-inf", "nan-string", "inf-string"],
+    )
+    def test_non_finite_numbers_refused(self, value):
+        with pytest.raises(ConfigError):
+            _as_float(value, "x")
+        with pytest.raises(ConfigError):
+            _as_fraction(value, "x")
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("model", "lambda"), float("nan"), id="lambda-nan"),
+            pytest.param(("model", "lambda"), float("inf"), id="lambda-inf"),
+            pytest.param(("grid", "delta"), float("inf"), id="delta-inf"),
+            pytest.param(("initial", "dirac"), float("nan"), id="dirac-nan"),
+            pytest.param(("model", "job"), erlang_job(2.5), id="erlang-shape-float"),
+            pytest.param(("model", "job"), erlang_job("2.5"), id="erlang-shape-string"),
+            pytest.param(("model", "job"), tabulated_job(xs=[2, 1], cdf=[0.5, 1]),
+                         id="tabulated-xs-decreasing"),
+            pytest.param(("model", "job"), tabulated_job(cdf=[0.5, 1]),
+                         id="tabulated-xs-missing"),
+            pytest.param(("model", "job"), tabulated_job(xs=2, cdf=1),
+                         id="tabulated-xs-scalar"),
+            pytest.param(("model", "job"), "uniform", id="job-not-object"),
+            pytest.param(("validation",), [1], id="validation-not-object"),
+            pytest.param(("validation", "n_paths"), "abc", id="n-paths-string"),
+            pytest.param(("validation", "n_paths"), 1, id="n-paths-one"),
+            pytest.param(("validation", "seed"), -1, id="seed-negative"),
+            pytest.param(("initial",), 5, id="initial-not-object"),
+            pytest.param(("horizon", "snapshot_times"), [2], id="snapshot-past-horizon"),
+            pytest.param(("horizon", "snapshot_times"), 1, id="snapshot-times-not-list"),
+            pytest.param(("queries",), [query(time=2)], id="query-past-horizon"),
+            pytest.param(("queries",), [query(slack=0)], id="query-slack-zero"),
+            pytest.param(("queries",), [query(slack=-1)], id="query-slack-negative"),
+            pytest.param(("queries",), [3], id="query-not-object"),
+            pytest.param(("queries",), 5, id="queries-not-list"),
+        ],
+    )
+    def test_malformed_field_fails_at_load(self, tmp_path, capsys, path, value):
+        # refused while loading: exit 2, a config error and no output directory
+        cfg = base_config()
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[path[-1]] = value
+        out = tmp_path / "out"
+        args = ["validate", write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(args) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_family(self, tmp_path):
         cfg = base_config()
@@ -169,6 +238,52 @@ class TestSolveCommand:
             with (out / "ledger.csv").open() as f:
                 return float(list(csv.DictReader(f))[-1]["cumulative"])
         assert final(out_r) <= final(out_b) + 1e-15
+
+
+class TestCsvText:
+    """Exact bytes of tiny outputs: 17 significant digits, empty atom density."""
+
+    CONFIG = {
+        "model": {
+            "kind": "mg1",
+            "lambda": "1/4",
+            "job": {"family": "uniform", "params": {"lo": 1, "hi": 5}},
+        },
+        "grid": {"delta": "1/2", "m": 2},
+        "initial": {"dirac": 1},
+        "horizon": {"t_end": 1, "snapshot_times": ["1/2"]},
+        "validation": {"n_paths": 10, "seed": 3},
+    }
+
+    def test_solve_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["solve", write_config(tmp_path, self.CONFIG), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        assert (out / "density_t1.csv").read_text() == (
+            "interval_lo,interval_hi,mass,density\n"
+            "0,0,0.77880078307140477,\n"
+            "0,0.5,0.16074531712366674,0.32149063424733348\n"
+            "0.5,1,0.019514665543616971,0.039029331087233943\n"
+            "1,1.5,0.025767639428445482,0.051535278856890965\n"
+            "1.5,2,0.01517159483286596,0.030343189665731921\n"
+        )
+        assert (out / "ledger.csv").read_text() == (
+            "step,time,jump_aggregation,jump_cut,truncation_weighted,slack,cumulative\n"
+            "0,0,0,0,0,0,0.25\n"
+            "1,0.5,0.00057453348746778024,0.044063661530776746,0.33093633846922327,"
+            "2.0198751127271928e-05,0.62559473223859507\n"
+            "2,1,0.00056661123710652469,0.044063661530776746,0.31572538567485986,"
+            "6.1419839022153135e-05,0.98601181052036035\n"
+        )
+
+    def test_validation_output(self, tmp_path):
+        out = tmp_path / "out"
+        main(["validate", write_config(tmp_path, self.CONFIG), "--out", str(out)])
+        assert (out / "validation.csv").read_text() == (
+            "time,n_paths,empirical_wd,std_error,certified_bound,status\n"
+            "0.5,10,0.85978275182590858,0.45242965921136974,0.62559473223859507,pass\n"
+            "1,10,0.090502520521613214,0.092666117306626716,0.98601181052036035,pass\n"
+        )
 
 
 class TestMatrixCommand:

@@ -293,6 +293,32 @@ class TestStochasticity:
             sums = checked.sum(axis=1)
             assert np.all(sums <= 1.0 + 1e-12)
 
+    def test_diag_matches_per_state_loop(self):
+        # reference: the diagonal correction written one state at a time
+        rng = np.random.default_rng(44)
+        specs = [self._random_spec_grid(rng) for _ in range(100)]
+        specs += [(REF_SN, REF_SN.grid_for(0.5, m)) for m in (1, 2, 3)]
+        for spec, grid in specs:
+            if spec.absorbing_zero:
+                continue  # its col1 is stored after the sink's share is split off
+            kern = build_kernel(spec, grid)
+            n, csum = grid.m_delta, np.cumsum(kern.toeplitz)
+            last = len(csum) - 1
+            if spec.kind is ModelKind.MG1:
+                expected = [1.0 - csum[min(n - i + 1, last)] for i in range(2, n + 1)]
+                got = kern.diag[2:]
+            else:
+                expected = []
+                for a, i in enumerate(range(1, n + 1)):
+                    moved = 0.0
+                    if n >= 2:
+                        moved = csum[min(i - 1, last)]
+                        if i == n:
+                            moved -= kern.toeplitz[0]
+                    expected.append(1.0 - kern.col1[a] - moved)
+                got = kern.diag
+            assert np.array_equal(got, np.maximum(expected, 0.0))
+
     def test_mg1_interior_diag_value(self):
         # rows fully inside the truncation only lose multi-jump mass
         spec = ModelSpec(ModelKind.MG1, 0.4, Uniform(1.0, 3.0))

@@ -15,6 +15,7 @@ from levyq import (
     Uniform,
     empirical_wasserstein,
     simulate,
+    wasserstein,
 )
 
 REF_MG1 = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
@@ -145,6 +146,27 @@ class TestEmpiricalWasserstein:
         # noise; the bootstrap spread must be of that order, not wildly off
         assert se < est
         assert se > 1e-4
+
+    def test_matches_per_resample_measures(self):
+        # reference: each resample's empirical measure built from the same
+        # draws; samples have ties, sit on the atom at 0 and pass M = 4
+        m = self._lifted()
+        samples = np.round(np.random.default_rng(20).uniform(0.0, 4.6, 300), 1)
+        n, n_boot, seed = len(samples), 30, 3
+
+        def empirical(xs):
+            values, counts = np.unique(xs, return_counts=True)
+            return GeneralMeasure(atoms=list(zip(values, counts / len(xs))))
+
+        key = np.array([seed, 2**32], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        stats = [
+            wasserstein(empirical(samples[rng.integers(0, n, n)]), m)
+            for _ in range(n_boot)
+        ]
+        est, se = empirical_wasserstein(samples, m, n_boot=n_boot, seed=seed)
+        assert est == pytest.approx(wasserstein(empirical(samples), m), rel=1e-12)
+        assert se == pytest.approx(np.std(stats, ddof=1), rel=1e-12)
 
     def test_deterministic_given_seed(self):
         m = self._lifted()

@@ -8,6 +8,8 @@ from levyq import (
     Erlang,
     Exponential,
     GeneralMeasure,
+    Grid,
+    LiftedDistribution,
     ModelKind,
     ModelSpec,
     Pareto,
@@ -116,3 +118,39 @@ def test_specneg_cut_branches_consistent(lam, delta, m):
     with_mean = jump_cut_error_specneg(lam, delta, 3.0, m)
     without = jump_cut_error_specneg(lam, delta, None, m)
     assert with_mean <= without + 1e-15
+
+
+def _interval_interpolation_cdf(m, x):
+    """The lifted CDF by interval arithmetic: atom plus the filled fraction."""
+    d, n = m.grid.delta, m.grid.m_delta
+    cum = np.concatenate([[m.atom0], m.atom0 + np.cumsum(m.interval_mass)])
+    k = np.clip(np.floor(x / d).astype(int), 0, n)
+    frac = np.clip(x / d - k, 0.0, 1.0)
+    k_in = np.minimum(k, n - 1)
+    inner = np.where(k >= n, cum[-1], cum[k_in] + frac * m.interval_mass[k_in])
+    return np.where(x < 0.0, 0.0, np.where(x >= m.grid.m, cum[-1], inner))
+
+
+@given(
+    st.floats(1e-3, 2.0),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    st.floats(0.0, 5.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_lifted_cdf_matches_interval_interpolation(delta, weights, fractions, beyond):
+    w = np.array(weights)
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    w = w / w.sum()
+    m = LiftedDistribution(Grid(delta, len(w) - 1), float(w[0]), w[1:])
+    n = m.grid.m_delta
+    k = np.arange(len(fractions)) % n
+    x = np.concatenate([
+        m.grid.edges(),  # edges, 0 and M included
+        (k + np.array(fractions)) * delta,  # interior points
+        [-beyond - 1e-9, m.grid.m + beyond],  # below 0, at or above M
+    ])
+    got = m.cdf(x)
+    assert np.max(np.abs(got - _interval_interpolation_cdf(m, x))) <= 1e-15
+    assert got[-2] == 0.0
