@@ -364,18 +364,15 @@ class BoundLedger:
     def final(self) -> float:
         return float(self.cumulative[-1])
 
-    def rows(self, delta: float):
-        """CSV rows (step, time, jump_aggregation, jump_cut, truncation_weighted,
-        slack, cumulative); step 0 carries the initial error."""
-        yield (0, 0.0, 0.0, 0.0, 0.0, 0.0, self.b0)
-        cum = self.cumulative
+    def table(self, delta: float) -> np.ndarray:
+        """One row per step: (step, time, jump_aggregation, jump_cut,
+        truncation_weighted, slack, cumulative); step 0 carries the initial
+        error."""
+        n = len(self.steps)
+        out = np.zeros((n + 1, 7))
+        out[:, 0] = np.arange(n + 1)
+        out[:, 1] = out[:, 0] * delta
         for k, c in enumerate(self.steps, start=1):
-            yield (
-                k,
-                k * delta,
-                c.jump_aggregation,
-                c.jump_cut,
-                c.truncation_weighted,
-                c.slack,
-                float(cum[k]),
-            )
+            out[k, 2:6] = (c.jump_aggregation, c.jump_cut, c.truncation_weighted, c.slack)
+        out[:, 6] = self.cumulative
+        return out

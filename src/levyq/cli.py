@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 from . import jobsize, oracle, solver
 from .errors import CertificationError, ConfigError, LevyqError
 from .kernel import ModelKind, ModelSpec, build_kernel
-from .measure import GeneralMeasure
+from .measure import GeneralMeasure, Grid, LiftedDistribution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -265,27 +266,71 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Strings as they are, numbers with 17 significant digits (round-trippable).
+_BLOCK_VALUES = 4096  # values formatted by one `%`: 2 048 density rows
 
-    A file has one or two patterns of cell types (an atom row, a status
-    column), so the row format is built once per pattern, not per cell.
+
+def _write_csv(path: Path, header: list[str], blocks) -> str:
+    """Write a CSV file from blocks of (row format, values); return its SHA-256.
+
+    Numbers are formatted with "%.17g" (17 significant digits,
+    round-trippable).  Each block is one ``format % values`` over a few
+    thousand values, and its bytes are hashed as they are written, so no file
+    is held whole in memory or read back for its digest.
     """
-    formats = {}
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                cells = ("%s" if k is str else "%.17g" for k in kinds)
-                fmt = formats[kinds] = ",".join(cells) + "\n"
-            f.write(fmt % row)
+    sha = hashlib.sha256()
+    texts = (fmt % tuple(values) for fmt, values in blocks)
+    with path.open("wb") as f:
+        for text in itertools.chain([",".join(header) + "\n"], texts):
+            data = text.encode()
+            f.write(data)
+            sha.update(data)
+    return sha.hexdigest()
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _rows_per_block(n_values: int) -> int:
+    return max(1, _BLOCK_VALUES // n_values)
+
+
+def _block_formats(labels, n_values: int):
+    """Row formats of a table, joined per block of rows.
+
+    Row i is the i-th of ``labels`` (literal leading cells, each followed by a
+    comma) and then ``n_values`` cells in "%.17g".  ``labels`` may be lazy;
+    only one block of it is held at a time.
+    """
+    cells = ",".join(["%.17g"] * n_values) + "\n"
+    labels = iter(labels)
+    while block := list(itertools.islice(labels, _rows_per_block(n_values))):
+        yield "".join(label + cells for label in block)
+
+
+def _table_blocks(formats, table: np.ndarray):
+    """Pair each block format of :func:`_block_formats` with its rows' values."""
+    step = _rows_per_block(table.shape[1])
+    for start, fmt in zip(range(0, len(table), step), formats, strict=True):
+        yield fmt, table[start:start + step].ravel().tolist()
+
+
+def _density_formats(grid: Grid) -> list[str]:
+    """Block formats of a density file's interval rows, "<lo>,<hi>,%.17g,%.17g".
+
+    The grid edges are formatted once per run here, and every snapshot fills
+    in only its mass and density.
+    """
+    edges = ("%.17g" % e for e in grid.edges())
+    labels = (f"{lo},{hi}," for lo, hi in itertools.pairwise(edges))
+    return list(_block_formats(labels, 2))
+
+
+def _write_density(path: Path, dist: LiftedDistribution, formats: list[str]) -> str:
+    """One snapshot's density file: the atom at 0 (no density), then the intervals."""
+    table = np.column_stack((dist.interval_mass, dist.densities()))
+    atom = ("0,0,%.17g,\n", (dist.atom0,))
+    return _write_csv(
+        path,
+        ["interval_lo", "interval_hi", "mass", "density"],
+        itertools.chain([atom], _table_blocks(formats, table)),
+    )
 
 
 def _time_label(t: float) -> str:
@@ -293,7 +338,6 @@ def _time_label(t: float) -> str:
 
 
 def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = solver.solve(
         cfg.spec,
         cfg.grid,
@@ -302,22 +346,19 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         snapshot_steps=cfg.snapshot_steps,
         bound_mode=cfg.bound_mode,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
+    formats = _density_formats(cfg.grid)
     for t, dist in zip(result.times, result.distributions):
         name = f"density_t{_time_label(t)}.csv"
-        _write_csv(
-            out_dir / name,
-            ["interval_lo", "interval_hi", "mass", "density"],
-            dist.to_csv_rows(),
-        )
-        files[name] = _digest(out_dir / name)
-    _write_csv(
+        files[name] = _write_density(out_dir / name, dist, formats)
+    ledger = result.ledger.table(cfg.grid.delta)
+    files["ledger.csv"] = _write_csv(
         out_dir / "ledger.csv",
         ["step", "time", "jump_aggregation", "jump_cut", "truncation_weighted",
          "slack", "cumulative"],
-        result.ledger.rows(cfg.grid.delta),
+        _table_blocks(_block_formats(itertools.repeat("", len(ledger)), 7), ledger),
     )
-    files["ledger.csv"] = _digest(out_dir / "ledger.csv")
 
     print(f"{'time':>10} {'bound':>14} {'P(Q=0)':>12} {'mean':>12}")
     for t, dist, b in zip(result.times, result.distributions, result.bounds):
@@ -333,7 +374,6 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 
 def run_validate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = solver.solve(
         cfg.spec,
         cfg.grid,
@@ -342,6 +382,7 @@ def run_validate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         snapshot_steps=cfg.snapshot_steps,
         bound_mode=cfg.bound_mode,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     ok = True
     for i, (t, dist, bound) in enumerate(
@@ -355,18 +396,18 @@ def run_validate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         est, se = oracle.empirical_wasserstein(samples, dist, seed=cfg.seed + i)
         passed = est <= bound + 3.0 * se
         ok = ok and passed
-        rows.append((float(t), float(cfg.n_paths), est, se, float(bound),
-                     "pass" if passed else "fail"))
+        status = "pass" if passed else "fail"
+        rows.append(("%.17g,%.17g,%.17g,%.17g,%.17g," + status + "\n",
+                     (float(t), float(cfg.n_paths), est, se, float(bound))))
         print(
             f"t={t:g}: empirical {est:.6e} vs bound {bound:.6e} + 3*{se:.2e} "
             f"-> {'pass' if passed else 'FAIL'}"
         )
-    _write_csv(
+    files = {"validation.csv": _write_csv(
         out_dir / "validation.csv",
         ["time", "n_paths", "empirical_wd", "std_error", "certified_bound", "status"],
         rows,
-    )
-    files = {"validation.csv": _digest(out_dir / "validation.csv")}
+    )}
     return (EXIT_OK if ok else EXIT_VALIDATION), {"files": files}
 
 
@@ -380,11 +421,14 @@ def run_matrix(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     kern = build_kernel(cfg.spec, cfg.grid)
     dense = kern.dense()
     states = cfg.grid.states()
-    header = ["state"] + [str(int(j)) for j in states]
-    rows = ([str(int(i))] + list(dense[a]) for a, i in enumerate(states))
-    _write_csv(out_dir / "matrix.csv", header, rows)
+    labels = (f"{int(i)}," for i in states)
+    digest = _write_csv(
+        out_dir / "matrix.csv",
+        ["state"] + [str(int(j)) for j in states],
+        _table_blocks(_block_formats(labels, dense.shape[1]), dense),
+    )
     print(f"wrote {dense.shape[0]}x{dense.shape[1]} matrix to {out_dir/'matrix.csv'}")
-    return EXIT_OK, {"files": {"matrix.csv": _digest(out_dir / "matrix.csv")}}
+    return EXIT_OK, {"files": {"matrix.csv": digest}}
 
 
 def _write_manifest(cfg: RunConfig, out_dir: Path, command: str, files: dict) -> None:

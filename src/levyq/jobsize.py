@@ -240,7 +240,7 @@ class Exponential(JobSize):
     rate: float
 
     def __post_init__(self):
-        if self.rate <= 0.0:
+        if not self.rate > 0.0:  # a NaN rate fails too
             raise ValueError("rate must be positive")
 
     @property
@@ -291,7 +291,7 @@ class Erlang(JobSize):
     def __post_init__(self):
         if self.shape < 1 or int(self.shape) != self.shape:
             raise ValueError("shape must be a positive integer")
-        if self.rate <= 0.0:
+        if not self.rate > 0.0:
             raise ValueError("rate must be positive")
 
     @property
@@ -362,9 +362,9 @@ class Pareto(JobSize):
     alpha: float
 
     def __post_init__(self):
-        if self.x_min <= 0.0:
+        if not self.x_min > 0.0:
             raise ValueError("x_min must be positive")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
     @property
@@ -447,7 +447,7 @@ class Deterministic(JobSize):
     value: float
 
     def __post_init__(self):
-        if self.value < 0.0:
+        if not self.value >= 0.0:
             raise ValueError("job size must be nonnegative")
 
     @property
@@ -505,11 +505,12 @@ class TabulatedCdf(JobSize):
         fs = np.asarray(self.cdf_values, dtype=float)
         if xs.ndim != 1 or xs.shape != fs.shape or len(xs) == 0:
             raise ValueError("xs and cdf_values must be equal-length 1-D arrays")
-        if np.any(np.diff(xs) <= 0):
+        # written so that a NaN knot or CDF value fails every comparison
+        if not np.all(np.diff(xs) > 0):
             raise ValueError("xs must be strictly increasing")
-        if xs[0] < 0:
+        if not xs[0] >= 0:
             raise ValueError("support must lie in [0, inf)")
-        if np.any(np.diff(fs) < 0) or fs[0] < 0 or abs(fs[-1] - 1.0) > 1e-12:
+        if not (np.all(np.diff(fs) >= 0) and fs[0] >= 0 and abs(fs[-1] - 1.0) <= 1e-12):
             raise ValueError("cdf_values must be non-decreasing from >= 0 to 1")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "cdf_values", fs)

@@ -68,7 +68,7 @@ class ModelSpec:
     absorbing_zero: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:  # a NaN rate fails too
             raise ValueError("arrival rate must be positive")
         if self.absorbing_zero and self.kind is not ModelKind.SPECTRALLY_NEGATIVE:
             raise ValueError("absorbing_zero is only defined for spectrally negative input")

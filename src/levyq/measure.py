@@ -150,14 +150,6 @@ class LiftedDistribution:
         y_left[0] = 0.0  # jump of size atom0 at x = 0
         return _StepLinearCdf(edges, y_left, y_right)
 
-    def to_csv_rows(self):
-        """Rows (interval_lo, interval_hi, mass, density); atom row first."""
-        yield (0.0, 0.0, self.atom0, "")
-        edges = self.grid.edges()
-        dens = self.densities()
-        for i in range(self.grid.m_delta):
-            yield (edges[i], edges[i + 1], float(self.interval_mass[i]), float(dens[i]))
-
 
 @dataclass(eq=False)
 class GeneralMeasure:

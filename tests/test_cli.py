@@ -1,6 +1,7 @@
 """CLI: config validation, subcommands, outputs, and manifest round-trips."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,13 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyq import ConfigError
+from levyq import ConfigError, Grid, LiftedDistribution, solve
 from levyq.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
     EXIT_OK,
     _as_float,
     _as_fraction,
+    _density_formats,
+    _write_density,
     load_config,
     main,
 )
@@ -228,6 +231,15 @@ class TestSolveCommand:
         assert main(args) == EXIT_CERTIFICATION
         assert "mean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_refused_run_creates_no_output_dir(self, tmp_path, command):
+        cfg = base_config()
+        cfg["model"]["job"] = {"family": "pareto", "params": {"x_min": 1, "alpha": 0.9}}
+        out = tmp_path / "out"
+        args = [command, write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(args) == EXIT_CERTIFICATION
+        assert not out.exists()
+
     def test_bound_mode_flag(self, tmp_path):
         path = write_config(tmp_path, base_config())
         out_b = tmp_path / "basic"
@@ -284,6 +296,89 @@ class TestCsvText:
             "0.5,10,0.85978275182590858,0.45242965921136974,0.62559473223859507,pass\n"
             "1,10,0.090502520521613214,0.092666117306626716,0.98601181052036035,pass\n"
         )
+
+
+def reference_density(dist):
+    """A density file's lines, built row by row as the writer once did.
+
+    Files are compared as lists of lines: pytest reports the first differing
+    line, where a diff of two long strings would take minutes.
+    """
+    edges = dist.grid.edges()
+    dens = dist.densities()
+    lines = ["interval_lo,interval_hi,mass,density\n"]
+    lines.append("%.17g,%.17g,%.17g,%s\n" % (0.0, 0.0, dist.atom0, ""))
+    for i in range(dist.grid.m_delta):
+        row = (edges[i], edges[i + 1], float(dist.interval_mass[i]), float(dens[i]))
+        lines.append("%.17g,%.17g,%.17g,%.17g\n" % row)
+    return lines
+
+
+class TestCsvWriter:
+    """Files of several write blocks against row-by-row references."""
+
+    M_DELTA = 4321  # more than two blocks of 2 048 rows, not a multiple of it
+
+    def test_atom_row_and_densities(self, tmp_path):
+        g = Grid(0.5, 2)
+        m = LiftedDistribution(g, 0.5, np.array([0.25, 0.25]))
+        _write_density(tmp_path / "d.csv", m, _density_formats(g))
+        rows = (tmp_path / "d.csv").read_text().splitlines()[1:]
+        assert rows[0] == "0,0,0.5,"  # atom row first, without a density
+        assert float(rows[1].split(",")[3]) == pytest.approx(0.5, abs=1e-15)  # 0.25 / 0.5
+        assert len(rows) == 3
+
+    def test_special_values_across_blocks(self, tmp_path):
+        grid = Grid(0.01, self.M_DELTA)
+        mass = np.zeros(self.M_DELTA)
+        mass[[0, 2047, 2048, 4095, 4096, -1]] = [
+            5e-324,  # smallest subnormal
+            0.01,  # density exactly 1.0, last row of the first block
+            1e-310,  # subnormal, first row of the second block
+            1 / 3,  # last row of the second block
+            0.1,  # first row of the third block
+            2.2250738585072014e-308,  # smallest normal, last row of the file
+        ]
+        special = LiftedDistribution(grid, 1.0 - mass.sum(), mass)
+        atom_only = LiftedDistribution(grid, 1.0, np.zeros(self.M_DELTA))
+        formats = _density_formats(grid)  # shared, as by the snapshots of a run
+        for k, dist in enumerate([special, atom_only]):
+            path = tmp_path / f"d{k}.csv"
+            digest = _write_density(path, dist, formats)
+            assert path.read_text().splitlines(True) == reference_density(dist)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_solve_outputs_match_reference(self, tmp_path):
+        cfg = base_config(
+            grid={"delta": "1/100", "m": "43.21"},
+            initial={"dirac": 0},
+            horizon={"t_end": "1/50", "snapshot_times": ["1/100"]},
+            bound_mode="basic",
+            queries=[],
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", path, "--out", str(out)]) == EXIT_OK
+        parsed = load_config(path)
+        result = solve(
+            parsed.spec, parsed.grid, parsed.initial, parsed.horizon_steps,
+            snapshot_steps=parsed.snapshot_steps, bound_mode="basic",
+        )
+        names = ["density_t0.csv", "density_t0_01.csv", "density_t0_02.csv"]
+        for name, dist in zip(names, result.distributions, strict=True):
+            assert (out / name).read_text().splitlines(True) == reference_density(dist)
+        ledger = result.ledger
+        lines = ["step,time,jump_aggregation,jump_cut,truncation_weighted,slack,cumulative"]
+        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (0, 0, 0, 0, 0, 0, ledger.b0))
+        for k, c in enumerate(ledger.steps, start=1):
+            row = (k, k * parsed.delta, c.jump_aggregation, c.jump_cut,
+                   c.truncation_weighted, c.slack, ledger.cumulative[k])
+            lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % row)
+        assert (out / "ledger.csv").read_text().splitlines() == lines
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == sorted(names + ["ledger.csv"])
+        for name, digest in outputs.items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
 
 
 class TestMatrixCommand:

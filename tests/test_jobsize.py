@@ -305,6 +305,32 @@ class TestTabulated:
         assert tab.scaled(2.0).mean() == pytest.approx(2 * tab.mean(), abs=1e-13)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Exponential(NAN),
+        lambda: Erlang(2, NAN),
+        lambda: Pareto(NAN, 1.5),
+        lambda: Pareto(1.0, NAN),
+        lambda: Deterministic(NAN),
+        lambda: TabulatedCdf(np.array([0.5, NAN, 2.0]), np.array([0.2, 0.5, 1.0])),
+        lambda: TabulatedCdf(np.array([0.5, 1.0, 2.0]), np.array([0.2, NAN, 1.0])),
+        lambda: TabulatedCdf(np.array([0.5, 1.0]), np.array([0.2, NAN])),
+    ],
+    ids=[
+        "exponential-rate", "erlang-rate", "pareto-x_min", "pareto-alpha",
+        "deterministic", "tabulated-xs", "tabulated-cdf", "tabulated-last-cdf",
+    ],
+)
+def test_nan_parameter_refused(build):
+    """NaN fails every comparison, so each check must be written to fail on it."""
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestScaling:
     def test_scaled_mean(self):
         for job in [Uniform(1.0, 5.0), Exponential(1.5), Erlang(6, 2.0), Pareto(1.0, 1.5)]:

@@ -119,6 +119,12 @@ class TestMg1Entries:
             build_mg1(REF_MG1, grid)
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_nan_arrival_rate_refused(kind):
+    with pytest.raises(ValueError):
+        ModelSpec(kind, float("nan"), Uniform(1.0, 2.0))
+
+
 class TestSpecnegEntries:
     def test_pure_drift_limit(self):
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1e-12, Pareto(1.0, 1.5))

@@ -224,13 +224,3 @@ class TestDiscreteDist:
         g = Grid(0.5, 4, zero_state=False)
         d = DiscreteDist(g, np.array([0.25, 0.25, 0.25, 0.25]))
         assert d.prob_of_state(1) == 0.25
-
-
-class TestCsvRows:
-    def test_atom_row_and_densities(self):
-        g = Grid(0.5, 2)
-        m = LiftedDistribution(g, 0.5, np.array([0.25, 0.25]))
-        rows = list(m.to_csv_rows())
-        assert rows[0] == (0.0, 0.0, 0.5, "")
-        assert rows[1][3] == pytest.approx(0.5, abs=1e-15)  # 0.25 / 0.5
-        assert len(rows) == 3
