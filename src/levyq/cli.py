@@ -87,9 +87,17 @@ def _as_int(value, what: str) -> int:
     return int(frac)
 
 
-def _as_object(value, what: str) -> dict:
+def _as_object(value, what: str, keys: tuple[str, ...]) -> dict:
+    """``value`` as a JSON object whose keys are all among ``keys``.
+
+    A key this version ignores would make a replayed run differ from the run
+    that wrote it, so it is refused rather than dropped.
+    """
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; known: {list(keys)}")
     return value
 
 
@@ -113,7 +121,7 @@ def parse_job(cfg: dict) -> jobsize.JobSize:
     if family not in _FAMILIES:
         raise ConfigError(f"unknown job-size family {family!r}")
     cls, names = _FAMILIES[family]
-    params = _as_object(cfg.get("params", {}), "model.job.params")
+    params = _as_object(cfg.get("params", {}), "model.job.params", names)
     missing = [k for k in names if k not in params]
     if missing:
         raise ConfigError(f"job family {family!r} is missing parameters {missing}")
@@ -149,15 +157,8 @@ class RunConfig:
     """Validated run configuration (see README for the schema)."""
 
     def __init__(self, raw: dict):
-        self.raw = raw
-        # a key this version ignores would make a replayed run differ from
-        # the run that wrote it, so it is refused rather than dropped
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}"
-            )
-        model = _as_object(raw.get("model"), "model")
+        self.raw = _as_object(raw, "config", _CONFIG_KEYS)
+        model = _as_object(raw.get("model"), "model", ("kind", "lambda", "job"))
         kind_name = model.get("kind")
         try:
             kind = ModelKind(kind_name)
@@ -168,14 +169,12 @@ class RunConfig:
         lam = _as_float(model.get("lambda"), "model.lambda")
         if lam <= 0:
             raise ConfigError("model.lambda must be positive")
-        job = parse_job(_as_object(model.get("job", {}), "model.job"))
-        absorbing = bool(model.get("absorbing_zero", False))
-        try:
-            self.spec = ModelSpec(kind, lam, job, absorbing)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        job = parse_job(
+            _as_object(model.get("job", {}), "model.job", ("family", "params"))
+        )
+        self.spec = ModelSpec(kind, lam, job)
 
-        grid = _as_object(raw.get("grid"), "grid")
+        grid = _as_object(raw.get("grid"), "grid", ("delta", "m"))
         delta_frac = _as_fraction(grid.get("delta"), "grid.delta")
         m_frac = _as_fraction(grid.get("m"), "grid.m")
         if delta_frac <= 0 or m_frac <= 0:
@@ -190,9 +189,11 @@ class RunConfig:
         self.grid = self.spec.grid_for(self.delta, int(m_delta))
         self.delta_frac = delta_frac
 
-        self.initial = parse_initial(_as_object(raw.get("initial", {}), "initial"))
+        self.initial = parse_initial(
+            _as_object(raw.get("initial", {}), "initial", ("dirac", "atoms", "uniform_pieces"))
+        )
 
-        horizon = _as_object(raw.get("horizon"), "horizon")
+        horizon = _as_object(raw.get("horizon"), "horizon", ("t_end", "snapshot_times"))
         t_end = _as_fraction(horizon.get("t_end"), "horizon.t_end")
         self.horizon_steps = self._steps_of(t_end, "horizon.t_end")
         snapshot_set = {0, self.horizon_steps}
@@ -205,7 +206,7 @@ class RunConfig:
 
         self.queries = []
         for q in _as_list(raw.get("queries", []), "queries"):
-            q = _as_object(q, "queries entry")
+            q = _as_object(q, "queries entry", ("time", "threshold", "slack"))
             step = self._time_step(q.get("time"), "queries.time")
             snapshot_set.add(step)  # certified answers need a snapshot there
             slack = _as_float(q.get("slack"), "queries.slack")
@@ -220,7 +221,9 @@ class RunConfig:
                 }
             )
         self.snapshot_steps = sorted(snapshot_set)
-        val = _as_object(raw.get("validation", {}), "validation")
+        val = _as_object(
+            raw.get("validation", {}), "validation", ("enabled", "n_paths", "seed")
+        )
         self.validation_enabled = bool(val.get("enabled", False))
         self.n_paths = _as_int(val.get("n_paths", 100_000), "validation.n_paths")
         if self.n_paths < 2:

@@ -16,8 +16,8 @@ CDF, no derivative estimates involved), which callers must feed into the
 bound ledger.
 
 Conventions: the support is contained in [0, inf), F(x) = 0 for all x < 0,
-and the prefix integrals J(x) = int_0^x F, K(x) = int_0^x s F(s) ds and
-J2(x) = int_0^x J all clamp their argument at 0.
+and the prefix integrals J(x) = int_0^x F and K(x) = int_0^x s F(s) ds
+clamp their argument at 0.
 
 All instances are immutable after construction and all methods are pure, so
 values may be shared freely between threads.
@@ -58,10 +58,10 @@ class JobSize:
     """Base class for job/claim size distributions.
 
     Subclasses with ``exact = True`` provide closed-form prefix integrals
-    ``_J`` (of F), ``_K`` (of s*F) and ``_J2`` (of J); the generic integral
-    operations below are built from those and are exact up to floating-point
-    rounding.  Subclasses with ``exact = False`` must override the
-    ``*_with_error`` operations instead.
+    ``_J`` (of F) and ``_K`` (of s*F); the generic integral operations below
+    are built from those and are exact up to floating-point rounding.
+    Subclasses with ``exact = False`` must override the ``*_with_error``
+    operations instead.
     """
 
     exact: bool = True
@@ -75,9 +75,6 @@ class JobSize:
         raise NotImplementedError
 
     def _K(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _J2(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -106,12 +103,6 @@ class JobSize:
         """K(x) = int_0^x s F(s) ds, clamped to 0 for x <= 0."""
         xa = _as_float_array(x)
         out = np.where(xa <= 0.0, 0.0, self._K(np.maximum(xa, 0.0)))
-        return _scalarize(out, x)
-
-    def prefix_prefix_cdf(self, x):
-        """J2(x) = int_0^x J(s) ds, clamped to 0 for x <= 0."""
-        xa = _as_float_array(x)
-        out = np.where(xa <= 0.0, 0.0, self._J2(np.maximum(xa, 0.0)))
         return _scalarize(out, x)
 
     def cdf_integral(self, a: float, b: float) -> float:
@@ -207,16 +198,6 @@ class Uniform(JobSize):
         above = np.where(x > hi, (x**2 - hi**2) / 2.0, 0.0)
         return inside + above
 
-    def _J2(self, x):
-        lo, hi = self.lo, self.hi
-        u = np.clip(x, lo, hi)
-        inside = (u - lo) ** 3 / (6.0 * (hi - lo))
-        j_hi = (hi - lo) / 2.0
-        above = np.where(
-            x > hi, j_hi * (x - hi) + (x - hi) ** 2 / 2.0, 0.0
-        )
-        return inside + above
-
     def mean(self):
         return (self.lo + self.hi) / 2.0
 
@@ -261,10 +242,6 @@ class Exponential(JobSize):
         r = self.rate
         # int_0^x s(1 - e^{-rs}) ds = x^2/2 - (1 - (1 + rx)e^{-rx}) / r^2
         return x**2 / 2.0 - (1.0 - (1.0 + r * x) * np.exp(-r * x)) / r**2
-
-    def _J2(self, x):
-        r = self.rate
-        return x**2 / 2.0 - x / r - np.expm1(-r * x) / r**2
 
     def mean(self):
         return 1.0 / self.rate
@@ -329,13 +306,6 @@ class Erlang(JobSize):
         correction = np.tensordot(weights, stages[1 : n + 1], axes=(0, 0)) / r**2
         return x**2 / 2.0 - correction
 
-    def _J2(self, x):
-        n, r = self.shape, self.rate
-        stages = self._stage_cdfs(x, n)
-        weights = np.arange(n, 0, -1, dtype=float)  # n - l + 1 for l = 1..n
-        acc = np.tensordot(weights, stages, axes=(0, 0))
-        return x**2 / 2.0 - n * x / r + acc / r**2
-
     def mean(self):
         return self.shape / self.rate
 
@@ -399,24 +369,6 @@ class Pareto(JobSize):
             tail = xm**al * (u ** (2.0 - al) - xm ** (2.0 - al)) / (2.0 - al)
         return np.where(x > xm, (u**2 - xm**2) / 2.0 - tail, 0.0)
 
-    def _J2(self, x):
-        xm, al = self.x_min, self.alpha
-        u = np.maximum(x, xm)
-        if al == 1.0:
-            tail = xm * (u * np.log(u / xm) - (u - xm))
-        elif al == 2.0:
-            tail = xm * (u - xm) - xm**2 * np.log(u / xm)
-        else:
-            tail = (
-                xm**al
-                / (1.0 - al)
-                * (
-                    (u ** (2.0 - al) - xm ** (2.0 - al)) / (2.0 - al)
-                    - xm ** (1.0 - al) * (u - xm)
-                )
-            )
-        return np.where(x > xm, (u - xm) ** 2 / 2.0 - tail, 0.0)
-
     def mean(self):
         if self.alpha <= 1.0:
             return None
@@ -468,9 +420,6 @@ class Deterministic(JobSize):
     def _K(self, x):
         return np.where(x > self.value, (x**2 - self.value**2) / 2.0, 0.0)
 
-    def _J2(self, x):
-        return np.maximum(x - self.value, 0.0) ** 2 / 2.0
-
     def mean(self):
         return self.value
 
@@ -520,12 +469,8 @@ class TabulatedCdf(JobSize):
         kk = np.concatenate(
             [[0.0], np.cumsum(fs[:-1] * (xs[1:] ** 2 - xs[:-1] ** 2) / 2.0)]
         )
-        j2k = np.concatenate(
-            [[0.0], np.cumsum(jk[:-1] * widths + fs[:-1] * widths**2 / 2.0)]
-        )
         object.__setattr__(self, "_jk", jk)
         object.__setattr__(self, "_kk", kk)
-        object.__setattr__(self, "_j2k", j2k)
         w = np.diff(np.concatenate([[0.0], fs]))
         object.__setattr__(self, "_weights", w)
 
@@ -557,14 +502,6 @@ class TabulatedCdf(JobSize):
         k = self._segment(xa)
         below = xa < self.xs[0]
         out = self._kk[k] + self.cdf_values[k] * (xa**2 - self.xs[k] ** 2) / 2.0
-        return np.where(below, 0.0, out)
-
-    def _J2(self, x):
-        xa = np.asarray(x)
-        k = self._segment(xa)
-        below = xa < self.xs[0]
-        d = xa - self.xs[k]
-        out = self._j2k[k] + self._jk[k] * d + self.cdf_values[k] * d**2 / 2.0
         return np.where(below, 0.0, out)
 
     def mean(self):

@@ -58,25 +58,22 @@ class ModelSpec:
     """Process parameters: arrival rate, job-size law, and the process class.
 
     The deterministic service/drift speed is fixed at 1 (see
-    :func:`rescale_for_speed` for other speeds).  ``absorbing_zero`` only
-    applies to the spectrally negative class and turns state 0 into a sink.
+    :func:`rescale_for_speed` for other speeds).  Both classes reflect at 0:
+    the M/G/1 workload idles there, and spectrally negative input is stopped
+    at 0 and leaves it again with the drift.
     """
 
     kind: ModelKind
     lam: float
     job: JobSize
-    absorbing_zero: bool = False
 
     def __post_init__(self):
         if not self.lam > 0.0:  # a NaN rate fails too
             raise ValueError("arrival rate must be positive")
-        if self.absorbing_zero and self.kind is not ModelKind.SPECTRALLY_NEGATIVE:
-            raise ValueError("absorbing_zero is only defined for spectrally negative input")
 
     def grid_for(self, delta: float, m_delta: int) -> Grid:
         """Grid with the zero-state convention matching this model."""
-        zero = self.kind is ModelKind.MG1 or self.absorbing_zero
-        return Grid(delta, m_delta, zero_state=zero)
+        return Grid(delta, m_delta, zero_state=self.kind is ModelKind.MG1)
 
 
 def rescale_for_speed(spec: ModelSpec, r: float) -> tuple[ModelSpec, float]:
@@ -87,12 +84,9 @@ def rescale_for_speed(spec: ModelSpec, r: float) -> tuple[ModelSpec, float]:
     grid with delta/r and multiply reported workloads (densities' support,
     Wasserstein bounds) by ``scale`` to map back.
     """
-    if r <= 0:
-        raise ValueError("speed must be positive")
-    return (
-        ModelSpec(spec.kind, spec.lam, spec.job.scaled(1.0 / r), spec.absorbing_zero),
-        r,
-    )
+    if not (0 < r < np.inf):  # a NaN speed fails too
+        raise ValueError("speed must be positive and finite")
+    return ModelSpec(spec.kind, spec.lam, spec.job.scaled(1.0 / r)), r
 
 
 @dataclass(eq=False)
@@ -102,30 +96,26 @@ class TransitionKernel:
     ``toeplitz[k - k_lo]`` holds the generic-row entry at offset k = j - i
     (M/G/1, rows i >= 2) or k = i - j (spectrally negative, columns j >= 2);
     offset -1 carries the no-jump shift, so ``k_lo = -1``.  Special rows
-    (M/G/1 i = 0, 1) and the spectrally negative column j = 1 (plus the sink
-    column j = 0 in the absorbing variant) are stored densely.  ``diag``
-    holds D(i, i) >= 0 per state.  ``row_quadrature_error`` bounds the total
-    absolute error of any single row's entries (nonzero only for job-size
-    families without closed-form integrals).
+    (M/G/1 i = 0, 1) and the spectrally negative column j = 1 are stored
+    densely.  ``diag`` holds D(i, i) >= 0 per state.  ``row_quadrature_error``
+    bounds the total absolute error of any single row's entries (nonzero only
+    for job-size families without closed-form integrals).
 
     At construction the band's real FFT is cached: ``nfft`` is the smallest
     5-smooth length >= len(body) + len(band) - 1, where the body is p[2:]
-    (M/G/1) or the n non-sink states (spectrally negative) and the band is
+    (M/G/1) or all n states (spectrally negative) and the band is
     ``toeplitz`` (M/G/1) or ``toeplitz[::-1]`` (spectrally negative).  Each
     :meth:`apply` then costs one rfft/irfft pair of that length.
     """
 
     grid: Grid
     kind: ModelKind
-    absorbing_zero: bool
-    exp_no_jump: float
     toeplitz: np.ndarray
     k_lo: int
     diag: np.ndarray
     row0: np.ndarray | None = None
     row1: np.ndarray | None = None
     col1: np.ndarray | None = None
-    col0: np.ndarray | None = None
     row_quadrature_error: float = 0.0
     nfft: int = field(init=False)
     _band_fft: np.ndarray = field(init=False, repr=False)
@@ -171,21 +161,12 @@ class TransitionKernel:
 
     def _apply_specneg(self, p: np.ndarray) -> np.ndarray:
         n = self.grid.m_delta
-        if self.absorbing_zero:
-            body = p[1:]
-        else:
-            body = p
-        out_body = np.zeros(n)
-        out_body[0] = float(np.dot(body, self.col1))
+        out = np.zeros(n)
+        out[0] = float(np.dot(p, self.col1))
         # states j >= 2 sit at c[L - 1 + (j - 2)], L = len(toeplitz)
         L = len(self.toeplitz)
-        out_body[1:] += self._convolve(body, L - 1 + (n - 1))[L - 1 :]
-        if self.absorbing_zero:
-            out = np.empty(n + 1)
-            out[0] = p[0] + float(np.dot(body, self.col0))
-            out[1:] = out_body + body * self.diag[1:]
-            return out
-        return out_body + body * self.diag
+        out[1:] += self._convolve(p, L - 1 + (n - 1))[L - 1 :]
+        return out + p * self.diag
 
     # -- dense reconstruction --------------------------------------------------
 
@@ -205,22 +186,15 @@ class TransitionKernel:
                         r[j] = self.toeplitz[k - self.k_lo]
             r[i] += self.diag[i]
             return r
-        # spectrally negative
-        offset = 1 if self.absorbing_zero else 0
-        size = n + 1 if self.absorbing_zero else n
-        r = np.zeros(size)
-        if self.absorbing_zero and i == 0:
-            r[0] = 1.0
-            return r
-        a = i - 1  # array index into col1/col0
-        if self.absorbing_zero:
-            r[0] = self.col0[a]
-        r[offset + 0] = self.col1[a]
+        # spectrally negative: state i sits at array index i - 1
+        r = np.zeros(n)
+        a = i - 1
+        r[0] = self.col1[a]
         for j in range(2, n + 1):
             k = i - j
             if self.k_lo <= k < self.k_lo + len(self.toeplitz):
-                r[offset + j - 1] = self.toeplitz[k - self.k_lo]
-        r[offset + a] += self.diag[offset + a] if self.absorbing_zero else self.diag[a]
+                r[j - 1] = self.toeplitz[k - self.k_lo]
+        r[a] += self.diag[a]
         return r
 
     def dense(self) -> np.ndarray:
@@ -320,8 +294,6 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     return TransitionKernel(
         grid=grid,
         kind=ModelKind.MG1,
-        absorbing_zero=False,
-        exp_no_jump=enl,
         toeplitz=toeplitz,
         k_lo=-1,
         diag=diag,
@@ -336,17 +308,14 @@ def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
 
     Columns j >= 2 are Toeplitz in k = i - j; column j = 1 collects all
     one-jump paths ending in [0, d], including those stopped at 0:
-    Pcheck(i, 1) = e^{-lam d} lam (d - int_{(i-1)d}^{id} F_B).  Dropping
-    state 0 is exact because positive drift leaves 0 immediately; with
-    ``absorbing_zero`` state 0 is kept as a sink and the one-jump mass that
-    would touch 0 within the step is routed into it (an extension beyond the
-    non-absorbing construction; entries derive from the probability that the
-    jump size exceeds the workload at the jump time).
+    Pcheck(i, 1) = e^{-lam d} lam (d - int_{(i-1)d}^{id} F_B).  The chain
+    has no state 0: a path stopped at 0 leaves it at once with the positive
+    drift, so its end lies in [0, d] and it is counted in state 1.
     """
     if spec.kind is not ModelKind.SPECTRALLY_NEGATIVE:
         raise ValueError("spec is not a spectrally negative model")
-    if grid.zero_state != spec.absorbing_zero:
-        raise GridError("grid zero-state flag must match the absorbing variant")
+    if grid.zero_state:
+        raise GridError("the spectrally negative chain has no zero state")
     lam, d, n = spec.lam, grid.delta, grid.m_delta
     enl = float(np.exp(-lam * d))
 
@@ -374,52 +343,17 @@ def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     # (for n = 1 that leaves csum[0] - toeplitz[0] = 0)
     moved = csum[np.minimum(ii - 1, len(csum) - 1)]
     moved[-1] -= toeplitz[0]
-    diag_body = 1.0 - col1 - moved
-
-    col0 = None
-    if spec.absorbing_zero:
-        if spec.job.exact:
-            J2 = spec.job.prefix_prefix_cdf(np.arange(n + 2) * d)
-            hit = (J2[ii + 1] - 2.0 * J2[ii] + J2[ii - 1]) / d**2
-        else:
-            hit = np.empty(n)
-            for a, i in enumerate(ii):
-                v, e = _prefix_window_numeric(spec.job, d, i)
-                hit[a] = v
-                row_err += e * enl * lam
-        q = np.clip(1.0 - hit, 0.0, None)  # P(jump reaches 0 | one jump, start in i)
-        # mathematically col0 <= col1 (reaching 0 implies ending below delta);
-        # cap before splitting so col0 + col1_abs == col1 holds exactly
-        col0 = np.minimum(enl * lam * d * q, col1)
-        col1 = col1 - col0
-        diag = np.concatenate([[0.0], diag_body])
-    else:
-        diag = diag_body
+    diag = 1.0 - col1 - moved
     _check_diag(diag, row_err)
     return TransitionKernel(
         grid=grid,
         kind=ModelKind.SPECTRALLY_NEGATIVE,
-        absorbing_zero=spec.absorbing_zero,
-        exp_no_jump=enl,
         toeplitz=toeplitz,
         k_lo=-1,
         diag=diag,
         col1=col1,
-        col0=col0,
         row_quadrature_error=row_err,
     )
-
-
-def _prefix_window_numeric(job: JobSize, d: float, i: int) -> tuple[float, float]:
-    """(1/d^2) int_{(i-1)d}^{id} (J(s+d) - J(s)) ds by bracketing (J convex)."""
-    from .jobsize import _bracket_monotone
-
-    def g(s):
-        return (job.cdf_integral(s, s + d)) / d
-
-    # g is non-decreasing (window of a non-decreasing F)
-    val, err = _bracket_monotone(g, (i - 1) * d, i * d, tol=1e-12)
-    return val / d, err / d
 
 
 def _fft_len(n: int) -> int:

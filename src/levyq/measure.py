@@ -47,8 +47,8 @@ class Grid:
     """Discretization geometry: step delta, truncation at m = m_delta * delta.
 
     ``zero_state`` records whether the chain keeps a distinguished state for
-    workload exactly 0 (always for the M/G/1 queue; for spectrally negative
-    input only in the absorbing variant).
+    workload exactly 0: the M/G/1 chain does, the spectrally negative chain
+    does not.
     """
 
     delta: float

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundContext, BoundLedger
-from .errors import CertificationError, GridError, SupportError
+from .errors import GridError, SupportError
 from .kernel import ModelSpec, build_kernel
 from .measure import DiscreteDist, GeneralMeasure, Grid, LiftedDistribution, wasserstein
 
@@ -118,15 +118,6 @@ def solve(
         raise ValueError("horizon_steps must be >= 0")
     if bound_mode not in ("basic", "refined"):
         raise ValueError(f"unknown bound mode {bound_mode!r}")
-    if spec.absorbing_zero:
-        # carrying accumulated error forward relies on coupled paths never
-        # drifting apart, which fails once one copy is absorbed at 0 while
-        # the other keeps moving; no certificate is available for the sink
-        # variant (the kernel itself remains usable via apply/dense)
-        raise CertificationError(
-            "certified transient bounds are only established for the "
-            "non-absorbing dynamics; solve() rejects absorbing_zero models"
-        )
     wanted = set()
     if snapshot_steps is not None:
         wanted.update(int(k) for k in snapshot_steps)

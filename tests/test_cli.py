@@ -45,6 +45,13 @@ def base_config(**overrides):
     return cfg
 
 
+SPECNEG_MODEL = {
+    "kind": "spectrally_negative",
+    "lambda": 0.5,
+    "job": {"family": "pareto", "params": {"x_min": 1, "alpha": 1.5}},
+}
+
+
 def erlang_job(shape):
     return {"family": "erlang", "params": {"shape": shape, "rate": 2}}
 
@@ -91,6 +98,46 @@ class TestConfigParsing:
         cfg = base_config(refined_weighting="per_interval")
         assert main(["solve", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert "refined_weighting" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            pytest.param(("model",), "lam", id="model"),
+            pytest.param(("model", "job"), "kind", id="job"),
+            pytest.param(("model", "job", "params"), "rate", id="job-params"),
+            pytest.param(("grid",), "M", id="grid"),
+            pytest.param(("horizon",), "snapshot_time", id="horizon"),
+            pytest.param(("initial",), "atom", id="initial"),
+            pytest.param(("validation",), "n_path", id="validation-n-path"),
+            pytest.param(("validation",), "sed", id="validation-seed-typo"),
+            pytest.param(("queries", 0), "treshold", id="query"),
+        ],
+    )
+    def test_unknown_nested_key_refused(self, tmp_path, capsys, path, key):
+        # a misspelt field would otherwise fall back to its default silently
+        cfg = base_config(validation={"enabled": True, "n_paths": 50, "seed": 3})
+        parent = cfg
+        for part in path:
+            parent = parent[part]
+        parent[key] = 1
+        out = tmp_path / "out"
+        args = ["validate", write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
+    @pytest.mark.parametrize("command", ["solve", "validate", "matrix"])
+    def test_absorbing_zero_key_refused(self, tmp_path, capsys, command, value):
+        # the absorbing-zero variant is gone; a config or manifest that still
+        # sets the flag is refused rather than replayed without it
+        cfg = base_config(model={**SPECNEG_MODEL, "absorbing_zero": value})
+        out = tmp_path / "out"
+        args = [command, write_config(tmp_path, cfg), "--out", str(out)]
+        assert main(args) == EXIT_CONFIG
+        assert "absorbing_zero" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "raw", [["model"], ["config"], 5], ids=["list", "list-config", "number"]
@@ -382,10 +429,13 @@ class TestCsvWriter:
 
 
 class TestMatrixCommand:
-    def test_dense_dump_matches_kernel(self, tmp_path):
+    @pytest.mark.parametrize("model", [None, SPECNEG_MODEL], ids=["mg1", "specneg"])
+    def test_dense_dump_matches_kernel(self, tmp_path, model):
         import levyq
 
         cfg = base_config()
+        if model is not None:
+            cfg["model"] = model
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["matrix", path, "--out", str(out)]) == EXIT_OK
@@ -398,19 +448,6 @@ class TestMatrixCommand:
     def test_large_grid_refused(self, tmp_path):
         cfg = base_config(grid={"delta": "1/500", "m": 50})
         assert main(["matrix", write_config(tmp_path, cfg)]) == EXIT_CONFIG
-
-    def test_absorbing_variant_matrix_only(self, tmp_path):
-        cfg = base_config()
-        cfg["model"] = {
-            "kind": "spectrally_negative",
-            "lambda": 0.5,
-            "job": {"family": "pareto", "params": {"x_min": 1, "alpha": 1.5}},
-            "absorbing_zero": True,
-        }
-        path = write_config(tmp_path, cfg)
-        # the sink dynamics carry no certificate, only the kernel dump works
-        assert main(["solve", path, "--out", str(tmp_path / "s")]) == EXIT_CERTIFICATION
-        assert main(["matrix", path, "--out", str(tmp_path / "m")]) == EXIT_OK
 
 
 class TestValidateCommand:

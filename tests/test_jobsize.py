@@ -230,18 +230,6 @@ class TestPrefixConsistency:
                 )
                 assert job.prefix_x_cdf(x) == pytest.approx(val, abs=20 * err + 1e-9)
 
-    def test_prefix_prefix_cdf_matches_quadrature(self):
-        rng = np.random.default_rng(6)
-        for job in ALL_FAMILIES:
-            for _ in range(8):
-                x = rng.uniform(0.1, 8.0)
-                val, err = integrate.quad(
-                    lambda s: job.cdf_integral(0.0, s), 0.0, x, limit=200
-                )
-                assert job.prefix_prefix_cdf(x) == pytest.approx(
-                    val, abs=20 * err + 1e-8
-                )
-
 
 class TestCustomCdf:
     """Bracketing quadrature fallback for callable-backed CDFs."""

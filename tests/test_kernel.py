@@ -156,6 +156,11 @@ class TestSpecnegEntries:
         expected = np.exp(-REF_SN.lam * d) * REF_SN.lam * (d - integral)
         assert kern.col1[499] == pytest.approx(expected, rel=1e-8)
 
+    def test_refuses_zero_state(self):
+        grid = REF_MG1.grid_for(0.5, 10)  # with a zero state
+        with pytest.raises(GridError):
+            build_specneg(REF_SN, grid)
+
 
 class TestDenseOracle:
     def test_mg1_matches_raw_formulas(self):
@@ -234,16 +239,12 @@ class TestApply:
         ids=["narrow-band", "full-band"],
     )
     @pytest.mark.parametrize(
-        "kind,absorbing",
-        [
-            (ModelKind.MG1, False),
-            (ModelKind.SPECTRALLY_NEGATIVE, False),
-            (ModelKind.SPECTRALLY_NEGATIVE, True),
-        ],
-        ids=["mg1", "specneg", "specneg-absorbing"],
+        "kind",
+        [ModelKind.MG1, ModelKind.SPECTRALLY_NEGATIVE],
+        ids=["mg1", "specneg"],
     )
-    def test_edge_sizes_match_dense(self, kind, absorbing, job, delta, m_delta):
-        spec = ModelSpec(kind, 0.5, job, absorbing)
+    def test_edge_sizes_match_dense(self, kind, job, delta, m_delta):
+        spec = ModelSpec(kind, 0.5, job)
         grid = spec.grid_for(delta, m_delta)
         kern = build_kernel(spec, grid)
         p = np.random.default_rng(m_delta).dirichlet(np.ones(len(grid.states())))
@@ -274,8 +275,9 @@ class TestStochasticity:
             Pareto(float(rng.uniform(0.3, 2)), float(rng.uniform(0.7, 3))),
             Deterministic(float(rng.uniform(0, 3))),
         ][rng.integers(0, 4)]
-        absorbing = kind is ModelKind.SPECTRALLY_NEGATIVE and rng.random() < 0.3
-        spec = ModelSpec(kind, float(rng.uniform(0.05, 3)), job, absorbing)
+        if kind is ModelKind.SPECTRALLY_NEGATIVE:
+            rng.random()  # unused draw, kept so every other sampled config stays the same
+        spec = ModelSpec(kind, float(rng.uniform(0.05, 3)), job)
         grid = spec.grid_for(float(rng.uniform(0.05, 0.8)), int(rng.integers(3, 60)))
         return spec, grid
 
@@ -305,8 +307,6 @@ class TestStochasticity:
         specs = [self._random_spec_grid(rng) for _ in range(100)]
         specs += [(REF_SN, REF_SN.grid_for(0.5, m)) for m in (1, 2, 3)]
         for spec, grid in specs:
-            if spec.absorbing_zero:
-                continue  # its col1 is stored after the sink's share is split off
             kern = build_kernel(spec, grid)
             n, csum = grid.m_delta, np.cumsum(kern.toeplitz)
             last = len(csum) - 1
@@ -346,48 +346,3 @@ class TestStochasticity:
             s_large = 1.0 - k_large.diag[i]
             assert s_large >= s_small - 1e-14
 
-
-class TestAbsorbing:
-    def test_sink_row(self):
-        spec = ModelSpec(
-            ModelKind.SPECTRALLY_NEGATIVE, 0.5, Uniform(0.5, 2.0), absorbing_zero=True
-        )
-        grid = spec.grid_for(0.25, 20)
-        kern = build_specneg(spec, grid)
-        row = kern.row(0)
-        assert row[0] == 1.0
-        assert row[1:].sum() == 0.0
-
-    def test_hit_probability_deterministic_jobs(self):
-        # start uniform in ((i-1)d, id], one jump of size c at a uniform time:
-        # the jump reaches 0 iff c >= s + tau; the probability is the area of
-        # {(s, tau): s + tau <= c} over the d x d square
-        c, d = 1.0, 0.25
-        spec = ModelSpec(
-            ModelKind.SPECTRALLY_NEGATIVE, 0.5, Deterministic(c), absorbing_zero=True
-        )
-        grid = spec.grid_for(d, 20)
-        kern = build_specneg(spec, grid)
-        lam_d_mass = np.exp(-0.5 * d) * 0.5 * d
-        for i in range(1, 8):
-            s_grid = np.linspace((i - 1) * d, i * d, 4001)
-            tau = np.linspace(0, d, 4001)
-            ss, tt = np.meshgrid(s_grid[:-1] + d / 8000, tau[:-1] + d / 8000)
-            q = float(np.mean(ss + tt <= c))
-            assert kern.col0[i - 1] == pytest.approx(lam_d_mass * q, abs=1e-4)
-
-    def test_absorbed_mass_monotone(self):
-        spec = ModelSpec(
-            ModelKind.SPECTRALLY_NEGATIVE, 0.5, Pareto(1.0, 1.5), absorbing_zero=True
-        )
-        grid = spec.grid_for(0.25, 40)
-        kern = build_specneg(spec, grid)
-        p = np.zeros(41)
-        p[20] = 1.0
-        dist = DiscreteDist(grid, p)
-        prev = 0.0
-        for _ in range(30):
-            dist = kern.apply(dist)
-            assert dist.p[0] >= prev - 1e-15
-            prev = dist.p[0]
-        assert prev > 0.0

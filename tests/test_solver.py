@@ -180,18 +180,6 @@ class TestSolve:
         assert len(res.ledger.cumulative) == 11
         assert np.allclose(res.times, [0.0, 2.5, 5.0])
 
-    def test_absorbing_variant_has_no_certificate(self):
-        # once a path is absorbed at 0 its coupled partner can drift away,
-        # so accumulated error may grow and no per-step certificate exists
-        from levyq import CertificationError, Pareto
-
-        spec = ModelSpec(
-            ModelKind.SPECTRALLY_NEGATIVE, 0.5, Pareto(1.0, 1.5), absorbing_zero=True
-        )
-        grid = spec.grid_for(0.25, 40)
-        with pytest.raises(CertificationError):
-            solve(spec, grid, GeneralMeasure.dirac(5.0), 4)
-
 
 class TestCertifiedTail:
     def _result(self):
@@ -270,3 +258,13 @@ class TestSpeedRescaling:
         grid = normalized.grid_for(0.25 / r, 80)
         res = solve(normalized, grid, GeneralMeasure.dirac(1.0 / r), 8)
         assert res.ledger.final > 0
+
+    @pytest.mark.parametrize(
+        "r", [float("nan"), float("inf"), 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_non_positive_or_non_finite_speed_refused(self, r):
+        from levyq import Exponential, rescale_for_speed
+
+        base = ModelSpec(ModelKind.MG1, 0.3, Exponential(1.0))
+        with pytest.raises(ValueError, match="speed must be positive and finite"):
+            rescale_for_speed(base, r)
