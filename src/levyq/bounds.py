@@ -25,6 +25,10 @@ All quantities here are upper bounds by construction; whenever an evaluation
 is approximate (sub-grid sampling of the refined term, bracketing quadrature
 for user-supplied CDFs) the approximation error is tracked separately as
 "slack" and added to the certified total, never silently dropped.
+
+The refiner samples its shapes in chunks of ``WORK_BUDGET // SUBGRID``
+blocks, so every temporary of the sweep stays within the shared work budget
+(32 KiB) and a run does not map and trim large arrays chunk after chunk.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ import numpy as np
 from .errors import CertificationError
 from .jobsize import JobSize
 from .kernel import ModelKind, ModelSpec
-from .measure import DiscreteDist, Grid
+from .measure import WORK_BUDGET, DiscreteDist, Grid, work_slices
 
 SUBGRID = 256  # sub-grid points per interval in the refined term
-_CHUNK = 256  # blocks sampled at once while building the refiner
 
 __all__ = [
     "jump_aggregation_error",
@@ -152,6 +155,7 @@ class OneJumpRefiner:
         self.spec = spec
         self.grid = grid
         self.L = SUBGRID
+        self._chunk = max(1, WORK_BUDGET // SUBGRID)  # blocks per sweep chunk
         d = grid.delta
         self.scale = spec.lam * d * float(np.exp(-spec.lam * d))
         self.w, self.s = self._build()
@@ -161,33 +165,38 @@ class OneJumpRefiner:
     def _abs_sums(self, k_lo: int, k_hi: int, fn, visit=None) -> np.ndarray:
         """Sampled integral of |fn - chord| on each block k_lo..k_hi.
 
-        Blocks are sampled _CHUNK at a time; ``visit(ks, dev)``, if given,
-        sees each chunk, where ``dev[b, m]`` is fn minus its chord on block
-        ``ks[b]`` at ``(ks[b] + m / L) * delta`` (exactly 0 at block starts).
+        Blocks are sampled ``_chunk`` at a time; ``visit(ks, dev)``, if
+        given, sees each chunk, where ``dev[b, m]`` is fn minus its chord on
+        block ``ks[b]`` at ``(ks[b] + m / L) * delta`` (exactly 0 at block
+        starts).  Each row sum runs over one block, so the chunk size does
+        not change the result.
         """
         d, L = self.grid.delta, self.L
         frac = np.arange(L) / L
-        sums = []
-        for lo in range(k_lo, k_hi + 1, _CHUNK):
-            ks = np.arange(lo, min(lo + _CHUNK, k_hi + 1))
+        sums = np.empty(k_hi - k_lo + 1)
+        for lo in range(k_lo, k_hi + 1, self._chunk):
+            ks = np.arange(lo, min(lo + self._chunk, k_hi + 1))
             g = fn(np.arange(lo, ks[-1] + 2) * d)
             chord = g[:-1, None] + np.diff(g)[:, None] * frac
             dev = fn((ks[:, None] + frac) * d) - chord
             dev[:, 0] = 0.0
             if visit is not None:
                 visit(ks, dev)
-            sums.append(d / L * np.abs(dev).sum(axis=1))
-        return np.concatenate(sums)
+            sums[ks - k_lo] = d / L * np.abs(dev).sum(axis=1)
+        return sums
 
     def _window(self, per_block: np.ndarray, k_lo: int, base: int, first: int):
         """For start states i = base..n: the sum of per_block over the blocks
         k whose target y-block i + k lies in first..n-1."""
         n = self.grid.m_delta
-        i = np.arange(base, n + 1)
         csum = np.concatenate([[0.0], np.cumsum(per_block)])
-        lo = np.clip(first - i - k_lo, 0, len(per_block))
-        hi = np.clip(n - i - k_lo, lo, len(per_block))
-        return csum[hi] - csum[lo]
+        out = np.empty(n + 1 - base)
+        for s in work_slices(len(out)):
+            i = np.arange(base + s.start, base + s.stop)
+            lo = np.clip(first - i - k_lo, 0, len(per_block))
+            hi = np.clip(n - i - k_lo, lo, len(per_block))
+            out[s] = csum[hi] - csum[lo]
+        return out
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         spec, grid, L = self.spec, self.grid, self.L
@@ -252,15 +261,15 @@ class OneJumpRefiner:
                 k_lo, 0, psi, visit=lambda ks, dev: bottom(-ks[ks < 0] - 1, dev[ks < 0])
             )
             # starts above the job support put no generic block on y-block 0
-            for j in range(-k_lo, n, _CHUNK):
-                jj = np.arange(j, min(j + _CHUNK, n))
+            for j in range(-k_lo, n, self._chunk):
+                jj = np.arange(j, min(j + self._chunk, n))
                 bottom(jj, np.zeros((len(jj), L)))
             b_slack = q * b_lip
             cap = d * bottom_mass
             capped = b_val + b_slack >= cap  # the worst case is tighter
             w = self._window(a, k_lo, 1, 1) + np.where(capped, cap, b_val)
             s = q * self._window(c1_gen, k_lo, 1, 1) + np.where(capped, 0.0, b_slack)
-        return np.minimum(w, d), s
+        return np.minimum(w, d, out=w), s
 
     # -- evaluation ----------------------------------------------------------
 
@@ -299,9 +308,11 @@ class BoundContext:
         mean_b = spec.job.mean()
         if spec.kind is ModelKind.MG1:
             self.cut = jump_cut_error_mg1(lam, d, mean_b)
-            self.trunc_vec = truncation_error_mg1(
-                lam, d, np.arange(grid.m_delta + 1), grid, spec.job
-            )
+            self.trunc_vec = np.empty(grid.m_delta + 1)
+            for s in work_slices(len(self.trunc_vec)):
+                self.trunc_vec[s] = truncation_error_mg1(
+                    lam, d, np.arange(s.start, s.stop), grid, spec.job
+                )
             self.overshoot_rate = 0.0
         else:
             self.cut = jump_cut_error_specneg(lam, d, mean_b, grid.m)

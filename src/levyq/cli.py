@@ -16,6 +16,7 @@ not met (e.g. the M/G/1 bound with an infinite-mean job-size law),
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import itertools
 import json
@@ -30,6 +31,10 @@ from . import jobsize, oracle, solver
 from .errors import CertificationError, ConfigError, LevyqError
 from .kernel import ModelKind, ModelSpec, build_kernel
 from .measure import GeneralMeasure, Grid, LiftedDistribution
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,6 +138,11 @@ def parse_job(cfg: dict) -> jobsize.JobSize:
 
 
 def parse_initial(cfg: dict) -> GeneralMeasure:
+    if "dirac" in cfg:
+        others = sorted(set(cfg) & {"atoms", "uniform_pieces"})
+        if others:
+            named = ", ".join(f"initial.{k}" for k in others)
+            raise ConfigError(f"initial.dirac cannot be combined with {named}")
     try:
         if "dirac" in cfg:
             return GeneralMeasure.dirac(_as_float(cfg["dirac"], "initial.dirac"))
@@ -224,7 +234,12 @@ class RunConfig:
         val = _as_object(
             raw.get("validation", {}), "validation", ("enabled", "n_paths", "seed")
         )
-        self.validation_enabled = bool(val.get("enabled", False))
+        self.validation_enabled = val.get("enabled", True)
+        if not isinstance(self.validation_enabled, bool):
+            raise ConfigError(
+                "validation.enabled must be a JSON boolean (true or false), "
+                f"got {self.validation_enabled!r}"
+            )
         self.n_paths = _as_int(val.get("n_paths", 100_000), "validation.n_paths")
         if self.n_paths < 2:
             raise ConfigError(f"validation.n_paths must be >= 2, got {self.n_paths}")
@@ -317,12 +332,21 @@ def _table_blocks(formats, table: np.ndarray):
 def _density_formats(grid: Grid) -> list[str]:
     """Block formats of a density file's interval rows, "<lo>,<hi>,%.17g,%.17g".
 
-    The grid edges are formatted once per run here, and every snapshot fills
-    in only its mass and density.
+    The grid edges are formatted once per run here, with one ``%`` over each
+    block's edges, and every snapshot fills in only its mass and density.
     """
-    edges = ("%.17g" % e for e in grid.edges())
-    labels = (f"{lo},{hi}," for lo, hi in itertools.pairwise(edges))
-    return list(_block_formats(labels, 2))
+    edges = grid.edges()
+    step = _rows_per_block(2)
+    formats = []
+    for start in range(0, grid.m_delta, step):
+        rows = min(step, grid.m_delta - start)
+        cells = ("%.17g," * (rows + 1) % tuple(edges[start:start + rows + 1].tolist()))
+        cells = cells.split(",")
+        pairs = [""] * (2 * rows)  # lo and hi of each row, interleaved
+        pairs[0::2] = cells[:rows]
+        pairs[1::2] = cells[1:rows + 1]
+        formats.append("%s,%s,%%.17g,%%.17g\n" * rows % tuple(pairs))
+    return formats
 
 
 def _write_density(path: Path, dist: LiftedDistribution, formats: list[str]) -> str:
@@ -377,6 +401,8 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 
 def run_validate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+    if not cfg.validation_enabled:
+        raise ConfigError("validation.enabled is false; nothing to validate")
     result = solver.solve(
         cfg.spec,
         cfg.grid,
@@ -443,7 +469,30 @@ def _write_manifest(cfg: RunConfig, out_dir: Path, command: str, files: dict) ->
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _keep_freed_arrays() -> None:
+    """Let the C allocator reuse freed arrays instead of mapping fresh pages.
+
+    glibc maps each block above its mmap threshold (128 KiB, raised only as
+    larger blocks are freed) on its own, and returns the top of the heap to
+    the system once twice that sits free.  A fine grid's step loop frees and
+    allocates about 1 MB of FFT and state buffers per step, so every step
+    would fault in ~260 fresh pages.  Fixed thresholds of 32 MiB (glibc's
+    ceiling for the raised threshold) and 64 MiB keep those pages mapped;
+    peak memory does not grow, since the freed pages are reused.  A no-op
+    where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_arrays()
     parser = argparse.ArgumentParser(
         prog="levyq",
         description="Certified transient analysis of queues with one-sided "

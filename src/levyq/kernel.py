@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CertificationError, GridError
 from .jobsize import JobSize
-from .measure import DiscreteDist, Grid
+from .measure import DiscreteDist, Grid, grid_values, work_slices
 
 __all__ = [
     "ModelKind",
@@ -210,21 +210,19 @@ class TransitionKernel:
 def _window_integrals(job: JobSize, delta: float, k_min: int, k_max: int):
     """t_int[k] = int_{k d}^{(k+1) d} (F_B(s + d) - F_B(s)) ds for k_min..k_max.
 
-    Returns (values, per_window_error).  For exact families this is a second
-    difference of the prefix integral; tiny negative rounding is clipped
-    (J is convex, so the true values are nonnegative).
+    Returns (values, total error over all windows).  For exact families this
+    is a second difference of the prefix integral; tiny negative rounding is
+    clipped (J is convex, so the true values are nonnegative).
     """
-    ks = np.arange(k_min, k_max + 3)
     if job.exact:
-        j_vals = job.prefix_cdf(ks * delta)
-        t_int = np.diff(j_vals, 2)
+        t_int = np.diff(grid_values(job.prefix_cdf, delta, k_min, k_max + 2), 2)
         np.maximum(t_int, 0.0, out=t_int)
         # F flat across the whole window means the integrand is identically
         # zero there; zero those entries to kill cancellation dust in the
         # second differences (keeps the band genuinely banded)
-        f_edges = job.cdf(ks * delta)
+        f_edges = grid_values(job.cdf, delta, k_min, k_max + 2)
         t_int[f_edges[2:] == f_edges[:-2]] = 0.0
-        return t_int, np.zeros_like(t_int)
+        return t_int, 0.0
     vals = np.empty(k_max - k_min + 1)
     errs = np.empty_like(vals)
     for idx, k in enumerate(range(k_min, k_max + 1)):
@@ -232,7 +230,7 @@ def _window_integrals(job: JobSize, delta: float, k_min: int, k_max: int):
         lo, e2 = job.cdf_integral_with_error(k * delta, (k + 1) * delta)
         vals[idx] = max(hi - lo, 0.0)
         errs[idx] = e1 + e2
-    return vals, errs
+    return vals, float(errs.sum())
 
 
 def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
@@ -252,44 +250,26 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     enl = float(np.exp(-lam * d))
 
     t_int, t_err = _window_integrals(spec.job, d, -1, n)
-    toeplitz = enl * lam * t_int[: n + 1]  # k = -1 .. n - 1
-    toeplitz[0] += enl  # no-jump shift at k = -1
-    row_err = enl * lam * float(t_err.sum())
+    row0 = t_int[: n + 1]  # window ((j-1)d, j d) = t_int[j - 1]
+    row0 *= enl * lam
+    row0[0] += enl  # no-jump shift
+    # a generic row i >= 2 has row 0's entries at the offsets k = j - i
+    toeplitz = _trim_band(row0)  # k = -1 .. n - 1
+    row_err = enl * lam * t_err
 
-    row0 = enl * lam * t_int[: n + 1]  # window ((j-1)d, j d) = t_int[j - 1]
-    row0[0] += enl
-
-    # row 1: triangle-weighted windows
-    w = np.empty(n + 1)
-    w_err = 0.0
-    if spec.job.exact:
-        edges = np.arange(-1, n + 2) * d
-        J = spec.job.prefix_cdf(edges)
-        K = spec.job.prefix_x_cdf(edges)
-        jj = np.arange(n + 1)
-        c = jj * d
-        # int_{(j-1)d}^{jd} (jd - s)(F(s+d) - F(s)) ds via prefix integrals
-        upper = (c + d) * (J[jj + 2] - J[jj + 1]) - (K[jj + 2] - K[jj + 1])
-        lower = c * (J[jj + 1] - J[jj]) - (K[jj + 1] - K[jj])
-        w = upper - lower
-        f_edges = spec.job.cdf(edges)
-        w[f_edges[jj + 2] == f_edges[jj]] = 0.0
-    else:
-        for j in range(n + 1):
-            w[j], e = spec.job.weighted_cdf_diff_integral(d, (j - 1) * d, j * d, j * d)
-            w_err += e
-    np.maximum(w, 0.0, out=w)
-    row1 = enl * (2.0 * lam / d) * w
+    row1, w_err = _row1_windows(spec.job, d, n)
+    row1 *= enl * (2.0 * lam / d)
     row1[0] += enl
     row_err = max(row_err, enl * 2.0 * lam / d * w_err)
 
-    toeplitz = _trim_band(toeplitz)
     diag = np.empty(n + 1)
     diag[0] = 1.0 - row0.sum()
     diag[1] = 1.0 - row1.sum()
     csum = np.cumsum(toeplitz)
     # row i >= 2 covers offsets k = -1 .. n - i; entries past the band are 0
-    diag[2:] = 1.0 - csum[np.minimum(n - np.arange(2, n + 1) + 1, len(csum) - 1)]
+    for s in work_slices(n - 1):
+        i = np.arange(2 + s.start, 2 + s.stop)
+        diag[i] = 1.0 - csum[np.minimum(n - i + 1, len(csum) - 1)]
     _check_diag(diag, row_err)
     return TransitionKernel(
         grid=grid,
@@ -301,6 +281,34 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
         row1=row1,
         row_quadrature_error=row_err,
     )
+
+
+def _row1_windows(job: JobSize, d: float, n: int) -> tuple[np.ndarray, float]:
+    """Triangle-weighted windows of the M/G/1 row 1, with their total error.
+
+    Entry j is int_{(j-1)d}^{jd} (jd - s)(F(s+d) - F(s)) ds, j = 0..n,
+    clipped at 0.
+    """
+    w = np.empty(n + 1)
+    w_err = 0.0
+    if job.exact:
+        J = grid_values(job.prefix_cdf, d, -1, n + 1)
+        K = grid_values(job.prefix_x_cdf, d, -1, n + 1)
+        # prefix integrals: J[j + o] and K[j + o] are taken at (j - 1 + o) d
+        for s in work_slices(n + 1):
+            j0, j1, j2 = (slice(s.start + o, s.stop + o) for o in range(3))
+            c = np.arange(s.start, s.stop) * d
+            upper = (c + d) * (J[j2] - J[j1]) - (K[j2] - K[j1])
+            lower = c * (J[j1] - J[j0]) - (K[j1] - K[j0])
+            w[s] = upper - lower
+        f_edges = grid_values(job.cdf, d, -1, n + 1)
+        w[f_edges[2:] == f_edges[:-2]] = 0.0
+    else:
+        for j in range(n + 1):
+            w[j], e = job.weighted_cdf_diff_integral(d, (j - 1) * d, j * d, j * d)
+            w_err += e
+    np.maximum(w, 0.0, out=w)
+    return w, w_err
 
 
 def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
@@ -323,12 +331,12 @@ def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     toeplitz = enl * lam * t_int  # k = -1 .. n - 2
     toeplitz[0] += enl  # upward shift j = i + 1
     toeplitz = _trim_band(toeplitz)
-    row_err = enl * lam * float(t_err.sum())
+    row_err = enl * lam * t_err
 
     ii = np.arange(1, n + 1)
     if spec.job.exact:
-        J = spec.job.prefix_cdf(np.arange(n + 1) * d)
-        col1 = enl * lam * (d - (J[ii] - J[ii - 1]))
+        J = grid_values(spec.job.prefix_cdf, d, 0, n)
+        col1 = enl * lam * (d - np.diff(J))
     else:
         col1 = np.empty(n)
         for a, i in enumerate(ii):

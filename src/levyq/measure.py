@@ -18,6 +18,12 @@ between the union of breakpoints, and each linear segment is integrated in
 closed form (splitting at the sign-change root where needed).  No quadrature
 is involved, so this engine contributes zero slack to certified bounds.
 
+Elementwise stages over long arrays (CDF interpolation, the segment
+integrals) run in slices of ``WORK_BUDGET`` values into preallocated
+outputs, so a fine grid's setup holds a few full-length arrays rather than
+dozens of full-length temporaries.  Every reduction still runs over the
+whole array, so the slicing does not change any result.
+
 Everything is immutable after construction; operations are pure.
 """
 
@@ -40,6 +46,35 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
+WORK_BUDGET = 4096  # float64 values per temporary in a setup sweep (32 KiB)
+
+
+def work_slices(n: int) -> list[slice]:
+    """Consecutive slices of at most ``WORK_BUDGET`` items covering range(n)."""
+    return [slice(lo, min(lo + WORK_BUDGET, n)) for lo in range(0, n, WORK_BUDGET)]
+
+
+def grid_values(fn, delta: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """fn(k * delta) for k = k_lo..k_hi, for an elementwise fn, in work slices."""
+    out = np.empty(k_hi - k_lo + 1)
+    for s in work_slices(len(out)):
+        out[s] = fn(np.arange(k_lo + s.start, k_lo + s.stop) * delta)
+    return out
+
+
+def _merged_breakpoints(*parts: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the given arrays, as ``np.unique`` of
+    their concatenation returns them.
+
+    ``np.unique`` imports ``numpy.ma`` on its first call; one in-place sort
+    and one comparison of neighbours do the same work without it.
+    """
+    x = np.concatenate(parts)
+    x.sort()
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 @dataclass(frozen=True)
@@ -144,11 +179,13 @@ class LiftedDistribution:
 
     def _step_linear_cdf(self) -> "_StepLinearCdf":
         edges = self.grid.edges()
-        cum = self.atom0 + np.concatenate([[0.0], np.cumsum(self.interval_mass)])
-        y_right = cum.copy()
+        cum = np.empty(self.grid.m_delta + 1)
+        cum[0] = 0.0
+        np.cumsum(self.interval_mass, out=cum[1:])
+        cum += self.atom0
         y_left = cum.copy()
         y_left[0] = 0.0  # jump of size atom0 at x = 0
-        return _StepLinearCdf(edges, y_left, y_right)
+        return _StepLinearCdf(edges, y_left, cum)
 
 
 @dataclass(eq=False)
@@ -231,7 +268,7 @@ class GeneralMeasure:
         order = np.argsort(atom_x)
         atom_cum = np.concatenate([[0.0], np.cumsum(atom_w[order])])
         ends = [e for a, b, _ in self.pieces for e in (a, b)]
-        xs = np.unique(np.concatenate([atom_x, ends]))
+        xs = _merged_breakpoints(atom_x, ends)
 
         def eval_cdf(side):
             # mass of the atoms left of (or at) each breakpoint, plus the pieces
@@ -270,10 +307,15 @@ class _StepLinearCdf:
 
     def _interp(self, q_in, side):
         q = np.atleast_1d(np.asarray(q_in, dtype=float))
+        out = np.empty(len(q))
+        for s in work_slices(len(q)):
+            self._interp_into(q[s], side, out[s])
+        return float(out[0]) if np.ndim(q_in) == 0 else out
+
+    def _interp_into(self, q, side, out):
         k = np.searchsorted(self.xs, q, side=side) - 1
         n = len(self.xs)
         kc = np.clip(k, 0, n - 1)
-        out = np.empty(len(q))
         below = k < 0
         last = kc == n - 1
         mid = ~below & ~last
@@ -286,7 +328,6 @@ class _StepLinearCdf:
             f0 = self.y_right[km]
             f1 = self.y_left[km + 1]
             out[mid] = f0 + (f1 - f0) * (q[mid] - x0) / (x1 - x0)
-        return float(out[0]) if np.ndim(q_in) == 0 else out
 
 
 def _to_step_linear(m) -> _StepLinearCdf:
@@ -304,9 +345,13 @@ def wasserstein(a, b) -> float:
     """
     fa = _to_step_linear(a)
     fb = _to_step_linear(b)
-    xs = np.union1d(fa.xs, fb.xs)
-    (a_start, a_end), (b_start, b_end) = fa.on_segments(xs), fb.on_segments(xs)
-    return _abs_linear_integral(np.diff(xs), a_start - b_start, a_end - b_end)
+    xs = _merged_breakpoints(fa.xs, fb.xs)
+    seg = np.empty(len(xs) - 1)
+    for s in work_slices(len(seg)):
+        x = xs[s.start : s.stop + 1]
+        (a_start, a_end), (b_start, b_end) = fa.on_segments(x), fb.on_segments(x)
+        _abs_linear_segments(np.diff(x), a_start - b_start, a_end - b_end, out=seg[s])
+    return float(seg.sum())
 
 
 def empirical_distance(values: np.ndarray, m) -> Callable[[np.ndarray], float]:
@@ -318,7 +363,7 @@ def empirical_distance(values: np.ndarray, m) -> Callable[[np.ndarray], float]:
     the segment integral of :func:`wasserstein`.
     """
     fm = _to_step_linear(m)
-    xs = np.union1d(values, fm.xs)
+    xs = _merged_breakpoints(values, fm.xs)
     m_start, m_end = fm.on_segments(xs)
     length = np.diff(xs)
     at = np.searchsorted(values, xs[:-1], side="right")
@@ -326,13 +371,13 @@ def empirical_distance(values: np.ndarray, m) -> Callable[[np.ndarray], float]:
     def distance(counts: np.ndarray) -> float:
         cum = np.concatenate([[0], np.cumsum(counts)])
         f = cum[at] / cum[-1]
-        return _abs_linear_integral(length, f - m_start, f - m_end)
+        return float(_abs_linear_segments(length, f - m_start, f - m_end).sum())
 
     return distance
 
 
-def _abs_linear_integral(length, d_start, d_end) -> float:
-    """Exact sum of the integrals of |g| over segments on which g is linear.
+def _abs_linear_segments(length, d_start, d_end, out=None) -> np.ndarray:
+    """Exact integral of |g| over each segment on which g is linear.
 
     g runs from ``d_start`` to ``d_end`` over a segment of ``length``; a
     segment whose end values differ in sign is split at its root.
@@ -341,5 +386,6 @@ def _abs_linear_integral(length, d_start, d_end) -> float:
     denom = np.abs(d_start) + np.abs(d_end)
     with np.errstate(invalid="ignore", divide="ignore"):
         crossing = (d_start**2 + d_end**2) / np.where(denom > 0, denom, 1.0)
-    seg = np.where(same_sign, np.abs(d_start + d_end), crossing) * 0.5 * length
-    return float(seg.sum())
+    return np.multiply(
+        np.where(same_sign, np.abs(d_start + d_end), crossing) * 0.5, length, out=out
+    )

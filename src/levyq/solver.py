@@ -76,20 +76,25 @@ def discretize_initial(mu0: GeneralMeasure, grid: Grid) -> tuple[DiscreteDist, f
         raise GridError(
             "initial mass at exactly 0 needs a chain with a zero state"
         )
-    edges = grid.edges()
-    cdf_at_edges = mu0.cdf(edges)
-    interval = np.diff(cdf_at_edges)
-    # mass below the first edge that is not the atom belongs to interval 1
-    if grid.zero_state:
-        p = np.concatenate([[atom0], interval])
-        p[1] += cdf_at_edges[0] - atom0
-    else:
-        p = interval.copy()
-        p[0] += cdf_at_edges[0]
-    p[-1] += max(0.0, 1.0 - cdf_at_edges[-1])  # rounding at the top edge
-    dist = DiscreteDist(grid, p)
+    dist = DiscreteDist(grid, _interval_masses(mu0, grid, atom0))
     b0 = wasserstein(mu0, lift(dist))
     return dist, b0
+
+
+def _interval_masses(mu0: GeneralMeasure, grid: Grid, atom0: float) -> np.ndarray:
+    """Chain-state probabilities of mu0: its atom at 0, then its interval masses."""
+    cdf_at_edges = mu0.cdf(grid.edges())
+    p = np.empty(grid.n_states)
+    interval = p[1:] if grid.zero_state else p
+    np.subtract(cdf_at_edges[1:], cdf_at_edges[:-1], out=interval)
+    # mass below the first edge that is not the atom belongs to interval 1
+    if grid.zero_state:
+        p[0] = atom0
+        p[1] += cdf_at_edges[0] - atom0
+    else:
+        p[0] += cdf_at_edges[0]
+    p[-1] += max(0.0, 1.0 - cdf_at_edges[-1])  # rounding at the top edge
+    return p
 
 
 def lift(dist: DiscreteDist) -> LiftedDistribution:

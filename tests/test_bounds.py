@@ -1,5 +1,7 @@
 """Error components: frozen closed-form values, scaling laws, refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from levyq import (
     truncation_error_mg1,
     truncation_error_specneg,
 )
-from levyq.bounds import BoundContext
+from levyq import bounds
+from levyq.bounds import SUBGRID, BoundContext
 
 REF_MG1 = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
 
@@ -238,6 +241,47 @@ class TestRefined:
         grid = spec.grid_for(0.5, 20)
         with pytest.raises(CertificationError):
             OneJumpRefiner(spec, grid)
+
+
+class TestWorkBudget:
+    """The refiner sweeps its blocks in chunks of a fixed work budget."""
+
+    GRIDS = [
+        pytest.param(REF_MG1, 1 / 50, 400, id="mg1-uniform"),
+        # finite support below M: the bottom pass also runs above the support
+        pytest.param(
+            ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Uniform(0.5, 1.5)), 1 / 50, 300,
+            id="specneg-uniform",
+        ),
+        pytest.param(
+            ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1 / 3, Pareto(1.0, 1.5)), 1 / 20, 200,
+            id="specneg-pareto",
+        ),
+    ]
+
+    @pytest.mark.parametrize("spec, delta, m_delta", GRIDS)
+    def test_chunk_size_leaves_values_bit_identical(self, monkeypatch, spec, delta, m_delta):
+        # each row sum runs over one block, so chunking cannot reorder it
+        grid = spec.grid_for(delta, m_delta)
+        ref = OneJumpRefiner(spec, grid)
+        for blocks in (1, 7, m_delta + 10):  # the last holds every block at once
+            monkeypatch.setattr(bounds, "WORK_BUDGET", blocks * SUBGRID)
+            got = OneJumpRefiner(spec, grid)
+            assert got._chunk == blocks
+            assert got.w.tobytes() == ref.w.tobytes()
+            assert got.s.tobytes() == ref.s.tobytes()
+
+    def test_fine_grid_build_stays_within_budget(self):
+        # 25 001 states: 0.8 MiB traced, of which w and s are 0.4 MiB; one
+        # temporary of a 256-block chunk alone would take 0.5 MiB
+        grid = REF_MG1.grid_for(1 / 500, 25_000)
+        tracemalloc.start()
+        try:
+            OneJumpRefiner(REF_MG1, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * 2**20
 
 
 class TestStepBound:

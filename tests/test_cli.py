@@ -177,6 +177,11 @@ class TestConfigParsing:
             pytest.param(("validation", "n_paths"), "abc", id="n-paths-string"),
             pytest.param(("validation", "n_paths"), 1, id="n-paths-one"),
             pytest.param(("validation", "seed"), -1, id="seed-negative"),
+            pytest.param(("validation", "enabled"), "false", id="enabled-string"),
+            pytest.param(("validation", "enabled"), 1, id="enabled-number"),
+            pytest.param(("validation", "enabled"), None, id="enabled-null"),
+            pytest.param(("initial", "atoms"), [[2, 1]], id="dirac-with-atoms"),
+            pytest.param(("initial", "uniform_pieces"), [[0, 2, 1]], id="dirac-with-pieces"),
             pytest.param(("initial",), 5, id="initial-not-object"),
             pytest.param(("horizon", "snapshot_times"), [2], id="snapshot-past-horizon"),
             pytest.param(("horizon", "snapshot_times"), 1, id="snapshot-times-not-list"),
@@ -199,6 +204,30 @@ class TestConfigParsing:
         assert main(args) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_conflicting_or_mistyped_field_named(self, tmp_path, capsys):
+        # a Dirac start next to atoms or pieces used to drop them silently,
+        # and bool("false") is True
+        out = tmp_path / "out"
+        initial = {"dirac": 1, "atoms": [[2, 0.5]], "uniform_pieces": [[0, 2, 0.5]]}
+        cfg = base_config(initial=initial)
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(f"initial.{key}" in err for key in initial)
+        cfg = base_config(validation={"enabled": "false"})
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "validation.enabled" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validate_refuses_disabled_validation(self, tmp_path, capsys):
+        cfg = base_config(validation={"enabled": False, "n_paths": 50, "seed": 3})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["validate", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "validation.enabled" in capsys.readouterr().err
+        assert not out.exists()
+        # solve does not read the field
+        assert main(["solve", path, "--out", str(out)]) == EXIT_OK
 
     def test_unknown_family(self, tmp_path):
         cfg = base_config()
@@ -490,16 +519,59 @@ class TestShippedConfigs:
         assert float(rows[-1]["cumulative"]) > 0.0
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is only needed for Erlang job sizes, which import it on first use
-    code = (
-        "import levyq.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter with levyq on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only needed for Erlang job sizes, which import it on first use
+    code = (
+        "import levyq.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert run_python(code).strip() == "[]"
+
+
+def test_solve_and_validate_load_no_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma on their first call
+    cfg = base_config(validation={"n_paths": 50, "seed": 3})
+    path = write_config(tmp_path, cfg)
+    runs = [
+        [command, path, "--out", str(tmp_path / command)]
+        for command in ("solve", "validate")
+    ]
+    code = (
+        "import sys; from levyq.cli import main; "
+        f"codes = [main(args) for args in {runs!r}]; "
+        "print(codes[0], codes[1] in (0, 4), 'numpy.ma' in sys.modules)"
+    )
+    assert run_python(code).splitlines()[-1] == "0 True False"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc page faults")
+def test_fine_grid_solve_maps_few_fresh_pages(tmp_path):
+    # 25 001 states, 100 refined steps: the setup sweeps stay within their
+    # work budget and the step loop reuses freed buffers, so the whole run
+    # after import faults in ~900 pages; a step that mapped its ~1 MB of
+    # buffers afresh would fault in ~260 on its own
+    raw = json.loads((CONFIG_DIR / "mg1_uniform.json").read_text())
+    raw["horizon"] = {"t_end": "1/5", "snapshot_times": []}
+    raw["queries"] = []
+    raw.pop("output")
+    args = ["solve", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+    code = (
+        "import resource; from levyq.cli import main; "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+        f"code = main({args!r}); "
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    exit_code, faults = map(int, run_python(code).splitlines()[-1].split())
+    assert exit_code == EXIT_OK
+    assert faults < 1200

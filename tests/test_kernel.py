@@ -17,6 +17,7 @@ from levyq import (
     build_mg1,
     build_specneg,
 )
+from levyq import measure
 from levyq.kernel import _fft_len
 
 
@@ -250,6 +251,29 @@ class TestApply:
         p = np.random.default_rng(m_delta).dirichlet(np.ones(len(grid.states())))
         out = kern.apply(DiscreteDist(grid, p)).p
         assert np.max(np.abs(out - p @ kern.dense())) < 1e-14
+
+
+@pytest.mark.parametrize("budget", [1, 7, 10**9])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0)),
+        ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1 / 3, Pareto(1.0, 1.5)),
+    ],
+    ids=["mg1", "specneg"],
+)
+def test_work_budget_leaves_kernel_bit_identical(monkeypatch, spec, budget):
+    # grid values are sampled in work slices of elementwise job-size functions
+    grid = spec.grid_for(0.01, 700)
+    parts = ("toeplitz", "diag", "row0", "row1", "col1")
+
+    def arrays():
+        kern = build_kernel(spec, grid)
+        return [getattr(kern, a) for a in parts if getattr(kern, a) is not None]
+
+    ref = arrays()
+    monkeypatch.setattr(measure, "WORK_BUDGET", budget)
+    assert [a.tobytes() for a in arrays()] == [a.tobytes() for a in ref]
 
 
 def test_fft_len_is_smallest_5_smooth():

@@ -14,6 +14,7 @@ from levyq import (
     Grid,
     GridError,
     LiftedDistribution,
+    measure,
     wasserstein,
 )
 
@@ -179,6 +180,23 @@ class TestWasserstein:
             pieces=[(0.0, 0.5, 0.25), (0.5, 1.0, 0.25), (1.0, 1.5, 0.25)],
         )
         assert wasserstein(lifted, same) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 10**9])
+def test_work_budget_leaves_results_bit_identical(monkeypatch, budget):
+    # the sliced stages are elementwise and every reduction runs whole
+    grid = Grid(0.01, 3000)
+    rng = np.random.default_rng(4)
+    lifted = LiftedDistribution(grid, 0.1, 0.9 * rng.dirichlet(np.ones(3000)))
+    mu = GeneralMeasure(atoms=[(0.0, 0.2), (7.0, 0.3)], pieces=[(1.0, 12.5, 0.5)])
+    xs = np.linspace(-1.0, 31.0, 5001)
+
+    def results():
+        return [wasserstein(mu, lifted), *mu.cdf(xs), *lifted.cdf(xs)]
+
+    ref = results()
+    monkeypatch.setattr(measure, "WORK_BUDGET", budget)
+    assert np.array(results()).tobytes() == np.array(ref).tobytes()
 
 
 class TestThresholdMass:
