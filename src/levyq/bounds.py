@@ -33,7 +33,7 @@ blocks, so every temporary of the sweep stays within the shared work budget
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -297,54 +297,52 @@ class StepComponents(NamedTuple):
 
 
 class BoundContext:
-    """Precomputed per-run data for fast step bounds inside the solver."""
+    """Each step's charges, chosen once per run.
 
-    def __init__(self, spec: ModelSpec, grid: Grid, refined: bool):
-        self.spec = spec
-        self.grid = grid
-        self.refined = refined
-        lam, d = spec.lam, grid.delta
-        self.basic_agg = jump_aggregation_error(lam, d)
-        mean_b = spec.job.mean()
+    A step's components are the constant row ``[agg, cut, 0, kernel_slack]``
+    plus ``coef * (p @ v)`` added to ``row[column]`` for each term
+    ``(column, coef, v)``, in order.  ``kernel_slack`` is the kernel's
+    per-step quadrature charge.
+    """
+
+    def __init__(
+        self, spec: ModelSpec, grid: Grid, refined: bool, kernel_slack: float = 0.0
+    ):
+        lam, d, job = spec.lam, grid.delta, spec.job
         if spec.kind is ModelKind.MG1:
-            self.cut = jump_cut_error_mg1(lam, d, mean_b)
-            self.trunc_vec = np.empty(grid.m_delta + 1)
-            for s in work_slices(len(self.trunc_vec)):
-                self.trunc_vec[s] = truncation_error_mg1(
-                    lam, d, np.arange(s.start, s.stop), grid, spec.job
-                )
-            self.overshoot_rate = 0.0
+            cut = jump_cut_error_mg1(lam, d, job.mean())
+            trunc = np.empty(grid.m_delta + 1)
+            for s in work_slices(len(trunc)):
+                trunc[s] = truncation_error_mg1(lam, d, np.arange(s.start, s.stop), grid, job)
+            terms = [(2, 1.0, trunc)]
         else:
-            self.cut = jump_cut_error_specneg(lam, d, mean_b, grid.m)
-            self.trunc_top = truncation_error_specneg(lam, d, grid.m_delta, grid)
+            cut = jump_cut_error_specneg(lam, d, job.mean(), grid.m)
+            top = np.zeros(grid.m_delta)
+            top[-1] = 1.0  # p @ top is exactly p[-1]
             # single small jump from the top interval may overshoot M; the
             # displaced mass is covered here rather than by the aggregation
             # charge (distance can reach 2*delta instead of delta)
-            enl = float(np.exp(-lam * d))
-            self.overshoot_rate = 2.0 * d * lam * d * enl * float(spec.job.cdf(d))
-        self.refiner = OneJumpRefiner(spec, grid) if refined else None
-        self.kernel_slack = 0.0  # per-step, set by the solver from the kernel
+            overshoot = 2.0 * d * lam * d * float(np.exp(-lam * d)) * float(job.cdf(d))
+            terms = [(2, truncation_error_specneg(lam, d, grid.m_delta, grid), top),
+                     (3, overshoot, top)]
+        self.refiner = r = OneJumpRefiner(spec, grid) if refined else None
+        if refined:  # the refined slack is added before the model's charges
+            terms = [(0, r.scale, r.w), (3, r.scale, r.s)] + terms
+        self.terms = terms
+        self.row = (0.0 if refined else jump_aggregation_error(lam, d), cut, 0.0, kernel_slack)
 
     def components(self, dist: DiscreteDist) -> StepComponents:
-        p = dist.p
-        slack = self.kernel_slack
-        if self.refiner is not None:
-            agg, agg_slack = self.refiner.term(dist)
-            slack += agg_slack
-        else:
-            agg = self.basic_agg
-        if self.spec.kind is ModelKind.MG1:
-            trunc = float(np.dot(p, self.trunc_vec))
-        else:
-            trunc = self.trunc_top * float(p[-1])
-            slack += self.overshoot_rate * float(p[-1])
-        return StepComponents(agg, self.cut, trunc, slack)
+        p, row = dist.p, list(self.row)
+        for c, coef, v in self.terms:
+            row[c] += coef * float(p @ v)
+        return StepComponents(*row)
 
 
 @dataclass(eq=False)
 class BoundLedger:
     """Per-step error components plus the running certified bound.
 
+    ``rows[k - 1]`` holds step k's components in ``StepComponents`` order.
     ``cumulative[k]`` bounds the Wasserstein distance after k steps;
     ``cumulative[0]`` is the initial discretization error.  Pre-existing
     error is carried forward unchanged (coupling argument), so the array is
@@ -352,23 +350,22 @@ class BoundLedger:
     """
 
     b0: float
-    steps: list = field(default_factory=list)
+    rows: np.ndarray
 
-    def append(self, comp: StepComponents) -> None:
-        self.steps.append(comp)
+    @property
+    def steps(self) -> list[StepComponents]:
+        return [StepComponents(*r) for r in self.rows.tolist()]
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    def _totals(self) -> np.ndarray:
+        r = self.rows  # summed left to right, as StepComponents.total does
+        return r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3]
 
     @property
     def cumulative(self) -> np.ndarray:
-        increments = np.array([c.total for c in self.steps])
-        return self.b0 + np.concatenate([[0.0], np.cumsum(increments)])
+        return self.b0 + np.concatenate([[0.0], np.cumsum(self._totals())])
 
     def cumulative_excluding_truncation(self) -> np.ndarray:
-        increments = np.array(
-            [c.total - c.truncation_weighted for c in self.steps]
-        )
+        increments = self._totals() - self.rows[:, 2]
         return self.b0 + np.concatenate([[0.0], np.cumsum(increments)])
 
     @property
@@ -379,11 +376,10 @@ class BoundLedger:
         """One row per step: (step, time, jump_aggregation, jump_cut,
         truncation_weighted, slack, cumulative); step 0 carries the initial
         error."""
-        n = len(self.steps)
+        n = len(self.rows)
         out = np.zeros((n + 1, 7))
         out[:, 0] = np.arange(n + 1)
         out[:, 1] = out[:, 0] * delta
-        for k, c in enumerate(self.steps, start=1):
-            out[k, 2:6] = (c.jump_aggregation, c.jump_cut, c.truncation_weighted, c.slack)
+        out[1:, 2:6] = self.rows
         out[:, 6] = self.cumulative
         return out

@@ -382,8 +382,7 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     ledger = result.ledger.table(cfg.grid.delta)
     files["ledger.csv"] = _write_csv(
         out_dir / "ledger.csv",
-        ["step", "time", "jump_aggregation", "jump_cut", "truncation_weighted",
-         "slack", "cumulative"],
+        ["step", "time", *solver.StepComponents._fields, "cumulative"],
         _table_blocks(_block_formats(itertools.repeat("", len(ledger)), 7), ledger),
     )
 

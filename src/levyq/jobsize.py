@@ -295,16 +295,17 @@ class Erlang(JobSize):
         return special.gammainc(self.shape, self.rate * x)
 
     def _J(self, x):
-        stages = self._stage_cdfs(x, self.shape)
-        return x - stages.sum(axis=0) / self.rate
+        # stages summed in a fixed order, so no value depends on the call size
+        return x - sum(self._stage_cdfs(x, self.shape)) / self.rate
 
     def _K(self, x):
         n, r = self.shape, self.rate
         stages = self._stage_cdfs(x, n + 1)
-        # int_0^x s S_n(s) ds = sum_{k<n} (k+1)/r^2 * F_{k+2}(x)
-        weights = np.arange(1, n + 1, dtype=float)
-        correction = np.tensordot(weights, stages[1 : n + 1], axes=(0, 0)) / r**2
-        return x**2 / 2.0 - correction
+        # int_0^x s S_n(s) ds = sum_{k<n} (k+1)/r^2 * F_{k+2}(x), summed as in _J
+        correction = np.zeros_like(x)
+        for k in range(1, n + 1):
+            correction += k * stages[k]
+        return x**2 / 2.0 - correction / r**2
 
     def mean(self):
         return self.shape / self.rate
@@ -618,9 +619,6 @@ class CustomCdf(JobSize):
         hi2, lo2 = min(hi, self.support_hi), min(lo, self.support_hi)
         value, err = _bracket_monotone(self._f, lo2, hi2, self.tol)
         return value + extra, err
-
-    def cdf_integral(self, a, b):
-        return self.cdf_integral_with_error(a, b)[0]
 
     def weighted_cdf_diff_integral(self, delta, a, b, c):
         if b < a:

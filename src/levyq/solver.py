@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundContext, BoundLedger
+from .bounds import BoundContext, BoundLedger, StepComponents
 from .errors import GridError, SupportError
 from .kernel import ModelSpec, build_kernel
 from .measure import DiscreteDist, GeneralMeasure, Grid, LiftedDistribution, wasserstein
@@ -134,7 +134,7 @@ def solve(
         raise ValueError(f"snapshot steps outside horizon: {sorted(bad)}")
 
     dist, b0 = discretize_initial(mu0, grid)
-    ledger = BoundLedger(b0)
+    ledger = BoundLedger(b0, np.empty((horizon_steps, len(StepComponents._fields))))
     snaps: dict[int, LiftedDistribution] = {}
     if 0 in wanted:
         snaps[0] = lift(dist)
@@ -142,11 +142,11 @@ def solve(
         return _result(spec, grid, snaps, ledger)
 
     kern = build_kernel(spec, grid)
-    ctx = BoundContext(spec, grid, refined=(bound_mode == "refined"))
     # kernel entry errors displace mass by at most M per unit, every step
-    ctx.kernel_slack = kern.row_quadrature_error * grid.m
+    kernel_slack = kern.row_quadrature_error * grid.m
+    ctx = BoundContext(spec, grid, bound_mode == "refined", kernel_slack)
     for k in range(1, horizon_steps + 1):
-        ledger.append(ctx.components(dist))
+        ledger.rows[k - 1] = ctx.components(dist)
         dist = kern.apply(dist)
         if k in wanted:
             snaps[k] = lift(dist)

@@ -10,6 +10,7 @@ from levyq import (
     Deterministic,
     DiscreteDist,
     Erlang,
+    Exponential,
     GeneralMeasure,
     ModelKind,
     ModelSpec,
@@ -24,7 +25,7 @@ from levyq import (
     truncation_error_specneg,
 )
 from levyq import bounds
-from levyq.bounds import SUBGRID, BoundContext
+from levyq.bounds import SUBGRID, BoundContext, StepComponents
 
 REF_MG1 = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
 
@@ -257,6 +258,10 @@ class TestWorkBudget:
             ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1 / 3, Pareto(1.0, 1.5)), 1 / 20, 200,
             id="specneg-pareto",
         ),
+        # Erlang's K(x) once rounded with the number of points per call
+        pytest.param(
+            ModelSpec(ModelKind.MG1, 0.4, Erlang(3, 2.0)), 1 / 100, 200, id="mg1-erlang"
+        ),
     ]
 
     @pytest.mark.parametrize("spec, delta, m_delta", GRIDS)
@@ -330,6 +335,62 @@ class TestStepBound:
         ctx = BoundContext(spec, grid, refined=False)
         comp = ctx.components(DiscreteDist(grid, np.ones(20) / 20))
         assert comp.total > 0.0
+
+
+def reference_components(spec, grid, refiner, kernel_slack, dist):
+    """The step rule as four branches per step, recomputing every other charge."""
+    lam, d, p = spec.lam, grid.delta, dist.p
+    slack = kernel_slack
+    if refiner is not None:
+        agg, agg_slack = refiner.term(dist)
+        slack += agg_slack
+    else:
+        agg = jump_aggregation_error(lam, d)
+    if spec.kind is ModelKind.MG1:
+        cut = jump_cut_error_mg1(lam, d, spec.job.mean())
+        trunc_vec = truncation_error_mg1(lam, d, grid.states(), grid, spec.job)
+        trunc = float(np.dot(p, trunc_vec))
+    else:
+        cut = jump_cut_error_specneg(lam, d, spec.job.mean(), grid.m)
+        trunc = truncation_error_specneg(lam, d, grid.m_delta, grid) * float(p[-1])
+        enl = float(np.exp(-lam * d))
+        overshoot_rate = 2.0 * d * lam * d * enl * float(spec.job.cdf(d))
+        slack += overshoot_rate * float(p[-1])
+    return StepComponents(agg, cut, trunc, slack)
+
+
+class TestStepRule:
+    """The per-run charge terms reproduce the per-step branches bit for bit."""
+
+    @pytest.mark.parametrize("refined", [False, True], ids=["basic", "refined"])
+    @pytest.mark.parametrize(
+        "spec, delta, m_delta",
+        [
+            pytest.param(REF_MG1, 1 / 50, 400, id="mg1-uniform"),
+            pytest.param(ModelSpec(ModelKind.MG1, 0.4, Erlang(6, 2.0)), 1 / 20, 200,
+                         id="mg1-erlang"),
+            pytest.param(ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1 / 3, Pareto(1.0, 1.5)),
+                         1 / 20, 200, id="specneg-pareto"),
+            # F(delta) > 0: the top state carries an overshoot charge
+            pytest.param(ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Exponential(2.0)),
+                         1 / 20, 200, id="specneg-exponential"),
+        ],
+    )
+    def test_matches_reference_exactly(self, spec, delta, m_delta, refined):
+        grid = spec.grid_for(delta, m_delta)
+        refiner = OneJumpRefiner(spec, grid) if refined else None
+        rng = np.random.default_rng(11)
+        for kernel_slack in (3.7e-8, 1.3e-6):  # near the other slack charges
+            ctx = BoundContext(spec, grid, refined, kernel_slack)
+            for top_weight in (0.0, 1.0, 1e3):
+                for _ in range(8):
+                    p = rng.random(grid.n_states)
+                    p[-1] *= 1.0 + top_weight
+                    dist = DiscreteDist(grid, p / p.sum())
+                    got = ctx.components(dist)
+                    want = reference_components(spec, grid, refiner, kernel_slack, dist)
+                    assert got == want
+                    assert got.total == want.total
 
 
 class TestScalingLaws:

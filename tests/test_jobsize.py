@@ -230,6 +230,17 @@ class TestPrefixConsistency:
                 )
                 assert job.prefix_x_cdf(x) == pytest.approx(val, abs=20 * err + 1e-9)
 
+    @pytest.mark.parametrize("shape", [3, 6, 10])
+    def test_erlang_values_do_not_depend_on_call_size(self, shape):
+        # the stage sums run in a fixed order, whatever the number of points
+        job = Erlang(shape, 2.0)
+        x = np.random.default_rng(9).uniform(0.0, 10.0, 4096)
+        for fn in (job.prefix_cdf, job.prefix_x_cdf):
+            whole = fn(x)
+            for size in (1, 3, 17):
+                parts = [fn(x[i : i + size]) for i in range(0, len(x), size)]
+                assert np.concatenate(parts).tobytes() == whole.tobytes()
+
 
 class TestCustomCdf:
     """Bracketing quadrature fallback for callable-backed CDFs."""

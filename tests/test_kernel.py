@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from levyq import (
+    CustomCdf,
     Deterministic,
     DiscreteDist,
     Erlang,
+    GeneralMeasure,
     GridError,
     ModelKind,
     ModelSpec,
@@ -16,6 +18,7 @@ from levyq import (
     build_kernel,
     build_mg1,
     build_specneg,
+    solve,
 )
 from levyq import measure
 from levyq.kernel import _fft_len
@@ -370,3 +373,28 @@ class TestStochasticity:
             s_large = 1.0 - k_large.diag[i]
             assert s_large >= s_small - 1e-14
 
+
+class TestQuadratureKernel:
+    """A callable CDF's kernel certifies its entries and charges the ledger."""
+
+    # a coarse tolerance and grid keep the bracketing quadrature under a second
+    CUSTOM = CustomCdf(Uniform(1.0, 5.0).cdf, support_hi=5.0, tol=1e-3)
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_rows_within_quadrature_error(self, kind):
+        grid = ModelSpec(kind, 0.5, self.CUSTOM).grid_for(0.5, 12)
+        custom = build_kernel(ModelSpec(kind, 0.5, self.CUSTOM), grid)
+        exact = build_kernel(ModelSpec(kind, 0.5, Uniform(1.0, 5.0)), grid)
+        assert custom.row_quadrature_error > 0.0
+        row_diff = np.abs(custom.dense() - exact.dense()).sum(axis=1)
+        assert np.all(row_diff <= custom.row_quadrature_error)
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_basic_ledger_carries_kernel_slack(self, kind):
+        spec = ModelSpec(kind, 0.5, self.CUSTOM)
+        grid = spec.grid_for(0.5, 12)
+        res = solve(spec, grid, GeneralMeasure.dirac(1.0), 20, bound_mode="basic")
+        charge = build_kernel(spec, grid).row_quadrature_error * grid.m
+        assert charge > 0.0
+        assert len(res.ledger.steps) == 20
+        assert all(c.slack >= charge for c in res.ledger.steps)
