@@ -665,15 +665,29 @@ class CustomCdf(JobSize):
         return value + err
 
     def tail_mean(self, a):
-        def one(ai: float) -> float:
-            ai = max(float(ai), 0.0)
-            if ai >= self.support_hi:
-                return 0.0
-            surv, err = self.survival_integral_with_error(ai, self.support_hi)
-            return ai * (1.0 - self._f(ai)) + surv + err
+        """Certified upper bound on int_(a, inf) x dF(x), at most ``tol`` above it.
 
-        aa = _as_float_array(a)
-        out = np.vectorize(one, otypes=[float])(aa)
+        a * (1 - F(a)) plus the survival integral from a to support_hi.  The
+        distinct points below support_hi split that range into gaps, each
+        bracketed once; a point's integral is the sum of the gaps above it,
+        accumulated from the top.  Each gap gets an equal share of ``tol``,
+        so a point's summed bracket width stays within ``tol`` however many
+        points are asked for.
+        """
+        aa = np.maximum(_as_float_array(a), 0.0)
+        below = aa < self.support_hi
+        pts = np.unique(aa[below])
+        bounds = np.append(pts, self.support_hi)
+        gap_tol = self.tol / (2 * max(len(pts), 1))
+        surv = np.empty(len(pts))
+        for j in range(len(pts)):
+            lo, hi = bounds[j], bounds[j + 1]
+            value, err = _bracket_monotone(self._f, lo, hi, gap_tol)
+            surv[j] = (hi - lo) - value + err
+        upper = np.cumsum(surv[::-1])[::-1]
+        head = np.array([p * (1.0 - self._f(p)) for p in pts])
+        out = np.zeros(aa.shape)
+        out[below] = (head + upper)[np.searchsorted(pts, aa[below])]
         return _scalarize(out, a)
 
     def sample(self, rng, n):

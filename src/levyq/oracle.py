@@ -12,8 +12,15 @@ Paths are generated in fixed-size batches, each from a counter-based
 given the seed, independent of batch processing order, and merged in path
 order, so the simulation parallelizes without losing reproducibility.
 
+A batch keeps only its live jumps, path-major in one ragged array, so its
+memory is O(batch + jumps) rather than O(batch * max jumps).  The jump
+epochs and sizes are drawn in row slices of ``WORK_BUDGET`` values, in the
+stream order of one whole (batch, max jumps) draw, so every sample is the
+same number as with one draw.
+
 The bootstrap of the distance to a lifted law keeps each resample as counts
-over the sorted distinct sample values; no measure is built per resample.
+over the sorted distinct sample values (one sort and a neighbour compare);
+no measure is built per resample.
 """
 
 from __future__ import annotations
@@ -23,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ModelKind, ModelSpec
-from .measure import GeneralMeasure, LiftedDistribution, empirical_distance
+from .measure import (
+    WORK_BUDGET,
+    GeneralMeasure,
+    LiftedDistribution,
+    _merged_breakpoints,
+    empirical_distance,
+)
 # re-exported: tools that trace the distance engine wrap oracle.wasserstein
 from .measure import wasserstein  # noqa: F401
 
@@ -41,10 +54,16 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        if not _is_int(self.n_paths) or self.n_paths < 1:
+            raise ValueError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
+        if not (0.0 <= self.t < np.inf):  # a NaN t fails too
+            raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
@@ -61,28 +80,58 @@ def _simulate_batch(cfg: SimConfig, rng: np.random.Generator, n: int) -> np.ndar
     kmax = int(counts.max()) if n else 0
     if kmax == 0:
         return _drift(spec.kind, q, t)
-    # jump epochs: order statistics of uniforms on [0, t]
-    times = rng.uniform(0.0, t, (n, kmax))
-    times[np.arange(kmax)[None, :] >= counts[:, None]] = np.inf
-    times.sort(axis=1)
-    sizes = spec.job.sample(rng, n * kmax).reshape(n, kmax)
-    t_prev = np.zeros(n)
+    # jump epochs: order statistics of uniforms on [0, t]; then the sizes
+    times = _live_jumps(lambda m: rng.uniform(0.0, t, m), counts, kmax, sort=True)
+    sizes = _live_jumps(lambda m: spec.job.sample(rng, m), counts, kmax, sort=False)
+    jumped = np.flatnonzero(counts)
+    n_jumps = counts[jumped]
+    first = np.cumsum(n_jumps) - n_jumps  # slot of each jumping path's first jump
     for k in range(kmax):
-        active = k < counts
-        dt = times[:, k] - t_prev
+        live = n_jumps > k
+        paths, at = jumped[live], first[live] + k
+        dt = times[at] - times[at - 1] if k else times[at]  # first jump: dt from 0
         if spec.kind is ModelKind.MG1:
-            moved = np.maximum(q - dt, 0.0) + sizes[:, k]
+            q[paths] = np.maximum(q[paths] - dt, 0.0) + sizes[at]
         else:
-            moved = np.maximum(q + dt - sizes[:, k], 0.0)
-        q = np.where(active, moved, q)
-        t_prev = np.where(active, times[:, k], t_prev)
-    return _drift(spec.kind, q, t - t_prev)
+            q[paths] = np.maximum(q[paths] + dt - sizes[at], 0.0)
+    since_last = np.full(n, t)
+    since_last[jumped] = t - times[first + n_jumps - 1]
+    return _drift(spec.kind, q, since_last)
+
+
+def _live_jumps(draw, counts: np.ndarray, kmax: int, sort: bool) -> np.ndarray:
+    """The first counts[i] of kmax draws per path, path-major in one array.
+
+    The (paths, kmax) block of draws is taken in row slices of at most
+    ``WORK_BUDGET`` values.  ``draw(m)`` must consume the stream element by
+    element, so the slices see the same values as one whole draw.  With
+    ``sort`` each row's unused slots are set to inf and the row is sorted,
+    so its live slots hold the order statistics of its draws.
+    """
+    out = np.empty(int(counts.sum()))
+    rows = max(1, WORK_BUDGET // kmax)
+    slots = np.arange(kmax)
+    end = 0
+    for lo in range(0, len(counts), rows):
+        c = counts[lo : lo + rows]
+        block = draw(len(c) * kmax).reshape(len(c), kmax)
+        live = slots < c[:, None]
+        if sort:
+            block[~live] = np.inf
+            block.sort(axis=1)
+        kept = block[live]
+        out[end : end + len(kept)] = kept
+        end += len(kept)
+    return out
 
 
 def _drift(kind: ModelKind, q: np.ndarray, dt) -> np.ndarray:
+    """Move q by its drift over dt, in place."""
     if kind is ModelKind.MG1:
-        return np.maximum(q - dt, 0.0)
-    return q + dt
+        q -= dt
+        return np.maximum(q, 0.0, out=q)
+    q += dt
+    return q
 
 
 def simulate(cfg: SimConfig) -> np.ndarray:
@@ -119,7 +168,8 @@ def empirical_wasserstein(
         raise ValueError("need at least two samples")
     if n_boot < 2:
         raise ValueError("need at least two bootstrap resamples")
-    values, inv = np.unique(samples, return_inverse=True)
+    values = _merged_breakpoints(samples)
+    inv = np.searchsorted(values, samples)
     distance = empirical_distance(values, m)
     est = distance(np.bincount(inv))
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2**32], dtype=np.uint64)))

@@ -1,7 +1,5 @@
 """Error components: frozen closed-form values, scaling laws, refinement."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -276,17 +274,11 @@ class TestWorkBudget:
             assert got.w.tobytes() == ref.w.tobytes()
             assert got.s.tobytes() == ref.s.tobytes()
 
-    def test_fine_grid_build_stays_within_budget(self):
+    def test_fine_grid_build_stays_within_budget(self, traced_peak):
         # 25 001 states: 0.8 MiB traced, of which w and s are 0.4 MiB; one
         # temporary of a 256-block chunk alone would take 0.5 MiB
         grid = REF_MG1.grid_for(1 / 500, 25_000)
-        tracemalloc.start()
-        try:
-            OneJumpRefiner(REF_MG1, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.05 * 2**20
+        assert traced_peak(lambda: OneJumpRefiner(REF_MG1, grid)) < 1.05 * 2**20
 
 
 class TestStepBound:

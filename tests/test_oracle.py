@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from levyq import (
+    Deterministic,
     Erlang,
+    Exponential,
     GeneralMeasure,
     Grid,
     LiftedDistribution,
@@ -12,11 +14,14 @@ from levyq import (
     ModelSpec,
     Pareto,
     SimConfig,
+    TabulatedCdf,
     Uniform,
     empirical_wasserstein,
     simulate,
     wasserstein,
 )
+from levyq import oracle
+from levyq.measure import empirical_distance
 
 REF_MG1 = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
 HEAVY = ModelSpec(ModelKind.MG1, 0.4, Erlang(6, 2.0))
@@ -178,3 +183,179 @@ class TestEmpiricalWasserstein:
     def test_needs_samples(self):
         with pytest.raises(ValueError):
             empirical_wasserstein(np.array([1.0]), self._lifted())
+
+
+class TestSimConfig:
+    MG1_ARGS = dict(spec=REF_MG1, mu0=GeneralMeasure.dirac(1.0), t=1.0, n_paths=10, seed=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t", float("nan")),
+            ("t", float("inf")),
+            ("t", -0.5),
+            ("n_paths", 1.5),
+            ("n_paths", 10.0),
+            ("n_paths", True),
+            ("n_paths", 0),
+            ("seed", -1),
+            ("seed", 2**64),
+            ("seed", 1.0),
+        ],
+    )
+    def test_refuses_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{**self.MG1_ARGS, field: value})
+
+    def test_accepts_numpy_integers_and_the_largest_seed(self):
+        SimConfig(**{**self.MG1_ARGS, "n_paths": np.int64(3), "seed": np.uint64(2**64 - 1)})
+        SimConfig(**{**self.MG1_ARGS, "t": 0.0, "seed": 2**64 - 1})
+
+
+# -- frozen reference: the dense (paths, max jumps) simulator -----------------
+
+
+def _reference_batch(cfg, rng, n):
+    """The batch simulator as it was before the ragged jump arrays."""
+    spec, t = cfg.spec, cfg.t
+    q = cfg.mu0.sample(rng, n)
+    if t == 0.0:
+        return q
+    counts = rng.poisson(spec.lam * t, n)
+    kmax = int(counts.max()) if n else 0
+    if kmax == 0:
+        return _reference_drift(spec.kind, q, t)
+    times = rng.uniform(0.0, t, (n, kmax))
+    times[np.arange(kmax)[None, :] >= counts[:, None]] = np.inf
+    times.sort(axis=1)
+    sizes = spec.job.sample(rng, n * kmax).reshape(n, kmax)
+    t_prev = np.zeros(n)
+    for k in range(kmax):
+        active = k < counts
+        dt = times[:, k] - t_prev
+        if spec.kind is ModelKind.MG1:
+            moved = np.maximum(q - dt, 0.0) + sizes[:, k]
+        else:
+            moved = np.maximum(q + dt - sizes[:, k], 0.0)
+        q = np.where(active, moved, q)
+        t_prev = np.where(active, times[:, k], t_prev)
+    return _reference_drift(spec.kind, q, t - t_prev)
+
+
+def _reference_drift(kind, q, dt):
+    if kind is ModelKind.MG1:
+        return np.maximum(q - dt, 0.0)
+    return q + dt
+
+
+def _reference_simulate(cfg):
+    out = np.empty(cfg.n_paths)
+    for batch, start in enumerate(range(0, cfg.n_paths, oracle._BATCH)):
+        n = min(oracle._BATCH, cfg.n_paths - start)
+        rng = oracle._batch_rng(cfg.seed, batch)
+        out[start : start + n] = _reference_batch(cfg, rng, oracle._BATCH)[:n]
+    return out
+
+
+def _reference_empirical_wasserstein(samples, m, n_boot=200, seed=0):
+    """empirical_wasserstein as it was, deduplicating with np.unique."""
+    samples = np.asarray(samples, dtype=float)
+    values, inv = np.unique(samples, return_inverse=True)
+    distance = empirical_distance(values, m)
+    est = distance(np.bincount(inv))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2**32], dtype=np.uint64)))
+    n, k = len(samples), len(values)
+    stats = np.empty(n_boot)
+    for b in range(n_boot):
+        stats[b] = distance(np.bincount(inv[rng.integers(0, n, n)], minlength=k))
+    return est, float(stats.std(ddof=1))
+
+
+FAMILIES = [
+    pytest.param(Uniform(1.0, 5.0), id="uniform"),
+    pytest.param(Exponential(1.5), id="exponential"),
+    pytest.param(Erlang(3, 2.0), id="erlang3"),
+    pytest.param(Erlang(10, 4.0), id="erlang10"),
+    pytest.param(Pareto(1.0, 1.5), id="pareto"),
+    pytest.param(Deterministic(2.0), id="deterministic"),
+    pytest.param(
+        TabulatedCdf(np.array([0.5, 1.5, 4.0]), np.array([0.2, 0.7, 1.0])), id="tabulated"
+    ),
+]
+INITIAL = [
+    pytest.param(GeneralMeasure.dirac(1.0), id="dirac"),
+    pytest.param(
+        GeneralMeasure(atoms=[(0.0, 0.2), (2.0, 0.3)], pieces=[(0.5, 3.0, 0.5)]),
+        id="atoms-pieces",
+    ),
+]
+
+
+class TestStreamIdentity:
+    """The ragged simulator draws the same stream as the dense reference."""
+
+    @pytest.mark.parametrize("job", FAMILIES)
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("mu0", INITIAL)
+    @pytest.mark.parametrize("t", [0.0, 1 / 100, 0.5, 10.0])
+    def test_batch_matches_reference(self, job, kind, mu0, t):
+        cfg = SimConfig(ModelSpec(kind, 0.5, job), mu0, t, 1, seed=3)
+        got = oracle._simulate_batch(cfg, oracle._batch_rng(3, 1), 3000)
+        want = _reference_batch(cfg, oracle._batch_rng(3, 1), 3000)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("budget", [1, 37])
+    def test_slice_size_leaves_samples_unchanged(self, monkeypatch, budget):
+        cfg = SimConfig(HEAVY, INITIAL[1].values[0], 10.0, 1, seed=4)
+        monkeypatch.setattr(oracle, "WORK_BUDGET", budget)
+        got = oracle._simulate_batch(cfg, oracle._batch_rng(4, 0), 500)
+        want = _reference_batch(cfg, oracle._batch_rng(4, 0), 500)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", [HEAVY, REF_SN], ids=["mg1-erlang", "specneg-pareto"])
+    def test_simulate_matches_reference_over_two_batches(self, spec):
+        cfg = SimConfig(spec, GeneralMeasure.dirac(1.0), 10.0, 70_000, seed=12)
+        assert np.array_equal(simulate(cfg), _reference_simulate(cfg))
+
+    @pytest.mark.parametrize("job", FAMILIES)
+    def test_sliced_draws_equal_one_draw(self, job):
+        whole = job.sample(oracle._batch_rng(8, 0), 1777)
+        rng = oracle._batch_rng(8, 0)
+        parts = np.concatenate([job.sample(rng, 1000), job.sample(rng, 777)])
+        assert np.array_equal(parts, whole)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            pytest.param(np.round(np.random.default_rng(20).uniform(0.0, 4.6, 500), 1), id="ties"),
+            pytest.param(np.full(40, 1.3), id="one-value"),
+            pytest.param(np.random.default_rng(21).uniform(0.0, 4.6, 500), id="distinct"),
+        ],
+    )
+    def test_empirical_wasserstein_matches_unique_reference(self, samples):
+        g = Grid(0.5, 8)
+        m = LiftedDistribution(g, 0.1, np.array([0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.0]))
+        got = empirical_wasserstein(samples, m, n_boot=25, seed=6)
+        assert got == _reference_empirical_wasserstein(samples, m, n_boot=25, seed=6)
+
+
+class TestOracleMemory:
+    """The oracle's traced peak is O(batch + jumps), not O(batch * max jumps)."""
+
+    def test_specneg_simulate(self, traced_peak):
+        # dense jump arrays traced 9.1 MiB
+        cfg = SimConfig(REF_SN, GeneralMeasure.dirac(5.0), 0.5, 100_000, seed=42)
+        assert traced_peak(lambda: simulate(cfg)) <= 5 * 2**20
+
+    def test_heavy_mg1_simulate(self, traced_peak):
+        # ~4 jumps per path, up to ~20; dense jump arrays traced 66 MiB
+        cfg = SimConfig(HEAVY, GeneralMeasure.dirac(0.0), 10.0, 100_000, seed=42)
+        assert traced_peak(lambda: simulate(cfg)) <= 12 * 2**20
+
+    def test_empirical_wasserstein(self, traced_peak):
+        # np.unique's dedupe traced 4.0 MiB
+        samples = simulate(SimConfig(REF_SN, GeneralMeasure.dirac(5.0), 0.5, 100_000, 42))
+        grid = REF_SN.grid_for(1 / 100, 5500)
+        m = LiftedDistribution(grid, 0.0, np.full(5500, 1 / 5500))
+        peak = traced_peak(lambda: empirical_wasserstein(samples, m, n_boot=5))
+        assert peak <= 3.5 * 2**20

@@ -1,7 +1,5 @@
 """End-to-end solver behavior: initialization, iteration, certificates."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -85,18 +83,12 @@ class TestDiscretizeInitial:
         assert b0 == pytest.approx(0.0, abs=1e-12)
 
 
-    def test_fine_grid_projection_stays_within_budget(self):
+    def test_fine_grid_projection_stays_within_budget(self, traced_peak):
         # 25 001 states: the elementwise stages of the projection and of b0
         # run in work slices, leaving ~9 full-length arrays (1.9 MiB traced)
         grid = REF_MG1.grid_for(1 / 500, 25_000)
         mu0 = GeneralMeasure(atoms=[(1.0, 0.5)], pieces=[(2.0, 3.5, 0.5)])
-        tracemalloc.start()
-        try:
-            discretize_initial(mu0, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 2**20
+        assert traced_peak(lambda: discretize_initial(mu0, grid)) < 2.5 * 2**20
 
 
 class TestLift:
