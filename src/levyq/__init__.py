@@ -26,7 +26,6 @@ from .errors import (
     SupportError,
 )
 from .jobsize import (
-    CustomCdf,
     Deterministic,
     Erlang,
     Exponential,
@@ -60,7 +59,6 @@ __all__ = [
     "BoundLedger",
     "CertificationError",
     "ConfigError",
-    "CustomCdf",
     "Deterministic",
     "DiscreteDist",
     "Erlang",

@@ -22,9 +22,11 @@ pre-existing error cannot grow under the true dynamics.  The solver
 therefore just adds the per-step components.
 
 All quantities here are upper bounds by construction; whenever an evaluation
-is approximate (sub-grid sampling of the refined term, bracketing quadrature
-for user-supplied CDFs) the approximation error is tracked separately as
-"slack" and added to the certified total, never silently dropped.
+is approximate (sub-grid sampling of the refined term, the tabulation of a
+CDF callable) the approximation error is tracked separately as "slack" and
+added to the certified total, never silently dropped.  A tabulated law's
+``w1_bound`` costs lam * delta * w1_bound per step (the coupling argument is
+in :meth:`TabulatedCdf.from_cdf`).
 
 The refiner samples its shapes in chunks of ``WORK_BUDGET // SUBGRID``
 blocks, so every temporary of the sweep stays within the shared work budget
@@ -147,11 +149,6 @@ class OneJumpRefiner:
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid):
-        if not spec.job.exact:
-            raise CertificationError(
-                "the refined jump-aggregation bound needs closed-form CDF "
-                "integrals; use the basic bound for callable-backed job sizes"
-            )
         self.spec = spec
         self.grid = grid
         self.L = SUBGRID
@@ -299,15 +296,14 @@ class StepComponents(NamedTuple):
 class BoundContext:
     """Each step's charges, chosen once per run.
 
-    A step's components are the constant row ``[agg, cut, 0, kernel_slack]``
-    plus ``coef * (p @ v)`` added to ``row[column]`` for each term
-    ``(column, coef, v)``, in order.  ``kernel_slack`` is the kernel's
-    per-step quadrature charge.
+    A step's components are the constant row ``[agg, cut, 0, tab]`` plus
+    ``coef * (p @ v)`` added to ``row[column]`` for each term
+    ``(column, coef, v)``, in order.  ``tab = lam * delta * job.w1_bound``
+    pays for solving with a tabulated law in place of the law it was
+    tabulated from (0 for laws given exactly).
     """
 
-    def __init__(
-        self, spec: ModelSpec, grid: Grid, refined: bool, kernel_slack: float = 0.0
-    ):
+    def __init__(self, spec: ModelSpec, grid: Grid, refined: bool):
         lam, d, job = spec.lam, grid.delta, spec.job
         if spec.kind is ModelKind.MG1:
             cut = jump_cut_error_mg1(lam, d, job.mean())
@@ -329,7 +325,8 @@ class BoundContext:
         if refined:  # the refined slack is added before the model's charges
             terms = [(0, r.scale, r.w), (3, r.scale, r.s)] + terms
         self.terms = terms
-        self.row = (0.0 if refined else jump_aggregation_error(lam, d), cut, 0.0, kernel_slack)
+        agg = 0.0 if refined else jump_aggregation_error(lam, d)
+        self.row = (agg, cut, 0.0, lam * d * job.w1_bound)
 
     def components(self, dist: DiscreteDist) -> StepComponents:
         p, row = dist.p, list(self.row)

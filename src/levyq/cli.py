@@ -246,6 +246,12 @@ class RunConfig:
         self.seed = _as_int(val.get("seed", 42), "validation.seed")
         if self.seed < 0:
             raise ConfigError(f"validation.seed must be >= 0, got {self.seed}")
+        # snapshot i is simulated and resampled with seed + i
+        if self.seed + len(self.snapshot_steps) - 1 >= 2**64:
+            raise ConfigError(
+                f"validation.seed + {len(self.snapshot_steps) - 1} (one per snapshot "
+                f"after the first) must stay below 2**64, got seed {self.seed}"
+            )
         self.output = raw.get("output")
 
     def _steps_of(self, t: Fraction, what: str) -> int:

@@ -7,13 +7,12 @@ package reduces to a handful of integrals of the job-size CDF F:
 * ``weighted_cdf_diff_integral``-- int_a^b (c - s) (F(s + delta) - F(s)) ds
 * ``mean`` / ``tail_mean(a)``   -- E[B] and int_(a, inf) x dF(x)
 
-The built-in families (uniform, exponential, Erlang, Pareto, deterministic,
-tabulated) implement everything in closed form, so they contribute zero
-numerical slack to the certified bound.  ``CustomCdf`` wraps an arbitrary
-user-supplied CDF callable and falls back to bracketing quadrature: every
-integral comes with a rigorous error bound (derived from monotonicity of the
-CDF, no derivative estimates involved), which callers must feed into the
-bound ledger.
+Every family (uniform, exponential, Erlang, Pareto, deterministic,
+tabulated) implements these in closed form, so every law takes one exact
+kernel and bound path.  A law known only through a CDF callable is tabulated
+first (:meth:`TabulatedCdf.from_cdf`): the step CDF below it is an exact law
+of its own, and its ``w1_bound`` bounds the Wasserstein distance between the
+two laws, which the certified bound charges once per step.
 
 Conventions: the support is contained in [0, inf), F(x) = 0 for all x < 0,
 and the prefix integrals J(x) = int_0^x F and K(x) = int_0^x s F(s) ds
@@ -25,9 +24,7 @@ values may be shared freely between threads.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +36,6 @@ __all__ = [
     "Pareto",
     "Deterministic",
     "TabulatedCdf",
-    "CustomCdf",
 ]
 
 
@@ -57,16 +53,18 @@ def _scalarize(out, x):
 class JobSize:
     """Base class for job/claim size distributions.
 
-    Subclasses with ``exact = True`` provide closed-form prefix integrals
-    ``_J`` (of F) and ``_K`` (of s*F); the generic integral operations below
-    are built from those and are exact up to floating-point rounding.
-    Subclasses with ``exact = False`` must override the ``*_with_error``
-    operations instead.
+    Subclasses provide closed-form prefix integrals ``_J`` (of F) and ``_K``
+    (of s*F); the generic integral operations below are built from those and
+    are exact up to floating-point rounding.
+
+    ``w1_bound`` bounds the Wasserstein distance from the law the caller
+    meant to this one.  It is 0 for every law given exactly; only
+    :meth:`TabulatedCdf.from_cdf` sets it, and ``scaled`` scales it.
     """
 
-    exact: bool = True
+    w1_bound: float = 0.0
 
-    # -- family-specific primitives (exact families) -----------------------
+    # -- family-specific primitives ------------------------------------------
 
     def _cdf(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -110,19 +108,14 @@ class JobSize:
 
         Raises ValueError for reversed bounds.
         """
-        value, _ = self.cdf_integral_with_error(a, b)
-        return value
-
-    def cdf_integral_with_error(self, a: float, b: float) -> tuple[float, float]:
-        """Like :meth:`cdf_integral` but returns (value, rigorous_error)."""
         if b < a:
             raise ValueError(f"reversed integration bounds: [{a}, {b}]")
-        return float(self.prefix_cdf(b) - self.prefix_cdf(a)), 0.0
+        return float(self.prefix_cdf(b) - self.prefix_cdf(a))
 
     def weighted_cdf_diff_integral(
         self, delta: float, a: float, b: float, c: float
-    ) -> tuple[float, float]:
-        """int_a^b (c - s) (F(s + delta) - F(s)) ds, as (value, rigorous_error).
+    ) -> float:
+        """int_a^b (c - s) (F(s + delta) - F(s)) ds.
 
         This is the convolution of the CDF increment with a linear weight that
         shows up when averaging over a uniformly distributed idle time.
@@ -136,7 +129,7 @@ class JobSize:
             K(b + delta) - K(a + delta)
         )
         lower = c * (J(b) - J(a)) - (K(b) - K(a))
-        return float(upper - lower), 0.0
+        return float(upper - lower)
 
     def mean(self) -> float | None:
         """E[B], or None when the first moment does not exist."""
@@ -443,8 +436,8 @@ class TabulatedCdf(JobSize):
     ``xs`` are strictly increasing knot locations (>= 0) and ``cdf_values``
     the CDF values at those knots (non-decreasing, last value 1).  The
     distribution is purely atomic: an atom of mass cdf_values[i] -
-    cdf_values[i-1] sits at each knot.  All integrals are exact sums, so
-    tabulated CDFs contribute no quadrature slack.
+    cdf_values[i-1] sits at each knot.  All integrals are exact sums.
+    :meth:`from_cdf` tabulates a CDF callable and sets ``w1_bound``.
     """
 
     xs: np.ndarray
@@ -474,6 +467,54 @@ class TabulatedCdf(JobSize):
         object.__setattr__(self, "_kk", kk)
         w = np.diff(np.concatenate([[0.0], fs]))
         object.__setattr__(self, "_weights", w)
+
+    @classmethod
+    def from_cdf(cls, fn, support_hi: float, n_knots: int) -> "TabulatedCdf":
+        """The step law below a CDF callable, with its Wasserstein distance.
+
+        ``fn(x)`` takes one float and returns F(x); F must be a CDF on
+        [0, support_hi]: non-decreasing, right-continuous and 1 at
+        ``support_hi``.  The knots x_k are uniform on [0, support_hi], the
+        first 0 and the last ``support_hi``.  Knot k carries F(x_k), the last
+        exactly 1, so the right-continuous step CDF G of the table satisfies
+        G <= F: the tabulated law B' is stochastically larger than B.  On
+        [x_k, x_{k+1}) the gap F - G is at most F(x_{k+1}) - F(x_k), so by
+        monotonicity alone
+
+            W1(B, B') = int (F - G) <= sum_k (F(x_{k+1}) - F(x_k)) (x_{k+1} - x_k),
+
+        and that sum, at most support_hi / (n_knots - 1), is ``w1_bound``.
+
+        Why solving for B' and charging lam * delta * w1_bound per step
+        certifies B (both model kinds): couple the two queues on the same
+        start, arrival times and uniforms U_j, with B_j = F^-1(U_j) <= B'_j =
+        G^-1(U_j) (the comonotone coupling).  The free input paths X and X'
+        (before the reflection at 0) then differ by D_t = sum_{j <= N_t}
+        (B'_j - B_j), which is >= 0 and non-decreasing in t.  The reflected
+        path is W = X + L with L_t = max(0, sup_{s <= t} -X_s).  M/G/1: X' =
+        X + D, and since 0 <= D_s <= D_t for s <= t, L_t - D_t <= L'_t <=
+        L_t, so 0 <= W'_t - W_t <= D_t.  Spectrally negative: X' = X - D, and
+        L_t <= L'_t <= L_t + D_t, so -D_t <= W'_t - W_t <= 0.  Either way
+        W1(law W_t, law W'_t) <= E[D_t] = lam * t * W1(B, B') (Wald), which
+        the per-step charge pays for over the steps up to t.  (It is the
+        monotone difference that gives the factor 1: in the sup norm the
+        reflection map is only 2-Lipschitz.)
+
+        Raises ValueError for a non-finite or non-positive ``support_hi``,
+        fewer than two knots, or values that are not a CDF.
+        """
+        if not 0.0 < support_hi < np.inf:  # a NaN bound fails too
+            raise ValueError("from_cdf requires a finite positive support bound")
+        if not (isinstance(n_knots, (int, np.integer)) and n_knots >= 2):
+            raise ValueError(f"n_knots must be an integer >= 2, got {n_knots!r}")
+        xs = np.linspace(0.0, support_hi, n_knots)  # the last knot is support_hi
+        fs = np.array([fn(x) for x in xs[:-1].tolist()] + [1.0], dtype=float)
+        law = cls(xs, fs)
+        return law._with_w1_bound(np.dot(np.diff(fs), np.diff(xs)))
+
+    def _with_w1_bound(self, w1: float) -> "TabulatedCdf":
+        object.__setattr__(self, "w1_bound", float(w1))
+        return self
 
     @property
     def inf_support(self) -> float:
@@ -521,180 +562,6 @@ class TabulatedCdf(JobSize):
         return self.xs[idx]
 
     def scaled(self, factor):
-        return TabulatedCdf(self.xs * factor, self.cdf_values)
-
-
-# ---------------------------------------------------------------------------
-# user-supplied CDF with bracketing quadrature
-# ---------------------------------------------------------------------------
-
-
-def _bracket_monotone(f: Callable[[float], float], a: float, b: float,
-                      tol: float, max_splits: int = 20000) -> tuple[float, float]:
-    """Integrate a non-decreasing function with a rigorous error bound.
-
-    Returns (value, err) with the true integral guaranteed inside
-    [value - err, value + err].  Uses the fact that for monotone f the left
-    and right Riemann sums bracket the integral; the interval with the
-    largest bracket gap is split until the total gap is below 2 * tol.
-    """
-    if b <= a:
-        return 0.0, 0.0
-    fa, fb = f(a), f(b)
-    # heap of (-gap, lo, hi, flo, fhi)
-    heap = [(-(fb - fa) * (b - a), a, b, fa, fb)]
-    total_gap = (fb - fa) * (b - a)
-    splits = 0
-    while total_gap > 2.0 * tol and splits < max_splits:
-        gap, lo, hi, flo, fhi = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        total_gap += gap  # gap is negative
-        g1 = (fmid - flo) * (mid - lo)
-        g2 = (fhi - fmid) * (hi - mid)
-        total_gap += g1 + g2
-        heapq.heappush(heap, (-g1, lo, mid, flo, fmid))
-        heapq.heappush(heap, (-g2, mid, hi, fmid, fhi))
-        splits += 1
-    lower = 0.0
-    upper = 0.0
-    for _, lo, hi, flo, fhi in heap:
-        lower += flo * (hi - lo)
-        upper += fhi * (hi - lo)
-    return 0.5 * (lower + upper), 0.5 * (upper - lower)
-
-
-@dataclass(frozen=True, eq=False)
-class CustomCdf(JobSize):
-    """Job sizes described only by a CDF callable.
-
-    The callable must be a valid CDF on [0, support_hi]: non-decreasing,
-    right-continuous, 0 below 0 and 1 at support_hi.  A finite support bound
-    is required so that tail means stay computable.  Integrals are evaluated
-    by bracketing quadrature; the rigorous error of each evaluation is
-    reported to callers and ends up in the certified bound, so results remain
-    formally valid (just slightly wider) for user-supplied distributions.
-    """
-
-    cdf_fn: Callable[[float], float] = field(repr=False)
-    support_hi: float = 0.0
-    tol: float = 1e-9
-
-    exact = False
-
-    def __post_init__(self):
-        if not np.isfinite(self.support_hi) or self.support_hi <= 0:
-            raise ValueError("CustomCdf requires a finite positive support bound")
-
-    @property
-    def inf_support(self) -> float:
-        return 0.0
-
-    @property
-    def sup_support(self) -> float:
-        return self.support_hi
-
-    def cdf(self, x):
-        xa = _as_float_array(x)
-        fn = np.vectorize(self.cdf_fn, otypes=[float])
-        out = np.where(
-            xa < 0.0, 0.0, np.where(xa >= self.support_hi, 1.0, fn(np.maximum(xa, 0.0)))
-        )
-        return _scalarize(out, x)
-
-    def _f(self, s: float) -> float:
-        if s < 0.0:
-            return 0.0
-        if s >= self.support_hi:
-            return 1.0
-        return float(self.cdf_fn(s))
-
-    def cdf_integral_with_error(self, a, b):
-        if b < a:
-            raise ValueError(f"reversed integration bounds: [{a}, {b}]")
-        lo, hi = max(a, 0.0), max(b, 0.0)
-        if hi <= lo:
-            return 0.0, 0.0
-        extra = max(0.0, hi - self.support_hi) - max(0.0, lo - self.support_hi)
-        hi2, lo2 = min(hi, self.support_hi), min(lo, self.support_hi)
-        value, err = _bracket_monotone(self._f, lo2, hi2, self.tol)
-        return value + extra, err
-
-    def weighted_cdf_diff_integral(self, delta, a, b, c):
-        if b < a:
-            raise ValueError(f"reversed integration bounds: [{a}, {b}]")
-        # integrand (c - s) (F(s + delta) - F(s)): enclose both factors per
-        # segment using CDF monotonicity, adaptively split the widest gap
-        def enclose(lo, hi):
-            w_lo, w_hi = c - hi, c - lo
-            g_lo = max(0.0, self._f(lo + delta) - self._f(hi))
-            g_hi = max(0.0, self._f(hi + delta) - self._f(lo))
-            cands = [w_lo * g_lo, w_lo * g_hi, w_hi * g_lo, w_hi * g_hi]
-            return min(cands) * (hi - lo), max(cands) * (hi - lo)
-
-        lo_sum, hi_sum = enclose(a, b)
-        heap = [(-(hi_sum - lo_sum), a, b)]
-        total_gap = hi_sum - lo_sum
-        splits = 0
-        while total_gap > 2.0 * self.tol and splits < 20000:
-            gap, lo, hi = heapq.heappop(heap)
-            mid = 0.5 * (lo + hi)
-            l1, h1 = enclose(lo, mid)
-            l2, h2 = enclose(mid, hi)
-            total_gap += gap + (h1 - l1) + (h2 - l2)
-            heapq.heappush(heap, (-(h1 - l1), lo, mid))
-            heapq.heappush(heap, (-(h2 - l2), mid, hi))
-            splits += 1
-        lower = upper = 0.0
-        for _, lo, hi in heap:
-            l, h = enclose(lo, hi)
-            lower += l
-            upper += h
-        return 0.5 * (lower + upper), 0.5 * (upper - lower)
-
-    def survival_integral_with_error(self, a, b) -> tuple[float, float]:
-        """int_a^b (1 - F(s)) ds with rigorous error."""
-        if b < a:
-            raise ValueError(f"reversed integration bounds: [{a}, {b}]")
-        value, err = self.cdf_integral_with_error(a, b)
-        return (b - a) - value, err
-
-    def mean(self):
-        # certified upper bound: the error components need E[B] from above
-        value, err = self.survival_integral_with_error(0.0, self.support_hi)
-        return value + err
-
-    def tail_mean(self, a):
-        """Certified upper bound on int_(a, inf) x dF(x), at most ``tol`` above it.
-
-        a * (1 - F(a)) plus the survival integral from a to support_hi.  The
-        distinct points below support_hi split that range into gaps, each
-        bracketed once; a point's integral is the sum of the gaps above it,
-        accumulated from the top.  Each gap gets an equal share of ``tol``,
-        so a point's summed bracket width stays within ``tol`` however many
-        points are asked for.
-        """
-        aa = np.maximum(_as_float_array(a), 0.0)
-        below = aa < self.support_hi
-        pts = np.unique(aa[below])
-        bounds = np.append(pts, self.support_hi)
-        gap_tol = self.tol / (2 * max(len(pts), 1))
-        surv = np.empty(len(pts))
-        for j in range(len(pts)):
-            lo, hi = bounds[j], bounds[j + 1]
-            value, err = _bracket_monotone(self._f, lo, hi, gap_tol)
-            surv[j] = (hi - lo) - value + err
-        upper = np.cumsum(surv[::-1])[::-1]
-        head = np.array([p * (1.0 - self._f(p)) for p in pts])
-        out = np.zeros(aa.shape)
-        out[below] = (head + upper)[np.searchsorted(pts, aa[below])]
-        return _scalarize(out, a)
-
-    def sample(self, rng, n):
-        raise NotImplementedError(
-            "CustomCdf has no exact sampler; use a tabulated or parametric family"
-        )
-
-    def scaled(self, factor):
-        inner = self.cdf_fn
-        return CustomCdf(lambda x: inner(x / factor), self.support_hi * factor, self.tol)
+        # W1 scales with the sizes: W1(factor B, factor B') = factor W1(B, B')
+        scaled = TabulatedCdf(self.xs * factor, self.cdf_values)
+        return scaled._with_w1_bound(self.w1_bound * factor)

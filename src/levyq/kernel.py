@@ -97,9 +97,8 @@ class TransitionKernel:
     (M/G/1, rows i >= 2) or k = i - j (spectrally negative, columns j >= 2);
     offset -1 carries the no-jump shift, so ``k_lo = -1``.  Special rows
     (M/G/1 i = 0, 1) and the spectrally negative column j = 1 are stored
-    densely.  ``diag`` holds D(i, i) >= 0 per state.  ``row_quadrature_error``
-    bounds the total absolute error of any single row's entries (nonzero only
-    for job-size families without closed-form integrals).
+    densely.  ``diag`` holds D(i, i) >= 0 per state.  Every entry is a
+    closed-form integral of the job-size CDF, exact up to rounding.
 
     At construction the band's real FFT is cached: ``nfft`` is the smallest
     5-smooth length >= len(body) + len(band) - 1, where the body is p[2:]
@@ -116,7 +115,6 @@ class TransitionKernel:
     row0: np.ndarray | None = None
     row1: np.ndarray | None = None
     col1: np.ndarray | None = None
-    row_quadrature_error: float = 0.0
     nfft: int = field(init=False)
     _band_fft: np.ndarray = field(init=False, repr=False)
 
@@ -210,27 +208,17 @@ class TransitionKernel:
 def _window_integrals(job: JobSize, delta: float, k_min: int, k_max: int):
     """t_int[k] = int_{k d}^{(k+1) d} (F_B(s + d) - F_B(s)) ds for k_min..k_max.
 
-    Returns (values, total error over all windows).  For exact families this
-    is a second difference of the prefix integral; tiny negative rounding is
-    clipped (J is convex, so the true values are nonnegative).
+    These are second differences of the prefix integral; tiny negative
+    rounding is clipped (J is convex, so the true values are nonnegative).
     """
-    if job.exact:
-        t_int = np.diff(grid_values(job.prefix_cdf, delta, k_min, k_max + 2), 2)
-        np.maximum(t_int, 0.0, out=t_int)
-        # F flat across the whole window means the integrand is identically
-        # zero there; zero those entries to kill cancellation dust in the
-        # second differences (keeps the band genuinely banded)
-        f_edges = grid_values(job.cdf, delta, k_min, k_max + 2)
-        t_int[f_edges[2:] == f_edges[:-2]] = 0.0
-        return t_int, 0.0
-    vals = np.empty(k_max - k_min + 1)
-    errs = np.empty_like(vals)
-    for idx, k in enumerate(range(k_min, k_max + 1)):
-        hi, e1 = job.cdf_integral_with_error((k + 1) * delta, (k + 2) * delta)
-        lo, e2 = job.cdf_integral_with_error(k * delta, (k + 1) * delta)
-        vals[idx] = max(hi - lo, 0.0)
-        errs[idx] = e1 + e2
-    return vals, float(errs.sum())
+    t_int = np.diff(grid_values(job.prefix_cdf, delta, k_min, k_max + 2), 2)
+    np.maximum(t_int, 0.0, out=t_int)
+    # F flat across the whole window means the integrand is identically
+    # zero there; zero those entries to kill cancellation dust in the
+    # second differences (keeps the band genuinely banded)
+    f_edges = grid_values(job.cdf, delta, k_min, k_max + 2)
+    t_int[f_edges[2:] == f_edges[:-2]] = 0.0
+    return t_int
 
 
 def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
@@ -249,18 +237,16 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     lam, d, n = spec.lam, grid.delta, grid.m_delta
     enl = float(np.exp(-lam * d))
 
-    t_int, t_err = _window_integrals(spec.job, d, -1, n)
+    t_int = _window_integrals(spec.job, d, -1, n)
     row0 = t_int[: n + 1]  # window ((j-1)d, j d) = t_int[j - 1]
     row0 *= enl * lam
     row0[0] += enl  # no-jump shift
     # a generic row i >= 2 has row 0's entries at the offsets k = j - i
     toeplitz = _trim_band(row0)  # k = -1 .. n - 1
-    row_err = enl * lam * t_err
 
-    row1, w_err = _row1_windows(spec.job, d, n)
+    row1 = _row1_windows(spec.job, d, n)
     row1 *= enl * (2.0 * lam / d)
     row1[0] += enl
-    row_err = max(row_err, enl * 2.0 * lam / d * w_err)
 
     diag = np.empty(n + 1)
     diag[0] = 1.0 - row0.sum()
@@ -270,7 +256,7 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     for s in work_slices(n - 1):
         i = np.arange(2 + s.start, 2 + s.stop)
         diag[i] = 1.0 - csum[np.minimum(n - i + 1, len(csum) - 1)]
-    _check_diag(diag, row_err)
+    _check_diag(diag)
     return TransitionKernel(
         grid=grid,
         kind=ModelKind.MG1,
@@ -279,36 +265,29 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
         diag=diag,
         row0=row0,
         row1=row1,
-        row_quadrature_error=row_err,
     )
 
 
-def _row1_windows(job: JobSize, d: float, n: int) -> tuple[np.ndarray, float]:
-    """Triangle-weighted windows of the M/G/1 row 1, with their total error.
+def _row1_windows(job: JobSize, d: float, n: int) -> np.ndarray:
+    """Triangle-weighted windows of the M/G/1 row 1.
 
     Entry j is int_{(j-1)d}^{jd} (jd - s)(F(s+d) - F(s)) ds, j = 0..n,
     clipped at 0.
     """
     w = np.empty(n + 1)
-    w_err = 0.0
-    if job.exact:
-        J = grid_values(job.prefix_cdf, d, -1, n + 1)
-        K = grid_values(job.prefix_x_cdf, d, -1, n + 1)
-        # prefix integrals: J[j + o] and K[j + o] are taken at (j - 1 + o) d
-        for s in work_slices(n + 1):
-            j0, j1, j2 = (slice(s.start + o, s.stop + o) for o in range(3))
-            c = np.arange(s.start, s.stop) * d
-            upper = (c + d) * (J[j2] - J[j1]) - (K[j2] - K[j1])
-            lower = c * (J[j1] - J[j0]) - (K[j1] - K[j0])
-            w[s] = upper - lower
-        f_edges = grid_values(job.cdf, d, -1, n + 1)
-        w[f_edges[2:] == f_edges[:-2]] = 0.0
-    else:
-        for j in range(n + 1):
-            w[j], e = job.weighted_cdf_diff_integral(d, (j - 1) * d, j * d, j * d)
-            w_err += e
+    J = grid_values(job.prefix_cdf, d, -1, n + 1)
+    K = grid_values(job.prefix_x_cdf, d, -1, n + 1)
+    # prefix integrals: J[j + o] and K[j + o] are taken at (j - 1 + o) d
+    for s in work_slices(n + 1):
+        j0, j1, j2 = (slice(s.start + o, s.stop + o) for o in range(3))
+        c = np.arange(s.start, s.stop) * d
+        upper = (c + d) * (J[j2] - J[j1]) - (K[j2] - K[j1])
+        lower = c * (J[j1] - J[j0]) - (K[j1] - K[j0])
+        w[s] = upper - lower
+    f_edges = grid_values(job.cdf, d, -1, n + 1)
+    w[f_edges[2:] == f_edges[:-2]] = 0.0
     np.maximum(w, 0.0, out=w)
-    return w, w_err
+    return w
 
 
 def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
@@ -327,22 +306,14 @@ def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     lam, d, n = spec.lam, grid.delta, grid.m_delta
     enl = float(np.exp(-lam * d))
 
-    t_int, t_err = _window_integrals(spec.job, d, -1, max(n - 2, -1))
+    t_int = _window_integrals(spec.job, d, -1, max(n - 2, -1))
     toeplitz = enl * lam * t_int  # k = -1 .. n - 2
     toeplitz[0] += enl  # upward shift j = i + 1
     toeplitz = _trim_band(toeplitz)
-    row_err = enl * lam * t_err
 
     ii = np.arange(1, n + 1)
-    if spec.job.exact:
-        J = grid_values(spec.job.prefix_cdf, d, 0, n)
-        col1 = enl * lam * (d - np.diff(J))
-    else:
-        col1 = np.empty(n)
-        for a, i in enumerate(ii):
-            v, e = spec.job.cdf_integral_with_error((i - 1) * d, i * d)
-            col1[a] = enl * lam * (d - v)
-            row_err += e * enl * lam
+    J = grid_values(spec.job.prefix_cdf, d, 0, n)
+    col1 = enl * lam * (d - np.diff(J))
     np.maximum(col1, 0.0, out=col1)
 
     csum = np.cumsum(toeplitz)
@@ -352,7 +323,7 @@ def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     moved = csum[np.minimum(ii - 1, len(csum) - 1)]
     moved[-1] -= toeplitz[0]
     diag = 1.0 - col1 - moved
-    _check_diag(diag, row_err)
+    _check_diag(diag)
     return TransitionKernel(
         grid=grid,
         kind=ModelKind.SPECTRALLY_NEGATIVE,
@@ -360,7 +331,6 @@ def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
         k_lo=-1,
         diag=diag,
         col1=col1,
-        row_quadrature_error=row_err,
     )
 
 
@@ -386,9 +356,8 @@ def _trim_band(t: np.ndarray) -> np.ndarray:
     return t[: nz[-1] + 1].copy()
 
 
-def _check_diag(diag: np.ndarray, row_err: float) -> None:
-    floor = -(1e-12 + 10.0 * row_err)
-    if np.any(diag < floor):
+def _check_diag(diag: np.ndarray) -> None:
+    if np.any(diag < -1e-12):
         raise CertificationError(
             f"row sums exceed 1 by more than rounding allows (min diag {diag.min()!r})"
         )

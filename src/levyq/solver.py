@@ -142,9 +142,7 @@ def solve(
         return _result(spec, grid, snaps, ledger)
 
     kern = build_kernel(spec, grid)
-    # kernel entry errors displace mass by at most M per unit, every step
-    kernel_slack = kern.row_quadrature_error * grid.m
-    ctx = BoundContext(spec, grid, bound_mode == "refined", kernel_slack)
+    ctx = BoundContext(spec, grid, bound_mode == "refined")
     for k in range(1, horizon_steps + 1):
         ledger.rows[k - 1] = ctx.components(dist)
         dist = kern.apply(dist)

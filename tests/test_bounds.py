@@ -1,5 +1,7 @@
 """Error components: frozen closed-form values, scaling laws, refinement."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,19 @@ from levyq import (
     Erlang,
     Exponential,
     GeneralMeasure,
+    JobSize,
     ModelKind,
     ModelSpec,
     OneJumpRefiner,
     Pareto,
+    SimConfig,
+    TabulatedCdf,
     Uniform,
+    empirical_wasserstein,
     jump_aggregation_error,
     jump_cut_error_mg1,
     jump_cut_error_specneg,
+    simulate,
     solve,
     truncation_error_mg1,
     truncation_error_specneg,
@@ -232,14 +239,15 @@ class TestRefined:
                 term = refiner.term(DiscreteDist(grid, p))
                 assert term.value <= basic + 1e-15
 
-    def test_custom_cdf_rejected(self):
-        from levyq import CustomCdf
-
-        job = CustomCdf(Uniform(1.0, 5.0).cdf, support_hi=5.0)
+    def test_refined_solve_on_tabulated_callable(self):
+        job = TabulatedCdf.from_cdf(Uniform(1.0, 5.0).cdf, 5.0, 401)
         spec = ModelSpec(ModelKind.MG1, 0.25, job)
         grid = spec.grid_for(0.5, 20)
-        with pytest.raises(CertificationError):
-            OneJumpRefiner(spec, grid)
+        res = solve(spec, grid, GeneralMeasure.dirac(1.0), 20, bound_mode="refined")
+        charge = 0.25 * 0.5 * job.w1_bound
+        assert charge > 0.0
+        assert np.all(res.ledger.rows[:, 3] >= charge)
+        assert np.isfinite(res.ledger.final)
 
 
 class TestWorkBudget:
@@ -329,10 +337,17 @@ class TestStepBound:
         assert comp.total > 0.0
 
 
-def reference_components(spec, grid, refiner, kernel_slack, dist):
+def with_w1_bound(spec, w1):
+    """The same model, its law carrying a tabulation charge of w1."""
+    job = copy.copy(spec.job)
+    object.__setattr__(job, "w1_bound", w1)
+    return ModelSpec(spec.kind, spec.lam, job)
+
+
+def reference_components(spec, grid, refiner, dist):
     """The step rule as four branches per step, recomputing every other charge."""
     lam, d, p = spec.lam, grid.delta, dist.p
-    slack = kernel_slack
+    slack = lam * d * spec.job.w1_bound
     if refiner is not None:
         agg, agg_slack = refiner.term(dist)
         slack += agg_slack
@@ -372,17 +387,63 @@ class TestStepRule:
         grid = spec.grid_for(delta, m_delta)
         refiner = OneJumpRefiner(spec, grid) if refined else None
         rng = np.random.default_rng(11)
-        for kernel_slack in (3.7e-8, 1.3e-6):  # near the other slack charges
-            ctx = BoundContext(spec, grid, refined, kernel_slack)
+        # charges lam * delta * w1 near the other slack charges
+        for w1 in (1.1e-5, 3.7e-4):
+            charged = with_w1_bound(spec, w1)
+            ctx = BoundContext(charged, grid, refined)
+            assert ctx.row[3] > 0.0
             for top_weight in (0.0, 1.0, 1e3):
                 for _ in range(8):
                     p = rng.random(grid.n_states)
                     p[-1] *= 1.0 + top_weight
                     dist = DiscreteDist(grid, p / p.sum())
                     got = ctx.components(dist)
-                    want = reference_components(spec, grid, refiner, kernel_slack, dist)
+                    want = reference_components(charged, grid, refiner, dist)
                     assert got == want
                     assert got.total == want.total
+
+
+class SquareRootLaw(JobSize):
+    """B = 5 sqrt(U), so F(x) = (x/5)^2 on [0, 5], sampled exactly."""
+
+    def sample(self, rng, n):
+        return 5.0 * np.sqrt(rng.random(n))
+
+
+def square_cdf(x):
+    return min(max(x / 5.0, 0.0), 1.0) ** 2
+
+
+def lifted_j1(dist):
+    """Upper sum of J1(F) = int sqrt(F (1 - F)) for a lifted law's CDF.
+
+    F is linear on each interval and sqrt(u (1 - u)) is concave, so by
+    Jensen each interval contributes at most its width times the value at
+    the interval's mean F.
+    """
+    edges = dist.atom0 + np.concatenate([[0.0], np.cumsum(dist.interval_mass)])
+    mean_f = np.clip((edges[:-1] + edges[1:]) / 2.0, 0.0, 1.0)
+    return dist.grid.delta * float(np.sqrt(mean_f * (1.0 - mean_f)).sum())
+
+
+class TestTabulationCharge:
+    """A tabulated CDF callable certifies the callable's own law."""
+
+    def test_exact_samples_within_certificate(self):
+        # M/G/1 with F(x) = (x/5)^2, lam = 1/4, delta = 1/50, M = 50, t = 2
+        job = TabulatedCdf.from_cdf(square_cdf, 5.0, 50_000)
+        spec = ModelSpec(ModelKind.MG1, 0.25, job)
+        grid = spec.grid_for(1 / 50, 2500)
+        mu0 = GeneralMeasure.dirac(1.0)
+        res = solve(spec, grid, mu0, 100, bound_mode="refined")
+        dist, bound = res.at_time(2.0)
+        n = 100_000
+        exact = ModelSpec(ModelKind.MG1, 0.25, SquareRootLaw())
+        samples = simulate(SimConfig(exact, mu0, 2.0, n, seed=17))
+        est, se = empirical_wasserstein(samples, dist, seed=17)
+        # E W1(F_n, F) <= J1(F) / sqrt(n) (Bobkov & Ledoux): the empirical bias
+        allowance = 3.0 * se + lifted_j1(dist) / np.sqrt(n)
+        assert est <= bound + allowance, (est, bound, se)
 
 
 class TestScalingLaws:

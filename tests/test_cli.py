@@ -177,6 +177,8 @@ class TestConfigParsing:
             pytest.param(("validation", "n_paths"), "abc", id="n-paths-string"),
             pytest.param(("validation", "n_paths"), 1, id="n-paths-one"),
             pytest.param(("validation", "seed"), -1, id="seed-negative"),
+            # the snapshots after the first are validated with seed + 1, seed + 2
+            pytest.param(("validation", "seed"), 2**64 - 1, id="seed-overflows"),
             pytest.param(("validation", "enabled"), "false", id="enabled-string"),
             pytest.param(("validation", "enabled"), 1, id="enabled-number"),
             pytest.param(("validation", "enabled"), None, id="enabled-null"),
@@ -204,6 +206,15 @@ class TestConfigParsing:
         assert main(args) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_range_covers_every_snapshot(self, tmp_path):
+        # one positive snapshot is validated with seed + 1
+        horizon = {"t_end": 1}
+        ok = base_config(horizon=horizon, queries=[], validation={"seed": 2**64 - 2})
+        assert load_config(write_config(tmp_path, ok)).seed == 2**64 - 2
+        bad = base_config(horizon=horizon, queries=[], validation={"seed": 2**64 - 1})
+        with pytest.raises(ConfigError, match="validation.seed"):
+            load_config(write_config(tmp_path, bad))
 
     def test_conflicting_or_mistyped_field_named(self, tmp_path, capsys):
         # a Dirac start next to atoms or pieces used to drop them silently,
@@ -496,6 +507,26 @@ class TestValidateCommand:
         assert rows[0]["status"] in ("pass", "fail")
         assert code in (EXIT_OK, 4)
         assert "empirical" in printed
+
+
+    def test_tabulated_law_validates(self, tmp_path, capsys):
+        # F(x) = (x/5)^2 tabulated at 2 000 knots: the exact path that
+        # replaced callable-CDF quadrature
+        xs = np.linspace(0.0, 5.0, 2000)
+        cdf = (xs / 5.0) ** 2
+        cfg = base_config(
+            model={"kind": "mg1", "lambda": "1/4",
+                   "job": tabulated_job(xs=xs.tolist(), cdf=cdf.tolist())},
+            grid={"delta": "1/50", "m": 50},
+            horizon={"t_end": 1, "snapshot_times": [0.5]},
+            queries=[],
+            validation={"n_paths": 20000, "seed": 42},
+        )
+        out = tmp_path / "out"
+        assert main(["validate", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        with (out / "validation.csv").open() as f:
+            rows = list(csv.DictReader(f))
+        assert [row["status"] for row in rows] == ["pass", "pass"]
 
 
 class TestShippedConfigs:

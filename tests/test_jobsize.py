@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate
 
 from levyq import (
-    CustomCdf,
     Deterministic,
     Erlang,
     Exponential,
@@ -128,17 +127,17 @@ class TestCdfIntegral:
 class TestWeightedCdfDiffIntegral:
     def test_empty_interval(self):
         for job in ALL_FAMILIES:
-            v, e = job.weighted_cdf_diff_integral(0.5, 2.0, 2.0, 2.0)
-            assert v == 0.0 and e == 0.0
+            v = job.weighted_cdf_diff_integral(0.5, 2.0, 2.0, 2.0)
+            assert v == 0.0
 
     def test_zero_jump_sizes(self):
         # F(s + delta) - F(s) = 0 for s >= 0 when all mass sits at 0
-        v, _ = Deterministic(0.0).weighted_cdf_diff_integral(0.5, 1.0, 1.5, 1.5)
+        v = Deterministic(0.0).weighted_cdf_diff_integral(0.5, 1.0, 1.5, 1.5)
         assert v == 0.0
 
     def test_uniform_against_riemann_oracle(self):
         job = Uniform(1.0, 5.0)
-        v, _ = job.weighted_cdf_diff_integral(0.5, 1.0, 1.5, 1.5)
+        v = job.weighted_cdf_diff_integral(0.5, 1.0, 1.5, 1.5)
         oracle = riemann_weighted(job, 0.5, 1.0, 1.5, 1.5)
         assert v == pytest.approx(oracle, abs=1e-7)
         # the window sits where the increment is constant 1/8: exact value
@@ -151,13 +150,13 @@ class TestWeightedCdfDiffIntegral:
                 a = rng.uniform(0.0, 3.0)
                 d = rng.uniform(0.1, 0.7)
                 b = a + d
-                v, _ = job.weighted_cdf_diff_integral(d, a, b, b)
+                v = job.weighted_cdf_diff_integral(d, a, b, b)
                 oracle = riemann_weighted(job, d, a, b, b, n=400_000)
                 assert v == pytest.approx(oracle, rel=1e-5, abs=1e-9)
 
     def test_negative_window_clamps(self):
         job = Uniform(1.0, 5.0)
-        v, _ = job.weighted_cdf_diff_integral(0.5, -0.5, 0.0, 0.0)
+        v = job.weighted_cdf_diff_integral(0.5, -0.5, 0.0, 0.0)
         # F vanishes on [-0.5, 0.5], so only F(s + delta) could contribute;
         # it does not reach the support either
         assert v == 0.0
@@ -242,66 +241,74 @@ class TestPrefixConsistency:
                 assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
-class TestCustomCdf:
-    """Bracketing quadrature fallback for callable-backed CDFs."""
+def square_cdf(x):
+    """F(x) = (x/5)^2 on [0, 5]."""
+    return min(max(x / 5.0, 0.0), 1.0) ** 2
 
-    def test_matches_exact_uniform(self):
-        # narrow windows, as the kernel builder uses them
-        exact = Uniform(1.0, 5.0)
-        custom = CustomCdf(exact.cdf, support_hi=5.0, tol=1e-10)
-        for a in [0.0, 0.9, 1.0, 2.3, 4.9, 6.0]:
-            b = a + 0.05
-            v, e = custom.cdf_integral_with_error(a, b)
-            assert abs(v - exact.cdf_integral(a, b)) <= e + 1e-12
-            assert e <= 1e-7
 
-    def test_error_bound_is_rigorous(self):
-        # the bracket is rigorous whatever tolerance was actually reached
-        exact = Erlang(4, 1.5)
-        custom = CustomCdf(exact.cdf, support_hi=60.0, tol=1e-9)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a, b = np.sort(rng.uniform(0.0, 12.0, 2))
-            v, e = custom.cdf_integral_with_error(a, b)
-            assert abs(v - exact.cdf_integral(a, b)) <= e + 1e-13
+class TestFromCdf:
+    """A CDF callable tabulated below itself, with its W1 charge."""
 
-    def test_weighted_integral_with_error(self):
-        exact = Uniform(1.0, 5.0)
-        custom = CustomCdf(exact.cdf, support_hi=5.0, tol=1e-10)
-        ve, _ = exact.weighted_cdf_diff_integral(0.5, 1.0, 1.5, 1.5)
-        vc, ec = custom.weighted_cdf_diff_integral(0.5, 1.0, 1.5, 1.5)
-        assert abs(vc - ve) <= ec + 1e-12
+    CALLABLES = [
+        pytest.param(square_cdf, 5.0, id="square"),
+        pytest.param(Uniform(1.0, 5.0).cdf, 5.0, id="uniform"),
+        pytest.param(Erlang(4, 1.5).cdf, 60.0, id="erlang"),
+    ]
 
-    def test_tail_mean_and_mean_are_certified_upper_bounds(self):
-        exact = Uniform(1.0, 5.0)
-        custom = CustomCdf(exact.cdf, support_hi=5.0, tol=1e-8)
-        assert exact.mean() <= custom.mean() <= exact.mean() + 1e-3
-        assert (
-            exact.tail_mean(3.0)
-            <= custom.tail_mean(3.0)
-            <= exact.tail_mean(3.0) + 1e-3
-        )
+    @pytest.mark.parametrize("fn, hi", CALLABLES)
+    def test_knots_and_values(self, fn, hi):
+        law = TabulatedCdf.from_cdf(fn, hi, 101)
+        assert law.xs[0] == 0.0 and law.xs[-1] == hi
+        assert np.allclose(np.diff(law.xs), hi / 100, rtol=1e-12, atol=0)
+        assert law.cdf_values[-1] == 1.0
+        assert np.array_equal(law.cdf_values[:-1], [fn(x) for x in law.xs[:-1]])
 
-    def test_tail_mean_on_a_grid_brackets_each_gap_once(self):
-        # one bracketed integral per point made 2.4M cdf calls here
-        exact = Uniform(1.0, 5.0)
-        calls = []
+    @pytest.mark.parametrize("fn, hi", CALLABLES)
+    def test_step_law_lies_below(self, fn, hi):
+        law = TabulatedCdf.from_cdf(fn, hi, 101)
+        x = np.random.default_rng(5).uniform(-1.0, 1.2 * hi, 10_000)
+        want = np.array([fn(v) if v < hi else 1.0 for v in x])
+        want[x < 0] = 0.0
+        assert np.all(law.cdf(x) <= want)
 
-        def cdf(x):
-            calls.append(x)
-            return exact.cdf(x)
+    @pytest.mark.parametrize("fn, hi", CALLABLES)
+    def test_w1_bound_covers_the_distance(self, fn, hi):
+        n_knots, sub = 101, 256
+        law = TabulatedCdf.from_cdf(fn, hi, n_knots)
+        # midpoint rule on sub-intervals aligned with the knots: F is smooth
+        # between knots, and the step F~ is constant there
+        h = hi / (n_knots - 1)
+        mid = (np.arange((n_knots - 1) * sub) + 0.5) * (h / sub)
+        gap = np.array([fn(v) for v in mid]) - law.cdf(mid)
+        w1 = float(gap.sum()) * h / sub
+        assert w1 > 0.0
+        assert w1 <= law.w1_bound
+        assert law.w1_bound <= h * (1.0 + 1e-12)  # telescopes to <= h, up to rounding
 
-        custom = CustomCdf(cdf, support_hi=5.0, tol=1e-4)
-        a = np.arange(0, 251) / 50
-        got = custom.tail_mean(a)
-        want = exact.tail_mean(a)
-        assert np.all(got >= want)
-        assert np.all(got <= want + 1e-4)
-        assert len(calls) < 100_000
+    def test_scaled_scales_knots_and_charge(self):
+        law = TabulatedCdf.from_cdf(square_cdf, 5.0, 201)
+        big = law.scaled(2.5)
+        assert np.array_equal(big.xs, law.xs * 2.5)
+        assert np.array_equal(big.cdf_values, law.cdf_values)
+        assert big.w1_bound == law.w1_bound * 2.5 > 0.0
 
-    def test_requires_finite_support(self):
+    def test_exact_laws_carry_no_charge(self):
+        for job in ALL_FAMILIES:
+            assert job.w1_bound == 0.0
+            assert job.scaled(2.0).w1_bound == 0.0
+
+    @pytest.mark.parametrize(
+        "hi, n_knots",
+        [(np.inf, 11), (float("nan"), 11), (0.0, 11), (-1.0, 11), (5.0, 1), (5.0, 2.5)],
+        ids=["inf", "nan", "zero", "negative", "one-knot", "float-knots"],
+    )
+    def test_bad_support_or_knots_refused(self, hi, n_knots):
         with pytest.raises(ValueError):
-            CustomCdf(lambda x: 1 - np.exp(-x), support_hi=np.inf)
+            TabulatedCdf.from_cdf(square_cdf, hi, n_knots)
+
+    def test_non_cdf_refused(self):
+        with pytest.raises(ValueError):
+            TabulatedCdf.from_cdf(lambda x: 1.0 - x / 5.0, 5.0, 11)
 
 
 class TestTabulated:

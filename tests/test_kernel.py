@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from levyq import (
-    CustomCdf,
     Deterministic,
     DiscreteDist,
     Erlang,
@@ -14,6 +13,7 @@ from levyq import (
     ModelKind,
     ModelSpec,
     Pareto,
+    TabulatedCdf,
     Uniform,
     build_kernel,
     build_mg1,
@@ -49,7 +49,7 @@ def dense_mg1_oracle(spec, grid):
                 w = _window(spec.job, d, (j - 1) * d, j * d)
                 P[i, j] = enl * (float(j == 0) + lam * w)
             elif i == 1:
-                w, _ = spec.job.weighted_cdf_diff_integral(
+                w = spec.job.weighted_cdf_diff_integral(
                     d, (j - 1) * d, j * d, j * d
                 )
                 P[i, j] = enl * (float(j == 0) + 2.0 * lam / d * w)
@@ -374,27 +374,21 @@ class TestStochasticity:
             assert s_large >= s_small - 1e-14
 
 
-class TestQuadratureKernel:
-    """A callable CDF's kernel certifies its entries and charges the ledger."""
+class TestTabulationCharge:
+    """A tabulated CDF callable's W1 charge reaches every ledger row."""
 
-    # a coarse tolerance and grid keep the bracketing quadrature under a second
-    CUSTOM = CustomCdf(Uniform(1.0, 5.0).cdf, support_hi=5.0, tol=1e-3)
-
-    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
-    def test_rows_within_quadrature_error(self, kind):
-        grid = ModelSpec(kind, 0.5, self.CUSTOM).grid_for(0.5, 12)
-        custom = build_kernel(ModelSpec(kind, 0.5, self.CUSTOM), grid)
-        exact = build_kernel(ModelSpec(kind, 0.5, Uniform(1.0, 5.0)), grid)
-        assert custom.row_quadrature_error > 0.0
-        row_diff = np.abs(custom.dense() - exact.dense()).sum(axis=1)
-        assert np.all(row_diff <= custom.row_quadrature_error)
+    TABULATED = TabulatedCdf.from_cdf(Uniform(1.0, 5.0).cdf, 5.0, 41)
 
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
-    def test_basic_ledger_carries_kernel_slack(self, kind):
-        spec = ModelSpec(kind, 0.5, self.CUSTOM)
+    def test_basic_ledger_carries_charge(self, kind):
+        spec = ModelSpec(kind, 0.5, self.TABULATED)
         grid = spec.grid_for(0.5, 12)
         res = solve(spec, grid, GeneralMeasure.dirac(1.0), 20, bound_mode="basic")
-        charge = build_kernel(spec, grid).row_quadrature_error * grid.m
+        charge = 0.5 * 0.5 * self.TABULATED.w1_bound
         assert charge > 0.0
-        assert len(res.ledger.steps) == 20
-        assert all(c.slack >= charge for c in res.ledger.steps)
+        slack = res.ledger.rows[:, 3]
+        assert len(slack) == 20
+        if kind is ModelKind.MG1:  # no other slack in basic M/G/1 rows
+            assert np.all(slack == charge)
+        else:  # plus the top state's overshoot charge
+            assert np.all(slack >= charge)
