@@ -347,10 +347,11 @@ def wasserstein(a, b) -> float:
     fb = _to_step_linear(b)
     xs = _merged_breakpoints(fa.xs, fb.xs)
     seg = np.empty(len(xs) - 1)
+    work = _segment_work(min(WORK_BUDGET, len(seg)))
     for s in work_slices(len(seg)):
         x = xs[s.start : s.stop + 1]
         (a_start, a_end), (b_start, b_end) = fa.on_segments(x), fb.on_segments(x)
-        _abs_linear_segments(np.diff(x), a_start - b_start, a_end - b_end, out=seg[s])
+        _abs_linear_segments(np.diff(x), a_start - b_start, a_end - b_end, seg[s], work)
     return float(seg.sum())
 
 
@@ -360,32 +361,63 @@ def empirical_distance(values: np.ndarray, m) -> Callable[[np.ndarray], float]:
     Returns a function of a count vector over ``values``.  The merged
     breakpoints and m's CDF on them are computed once; the empirical CDF is
     constant between breakpoints, so each call is one cumsum, one gather and
-    the segment integral of :func:`wasserstein`.
+    the segment integral of :func:`wasserstein`.  Every buffer of a call is
+    allocated once here, so repeated calls allocate no arrays.
     """
     fm = _to_step_linear(m)
     xs = _merged_breakpoints(values, fm.xs)
     m_start, m_end = fm.on_segments(xs)
     length = np.diff(xs)
     at = np.searchsorted(values, xs[:-1], side="right")
+    cum = np.zeros(len(values) + 1)  # integer counts, exact in float64
+    f, d_start, d_end = np.empty(len(at)), np.empty(len(at)), np.empty(len(at))
+    work = _segment_work(len(at))
 
     def distance(counts: np.ndarray) -> float:
-        cum = np.concatenate([[0], np.cumsum(counts)])
-        f = cum[at] / cum[-1]
-        return float(_abs_linear_segments(length, f - m_start, f - m_end).sum())
+        np.cumsum(counts, out=cum[1:])
+        np.divide(cum.take(at, out=f), cum[-1], out=f)
+        np.subtract(f, m_start, out=d_start)
+        np.subtract(f, m_end, out=d_end)
+        return float(_abs_linear_segments(length, d_start, d_end, f, work).sum())
 
     return distance
 
 
-def _abs_linear_segments(length, d_start, d_end, out=None) -> np.ndarray:
-    """Exact integral of |g| over each segment on which g is linear.
+def _segment_work(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for :func:`_abs_linear_segments` on up to n segments."""
+    return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+
+
+def _abs_linear_segments(length, d_start, d_end, out, work) -> np.ndarray:
+    """Exact integral of |g| over each segment on which g is linear, into out.
 
     g runs from ``d_start`` to ``d_end`` over a segment of ``length``; a
-    segment whose end values differ in sign is split at its root.
+    segment whose end values differ in sign is split at its root.  ``work``
+    is scratch from :func:`_segment_work`, at least as long as ``length``;
+    ``out`` may not alias the inputs.  Every stage writes into ``out`` or
+    ``work``, and the arithmetic is that of the expression
+    ``where(d_start * d_end >= 0, |d_start + d_end|, (d_start**2 + d_end**2)
+    / (|d_start| + |d_end|)) * 0.5 * length``, term for term (a zero
+    denominator is replaced by 1).
     """
-    same_sign = d_start * d_end >= 0.0
-    denom = np.abs(d_start) + np.abs(d_end)
+    n = len(length)
+    a, b, mask = work[0][:n], work[1][:n], work[2][:n]
+    # the crossing integral: squares over |d_start| + |d_end| (1 where that is 0)
+    np.abs(d_start, out=a)
+    np.abs(d_end, out=b)
+    np.add(a, b, out=a)
+    np.less_equal(a, 0.0, out=mask)
+    np.copyto(a, 1.0, where=mask)
+    np.square(d_start, out=b)
+    np.square(d_end, out=out)
+    np.add(b, out, out=b)
     with np.errstate(invalid="ignore", divide="ignore"):
-        crossing = (d_start**2 + d_end**2) / np.where(denom > 0, denom, 1.0)
-    return np.multiply(
-        np.where(same_sign, np.abs(d_start + d_end), crossing) * 0.5, length, out=out
-    )
+        np.divide(b, a, out=b)
+    # segments whose ends share a sign: |d_start + d_end|
+    np.multiply(d_start, d_end, out=a)
+    np.greater_equal(a, 0.0, out=mask)
+    np.add(d_start, d_end, out=a)
+    np.abs(a, out=a)
+    np.copyto(b, a, where=mask)
+    np.multiply(b, 0.5, out=b)
+    return np.multiply(b, length, out=out)

@@ -20,11 +20,16 @@ same number as with one draw.
 
 The bootstrap of the distance to a lifted law keeps each resample as counts
 over the sorted distinct sample values (one sort and a neighbour compare);
-no measure is built per resample.
+no measure is built per resample.  The counts are drawn from their exact law
+as one multinomial over the tied values and a pool of the untied samples,
+then uniform picks within the pool, so a resample costs O(tied values +
+untied samples), not O(n_paths): the oracle's samples often put most of
+their mass on a few values (paths without a jump, the idle queue's 0).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +167,21 @@ def empirical_wasserstein(
     array drawn with replacement.  Each resample is reduced to counts over
     the sorted distinct sample values, so both CDFs are evaluated on their
     merged breakpoints only once.
+
+    The counts are drawn directly from their law.  Drawing n sample indices
+    uniformly and counting them by distinct value v gives counts
+    ~ Multinomial(n; mult_v / n), where mult_v is the number of samples equal
+    to v.  Merge the untied values (mult_v = 1) into one pool: by the
+    aggregation property of the multinomial, the counts of the tied values
+    and the pool's total are Multinomial(n; (mult_v / n)_tied, n_untied / n),
+    and given the pool's total c, the pool's draws are c iid uniform picks
+    among the untied samples.  So one multinomial draw plus c uniform
+    indices has exactly the law of the n uniform indices, and a resample
+    costs O(tied values + untied samples) draws instead of O(n).  Samples
+    without ties draw the same numbers as n uniform indices (the multinomial
+    over the pool alone consumes no randomness); with ties the stream, and
+    so the SE at a given seed, differs from an index draw, but it is
+    reproducible bit for bit.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 2:
@@ -170,11 +190,42 @@ def empirical_wasserstein(
         raise ValueError("need at least two bootstrap resamples")
     values = _merged_breakpoints(samples)
     inv = np.searchsorted(values, samples)
+    mult = np.bincount(inv)
+    resample = _resampler(inv, mult)
     distance = empirical_distance(values, m)
-    est = distance(np.bincount(inv))
+    est = distance(mult)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2**32], dtype=np.uint64)))
-    n, k = len(samples), len(values)
     stats = np.empty(n_boot)
     for b in range(n_boot):
-        stats[b] = distance(np.bincount(inv[rng.integers(0, n, n)], minlength=k))
+        stats[b] = distance(resample(rng))
     return est, float(stats.std(ddof=1))
+
+
+def _resampler(
+    inv: np.ndarray, mult: np.ndarray
+) -> Callable[[np.random.Generator], np.ndarray]:
+    """``resample(rng)``: one bootstrap resample's counts over the distinct values.
+
+    ``inv`` maps each sample, in sample order, to its distinct value and
+    ``mult`` counts the samples of each value.  The counts have the law of
+    n uniform sample indices counted by value (see
+    :func:`empirical_wasserstein`): one multinomial draw over the tied
+    values and the pool of untied samples, then uniform picks in the pool.
+    The pool is the last category, whose count numpy takes as the
+    remainder, so its probability never rounds.
+    """
+    n, k = len(inv), len(mult)
+    single = inv[(mult == 1)[inv]]  # the untied samples, in sample order
+    if not len(single):  # no pool: the last value takes the remainder
+        pvals = mult / n
+        return lambda rng: rng.multinomial(n, pvals)
+    tied = np.flatnonzero(mult > 1)
+    pvals = np.append(mult[tied], len(single)) / n
+
+    def resample(rng: np.random.Generator) -> np.ndarray:
+        c = rng.multinomial(n, pvals)
+        counts = np.bincount(single[rng.integers(0, len(single), c[-1])], minlength=k)
+        counts[tied] = c[:-1]
+        return counts
+
+    return resample

@@ -154,24 +154,37 @@ class TestEmpiricalWasserstein:
 
     def test_matches_per_resample_measures(self):
         # reference: each resample's empirical measure built from the same
-        # draws; samples have ties, sit on the atom at 0 and pass M = 4
+        # draws, in the same call order (one multinomial over the tied values
+        # and the pool of untied samples, then picks in the pool); samples
+        # have ties, sit on the atom at 0 and pass M = 4
         m = self._lifted()
-        samples = np.round(np.random.default_rng(20).uniform(0.0, 4.6, 300), 1)
-        n, n_boot, seed = len(samples), 30, 3
+        tied_only = np.round(np.random.default_rng(20).uniform(0.0, 4.6, 300), 1)
+        mixed = np.concatenate([tied_only, np.random.default_rng(22).uniform(0.0, 4.6, 60)])
+        n_boot, seed = 30, 3
 
         def empirical(xs):
             values, counts = np.unique(xs, return_counts=True)
             return GeneralMeasure(atoms=list(zip(values, counts / len(xs))))
 
-        key = np.array([seed, 2**32], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        stats = [
-            wasserstein(empirical(samples[rng.integers(0, n, n)]), m)
-            for _ in range(n_boot)
-        ]
-        est, se = empirical_wasserstein(samples, m, n_boot=n_boot, seed=seed)
-        assert est == pytest.approx(wasserstein(empirical(samples), m), rel=1e-12)
-        assert se == pytest.approx(np.std(stats, ddof=1), rel=1e-12)
+        for samples in (tied_only, mixed):
+            n = len(samples)
+            values, inv, mult = np.unique(samples, return_inverse=True, return_counts=True)
+            tied = values[mult > 1]
+            untied = samples[mult[inv] == 1]
+            key = np.array([seed, 2**32], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            stats = []
+            for _ in range(n_boot):
+                if len(untied):
+                    c = rng.multinomial(n, np.append(mult[mult > 1], len(untied)) / n)
+                    picks = untied[rng.integers(0, len(untied), c[-1])]
+                    xs = np.concatenate([np.repeat(tied, c[:-1]), picks])
+                else:
+                    xs = np.repeat(tied, rng.multinomial(n, mult / n))
+                stats.append(wasserstein(empirical(xs), m))
+            est, se = empirical_wasserstein(samples, m, n_boot=n_boot, seed=seed)
+            assert est == pytest.approx(wasserstein(empirical(samples), m), rel=1e-12)
+            assert se == pytest.approx(np.std(stats, ddof=1), rel=1e-12)
 
     def test_deterministic_given_seed(self):
         m = self._lifted()
@@ -257,6 +270,29 @@ def _reference_simulate(cfg):
     return out
 
 
+def _reference_pooled_empirical_wasserstein(samples, m, n_boot=200, seed=0):
+    """empirical_wasserstein with the pooled multinomial resampler, frozen."""
+    samples = np.asarray(samples, dtype=float)
+    values, inv = np.unique(samples, return_inverse=True)
+    mult = np.bincount(inv)
+    distance = empirical_distance(values, m)
+    est = distance(mult)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2**32], dtype=np.uint64)))
+    n, k = len(samples), len(values)
+    tied = np.flatnonzero(mult > 1)
+    single = inv[mult[inv] == 1]
+    stats = np.empty(n_boot)
+    for b in range(n_boot):
+        if len(single):
+            c = rng.multinomial(n, np.append(mult[tied], len(single)) / n)
+            counts = np.bincount(single[rng.integers(0, len(single), c[-1])], minlength=k)
+            counts[tied] = c[:-1]
+        else:
+            counts = rng.multinomial(n, mult / n)
+        stats[b] = distance(counts)
+    return est, float(stats.std(ddof=1))
+
+
 def _reference_empirical_wasserstein(samples, m, n_boot=200, seed=0):
     """empirical_wasserstein as it was, deduplicating with np.unique."""
     samples = np.asarray(samples, dtype=float)
@@ -325,18 +361,95 @@ class TestStreamIdentity:
         assert np.array_equal(parts, whole)
 
     @pytest.mark.parametrize(
-        "samples",
+        "samples, reference",
         [
-            pytest.param(np.round(np.random.default_rng(20).uniform(0.0, 4.6, 500), 1), id="ties"),
-            pytest.param(np.full(40, 1.3), id="one-value"),
-            pytest.param(np.random.default_rng(21).uniform(0.0, 4.6, 500), id="distinct"),
+            # tied samples draw from the pooled multinomial's stream
+            pytest.param(
+                np.round(np.random.default_rng(20).uniform(0.0, 4.6, 500), 1),
+                _reference_pooled_empirical_wasserstein,
+                id="ties",
+            ),
+            pytest.param(
+                np.concatenate([
+                    np.round(np.random.default_rng(20).uniform(0.0, 4.6, 500), 1),
+                    np.random.default_rng(23).uniform(0.0, 4.6, 80),
+                ]),
+                _reference_pooled_empirical_wasserstein,
+                id="mixed",
+            ),
+            # a single value or no ties: the index bootstrap's stream, unchanged
+            pytest.param(np.full(40, 1.3), _reference_empirical_wasserstein, id="one-value"),
+            pytest.param(
+                np.random.default_rng(21).uniform(0.0, 4.6, 500),
+                _reference_empirical_wasserstein,
+                id="distinct",
+            ),
         ],
     )
-    def test_empirical_wasserstein_matches_unique_reference(self, samples):
+    def test_empirical_wasserstein_matches_unique_reference(self, samples, reference):
         g = Grid(0.5, 8)
         m = LiftedDistribution(g, 0.1, np.array([0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1, 0.0]))
         got = empirical_wasserstein(samples, m, n_boot=25, seed=6)
-        assert got == _reference_empirical_wasserstein(samples, m, n_boot=25, seed=6)
+        assert got == reference(samples, m, n_boot=25, seed=6)
+
+
+class TestResampler:
+    """The pooled count draw has the law of n uniform sample indices."""
+
+    @staticmethod
+    def _draws(samples, n_resamples, seed=9):
+        values, inv = np.unique(samples, return_inverse=True)
+        mult = np.bincount(inv)
+        resample = oracle._resampler(inv, mult)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+        return mult, np.array([resample(rng) for _ in range(n_resamples)])
+
+    def test_counts_have_the_multinomial_law(self):
+        # values of multiplicity 1, 2 and 5: three untied, two pairs, one five
+        samples = np.random.default_rng(3).permutation(
+            [0.5, 1.5, 2.5, 3.0, 3.0, 4.0, 4.0, 6.0, 6.0, 6.0, 6.0, 6.0]
+        )
+        n, r = len(samples), 40_000
+        mult, counts = self._draws(samples, r)
+        assert np.all(counts.sum(axis=1) == n)
+        p = mult / n
+
+        def within_4se(terms, want):
+            return abs(terms.mean() - want) <= 4 * terms.std(ddof=1) / np.sqrt(r)
+
+        for v in range(len(mult)):
+            assert within_4se(counts[:, v], mult[v])
+            centred = counts[:, v] - mult[v]
+            assert within_4se(centred**2, n * p[v] * (1 - p[v]))
+        pair, five = np.flatnonzero(mult == 2)[0], np.flatnonzero(mult == 5)[0]
+        products = (counts[:, pair] - mult[pair]) * (counts[:, five] - mult[five])
+        assert within_4se(products, -n * p[pair] * p[five])
+
+    def test_all_samples_tied(self):
+        # no pool: only the multinomial draws, and one value never moves
+        mult, counts = self._draws(np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]), 200)
+        assert np.all(counts.sum(axis=1) == 7)
+        assert counts.std(axis=0).min() > 0
+        _, counts = self._draws(np.full(9, 2.5), 20)
+        assert np.all(counts == 9)
+        _, se = empirical_wasserstein(np.full(9, 2.5), TestEmpiricalWasserstein()._lifted())
+        assert se == 0.0
+
+    def test_no_ties_draws_uniform_indices(self):
+        samples = np.random.default_rng(4).uniform(0.0, 3.0, 257)
+        values, inv = np.unique(samples, return_inverse=True)
+        resample = oracle._resampler(inv, np.bincount(inv))
+        rng, ref = (np.random.Generator(np.random.Philox(key=7)) for _ in range(2))
+        for _ in range(5):
+            want = np.bincount(inv[ref.integers(0, 257, 257)], minlength=len(values))
+            assert np.array_equal(resample(rng), want)
+
+    def test_two_resamples(self):
+        samples = np.concatenate([np.zeros(30), np.random.default_rng(5).uniform(0.0, 4.0, 30)])
+        m = TestEmpiricalWasserstein()._lifted()
+        got = empirical_wasserstein(samples, m, n_boot=2, seed=1)
+        assert got == _reference_pooled_empirical_wasserstein(samples, m, n_boot=2, seed=1)
+        assert got[1] > 0.0
 
 
 class TestOracleMemory:
