@@ -44,7 +44,6 @@ from .kernel import (
     rescale_for_speed,
 )
 from .measure import (
-    DiscreteDist,
     GeneralMeasure,
     Grid,
     LiftedDistribution,
@@ -60,7 +59,6 @@ __all__ = [
     "CertificationError",
     "ConfigError",
     "Deterministic",
-    "DiscreteDist",
     "Erlang",
     "Exponential",
     "GeneralMeasure",

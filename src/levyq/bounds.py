@@ -43,7 +43,7 @@ import numpy as np
 from .errors import CertificationError
 from .jobsize import JobSize
 from .kernel import ModelKind, ModelSpec
-from .measure import WORK_BUDGET, DiscreteDist, Grid, work_slices
+from .measure import WORK_BUDGET, Grid, work_slices
 
 SUBGRID = 256  # sub-grid points per interval in the refined term
 
@@ -122,11 +122,6 @@ def truncation_error_specneg(lam: float, delta: float, i: int, grid: Grid) -> fl
 # ---------------------------------------------------------------------------
 
 
-class RefinedTerm(NamedTuple):
-    value: float
-    slack: float
-
-
 class OneJumpRefiner:
     """Distance between the exact one-jump law and its grid projection.
 
@@ -144,8 +139,9 @@ class OneJumpRefiner:
     start states.  ``w[i]`` is the sampled distance for a one-jump start in
     interval i (capped at delta), ``s[i]`` its sampling deficit.  The
     mixture deviation is linear in p, so by the triangle inequality
-    ``p @ w + p @ s`` bounds the one-jump distance for every p, and
-    :meth:`term` is certified by construction.
+    ``p @ w + p @ s`` bounds the one-jump distance for every p, and its
+    charge in :class:`BoundContext` (``scale * (p @ w)`` as aggregation,
+    ``scale * (p @ s)`` as slack) is certified by construction.
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid):
@@ -268,14 +264,6 @@ class OneJumpRefiner:
             s = q * self._window(c1_gen, k_lo, 1, 1) + np.where(capped, 0.0, b_slack)
         return np.minimum(w, d, out=w), s
 
-    # -- evaluation ----------------------------------------------------------
-
-    def term(self, dist: DiscreteDist) -> RefinedTerm:
-        p = dist.p
-        return RefinedTerm(
-            self.scale * float(p @ self.w), self.scale * float(p @ self.s)
-        )
-
 
 # ---------------------------------------------------------------------------
 # per-step assembly and the ledger
@@ -328,8 +316,8 @@ class BoundContext:
         agg = 0.0 if refined else jump_aggregation_error(lam, d)
         self.row = (agg, cut, 0.0, lam * d * job.w1_bound)
 
-    def components(self, dist: DiscreteDist) -> StepComponents:
-        p, row = dist.p, list(self.row)
+    def components(self, p: np.ndarray) -> StepComponents:
+        row = list(self.row)
         for c, coef, v in self.terms:
             row[c] += coef * float(p @ v)
         return StepComponents(*row)

@@ -512,12 +512,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="JSON config file (or a previous manifest)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--bound-mode", choices=["basic", "refined"], default=None)
+        if name != "matrix":  # the transition matrix does not depend on it
+            p.add_argument("--bound-mode", choices=["basic", "refined"], default=None)
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        if args.bound_mode:
+        if getattr(args, "bound_mode", None):
             cfg.bound_mode = args.bound_mode
         out_dir = Path(args.out or cfg.output or "levyq-out")
         runner = {"solve": run_solve, "validate": run_validate, "matrix": run_matrix}[

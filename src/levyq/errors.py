@@ -16,8 +16,8 @@ class SupportError(LevyqError):
 class CertificationError(LevyqError):
     """A certified bound cannot be produced for the requested configuration.
 
-    Typical cause: the job-size distribution has no finite mean, which the
-    M/G/1 Wasserstein bound requires.
+    Typical causes: the job-size distribution has no finite mean, which the
+    M/G/1 bound requires, or the chain's mass drifted outside 1 +- 1e-9.
     """
 
 

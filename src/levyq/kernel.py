@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CertificationError, GridError
 from .jobsize import JobSize
-from .measure import DiscreteDist, Grid, grid_values, work_slices
+from .measure import Grid, grid_values, work_slices
 
 __all__ = [
     "ModelKind",
@@ -129,17 +129,16 @@ class TransitionKernel:
 
     # -- application ---------------------------------------------------------
 
-    def apply(self, dist: DiscreteDist) -> DiscreteDist:
+    def apply(self, p: np.ndarray) -> np.ndarray:
         """One chain step: p -> p P, exploiting the Toeplitz band."""
-        if dist.grid != self.grid:
-            raise GridError("distribution lives on a different grid")
-        p = dist.p
+        if p.shape != (self.grid.n_states,):
+            raise GridError(f"state vector has shape {p.shape}, grid has {self.grid.n_states}")
         if self.kind is ModelKind.MG1:
             out = self._apply_mg1(p)
         else:
             out = self._apply_specneg(p)
         out[out < 0.0] = 0.0  # convolution rounding noise
-        return DiscreteDist(self.grid, out)
+        return out
 
     def _convolve(self, x: np.ndarray, length: int) -> np.ndarray:
         """First ``length`` entries of the linear convolution of x with the band."""

@@ -1,17 +1,16 @@
 """Distributions on the truncated state space and the exact Wasserstein engine.
 
-Three measure representations live here:
+Two measure representations live here:
 
-* :class:`DiscreteDist`   -- probabilities of the finite chain states,
 * :class:`LiftedDistribution` -- an atom at 0 plus a piecewise-constant
   density over the grid intervals ((i-1)*delta, i*delta],
 * :class:`GeneralMeasure` -- finite mixtures of point atoms and uniform
   pieces, used for initial laws.
 
-Empirical measures stay arrays: :func:`empirical_distance` takes counts over
-the sorted distinct sample values.
+Chain states and empirical measures stay arrays: :func:`empirical_distance`
+takes counts over the sorted distinct sample values.
 
-All of these have piecewise-linear CDFs with jumps, so the order-1
+Both measures have piecewise-linear CDFs with jumps, so the order-1
 Wasserstein distance, which on the line equals the L1 distance of the CDFs,
 can be computed exactly: the integrand |F_a - F_b| is piecewise linear
 between the union of breakpoints, and each linear segment is integrated in
@@ -38,7 +37,6 @@ from .errors import GridError
 
 __all__ = [
     "Grid",
-    "DiscreteDist",
     "LiftedDistribution",
     "GeneralMeasure",
     "wasserstein",
@@ -112,31 +110,6 @@ class Grid:
         """Chain state indices (0..m_delta with a zero state, else 1..m_delta)."""
         start = 0 if self.zero_state else 1
         return np.arange(start, self.m_delta + 1)
-
-
-@dataclass(eq=False)
-class DiscreteDist:
-    """Probability vector of the discretized chain on a given grid."""
-
-    grid: Grid
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (self.grid.n_states,):
-            raise GridError(
-                f"state vector has length {p.shape}, grid wants {self.grid.n_states}"
-            )
-        if np.any(p < -1e-12):
-            raise ValueError("negative probabilities")
-        total = p.sum()
-        if not abs(total - 1.0) <= _MASS_TOL:  # a NaN total fails too
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        self.p = p
-
-    def prob_of_state(self, i: int) -> float:
-        offset = 0 if self.grid.zero_state else 1
-        return float(self.p[i - offset])
 
 
 @dataclass(eq=False)

@@ -184,10 +184,10 @@ def empirical_wasserstein(
     reproducible bit for bit.
     """
     samples = np.asarray(samples, dtype=float)
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    if n_boot < 2:
-        raise ValueError("need at least two bootstrap resamples")
+    if samples.ndim != 1 or len(samples) < 2 or not np.isfinite(samples).all():
+        raise ValueError("samples must be a 1-D array of at least two finite values")
+    if not _is_int(n_boot) or n_boot < 2:
+        raise ValueError(f"n_boot must be an integer >= 2, got {n_boot!r}")
     values = _merged_breakpoints(samples)
     inv = np.searchsorted(values, samples)
     mult = np.bincount(inv)

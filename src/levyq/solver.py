@@ -2,9 +2,11 @@
 
 The pipeline: project the initial law onto the grid (interval masses are
 preserved, so the initial error is at most one interval width and is
-computed exactly), iterate the structured transition kernel, lift each
-discrete distribution back to an atom-plus-piecewise-constant-density
-measure, and accumulate the per-step error components into a ledger.
+computed exactly), push the chain-state probabilities, a plain array,
+through the structured transition kernel, lift them to an atom plus a
+piecewise-constant density where they are reported, and add up the per-step
+error components in a ledger.  The bound does not charge for mass drift, so
+a step whose mass leaves 1 +- 1e-9 ends the run with a CertificationError.
 
 The step loop is sequential; summation order is fixed so runs are
 bit-reproducible.  Snapshots are stored only at requested steps (full
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundContext, BoundLedger, StepComponents
-from .errors import GridError, SupportError
+from .errors import CertificationError, GridError, SupportError
 from .kernel import ModelSpec, build_kernel
-from .measure import DiscreteDist, GeneralMeasure, Grid, LiftedDistribution, wasserstein
+from .measure import _MASS_TOL, GeneralMeasure, Grid, LiftedDistribution, wasserstein
 
 __all__ = [
     "TransientResult",
@@ -56,7 +58,7 @@ class TransientResult:
         return self.distributions[idx], float(self.bounds[idx])
 
 
-def discretize_initial(mu0: GeneralMeasure, grid: Grid) -> tuple[DiscreteDist, float]:
+def discretize_initial(mu0: GeneralMeasure, grid: Grid) -> tuple[np.ndarray, float]:
     """Project the initial law onto the grid and certify the projection error.
 
     State 0 receives the mass at exactly 0 and state i >= 1 the mass of
@@ -76,9 +78,9 @@ def discretize_initial(mu0: GeneralMeasure, grid: Grid) -> tuple[DiscreteDist, f
         raise GridError(
             "initial mass at exactly 0 needs a chain with a zero state"
         )
-    dist = DiscreteDist(grid, _interval_masses(mu0, grid, atom0))
-    b0 = wasserstein(mu0, lift(dist))
-    return dist, b0
+    p = _interval_masses(mu0, grid, atom0)
+    b0 = wasserstein(mu0, lift(grid, p))
+    return p, b0
 
 
 def _interval_masses(mu0: GeneralMeasure, grid: Grid, atom0: float) -> np.ndarray:
@@ -97,11 +99,11 @@ def _interval_masses(mu0: GeneralMeasure, grid: Grid, atom0: float) -> np.ndarra
     return p
 
 
-def lift(dist: DiscreteDist) -> LiftedDistribution:
+def lift(grid: Grid, p: np.ndarray) -> LiftedDistribution:
     """Reinterpret chain-state probabilities as a measure on [0, M]."""
-    if dist.grid.zero_state:
-        return LiftedDistribution(dist.grid, float(dist.p[0]), dist.p[1:].copy())
-    return LiftedDistribution(dist.grid, 0.0, dist.p.copy())
+    if grid.zero_state:
+        return LiftedDistribution(grid, float(p[0]), p[1:].copy())
+    return LiftedDistribution(grid, 0.0, p.copy())
 
 
 def solve(
@@ -109,7 +111,6 @@ def solve(
     grid: Grid,
     mu0: GeneralMeasure,
     horizon_steps: int,
-    snapshot_every: int | None = None,
     snapshot_steps=None,
     bound_mode: str = "refined",
 ) -> TransientResult:
@@ -123,31 +124,30 @@ def solve(
         raise ValueError("horizon_steps must be >= 0")
     if bound_mode not in ("basic", "refined"):
         raise ValueError(f"unknown bound mode {bound_mode!r}")
-    wanted = set()
-    if snapshot_steps is not None:
-        wanted.update(int(k) for k in snapshot_steps)
-    if snapshot_every:
-        wanted.update(range(0, horizon_steps + 1, int(snapshot_every)))
-    wanted.update((0, horizon_steps))
+    wanted = {0, horizon_steps}
+    wanted.update(int(k) for k in (() if snapshot_steps is None else snapshot_steps))
     bad = [k for k in wanted if not 0 <= k <= horizon_steps]
     if bad:
         raise ValueError(f"snapshot steps outside horizon: {sorted(bad)}")
 
-    dist, b0 = discretize_initial(mu0, grid)
+    p, b0 = discretize_initial(mu0, grid)
     ledger = BoundLedger(b0, np.empty((horizon_steps, len(StepComponents._fields))))
     snaps: dict[int, LiftedDistribution] = {}
     if 0 in wanted:
-        snaps[0] = lift(dist)
+        snaps[0] = lift(grid, p)
     if horizon_steps == 0:
         return _result(spec, grid, snaps, ledger)
 
     kern = build_kernel(spec, grid)
     ctx = BoundContext(spec, grid, bound_mode == "refined")
     for k in range(1, horizon_steps + 1):
-        ledger.rows[k - 1] = ctx.components(dist)
-        dist = kern.apply(dist)
+        ledger.rows[k - 1] = ctx.components(p)
+        p = kern.apply(p)
+        total = p.sum()
+        if not abs(total - 1.0) <= _MASS_TOL:  # a NaN total fails too
+            raise CertificationError(f"chain mass is {float(total)!r} after step {k}")
         if k in wanted:
-            snaps[k] = lift(dist)
+            snaps[k] = lift(grid, p)
     return _result(spec, grid, snaps, ledger)
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from levyq import (
-    DiscreteDist,
     Deterministic,
     Erlang,
     GeneralMeasure,
@@ -212,7 +211,7 @@ def test_07_dense_oracle_equivalence():
         dense = kern.dense()
         p = rng.random(grid.n_states)
         p /= p.sum()
-        out_struct = kern.apply(DiscreteDist(grid, p)).p
+        out_struct = kern.apply(p)
         out_dense = p @ dense
         worst = max(worst, float(np.max(np.abs(out_struct - out_dense))))
     ok = worst < 1e-12

@@ -8,7 +8,6 @@ import pytest
 from levyq import (
     CertificationError,
     Deterministic,
-    DiscreteDist,
     Erlang,
     Exponential,
     GeneralMeasure,
@@ -174,6 +173,11 @@ def oracle_mixture_wd(spec, grid, p, fine=256):
     return float(np.trapezoid(np.abs(G - H), ys))
 
 
+def refined_charge(refiner, p):
+    """The refined value and its slack, as BoundContext charges them for p."""
+    return refiner.scale * float(p @ refiner.w), refiner.scale * float(p @ refiner.s)
+
+
 class TestRefined:
     CASES = [
         (ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0)), (0.5, 30)),
@@ -191,31 +195,30 @@ class TestRefined:
             for _ in range(3):
                 p = rng.random(grid.n_states)
                 p /= p.sum()
-                term = refiner.term(DiscreteDist(grid, p))
+                value, slack = refined_charge(refiner, p)
                 oracle = oracle_mixture_wd(spec, grid, p)
                 # certified: value + slack covers the truth
-                assert term.value + term.slack >= scale * oracle - 1e-13
+                assert value + slack >= scale * oracle - 1e-13
             # a start in a single interval is charged its own distance: the
             # value tracks the truth up to the slack, and covers it with it
             for i in range(grid.n_states):
                 p = np.zeros(grid.n_states)
                 p[i] = 1.0
-                term = refiner.term(DiscreteDist(grid, p))
+                value, slack = refined_charge(refiner, p)
                 oracle = oracle_mixture_wd(spec, grid, p)
-                assert term.value + term.slack >= scale * oracle - 1e-13
-                assert term.value <= scale * oracle + term.slack + 1e-13
+                assert value + slack >= scale * oracle - 1e-13
+                assert value <= scale * oracle + slack + 1e-13
 
     def test_point_mass_initial_distribution(self):
         # one-hot from a point mass at 1, coarse grid for oracle speed
         grid = REF_MG1.grid_for(0.1, 200)
         p = np.zeros(201)
         p[10] = 1.0
-        dist = DiscreteDist(grid, p)
-        term = OneJumpRefiner(REF_MG1, grid).term(dist)
+        value, slack = refined_charge(OneJumpRefiner(REF_MG1, grid), p)
         scale = 0.25 * 0.1 * np.exp(-0.025)
         oracle = oracle_mixture_wd(REF_MG1, grid, p, fine=256)
-        assert term.value + term.slack >= scale * oracle - 1e-14
-        assert term.value <= scale * (oracle + 0.02 * oracle) + term.slack
+        assert value + slack >= scale * oracle - 1e-14
+        assert value <= scale * (oracle + 0.02 * oracle) + slack
 
     def test_grid_aligned_deterministic_jobs_vanish(self):
         # job size a multiple of delta: the one-jump law is exactly uniform
@@ -224,8 +227,8 @@ class TestRefined:
         grid = spec.grid_for(0.5, 30)
         p = np.zeros(31)
         p[10] = 1.0
-        term = OneJumpRefiner(spec, grid).term(DiscreteDist(grid, p))
-        assert term.value == pytest.approx(0.0, abs=1e-15)
+        value, _ = refined_charge(OneJumpRefiner(spec, grid), p)
+        assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_refined_below_basic_plus_slack(self):
         rng = np.random.default_rng(12)
@@ -236,8 +239,8 @@ class TestRefined:
             for _ in range(3):
                 p = rng.random(grid.n_states)
                 p /= p.sum()
-                term = refiner.term(DiscreteDist(grid, p))
-                assert term.value <= basic + 1e-15
+                value, _ = refined_charge(refiner, p)
+                assert value <= basic + 1e-15
 
     def test_refined_solve_on_tabulated_callable(self):
         job = TabulatedCdf.from_cdf(Uniform(1.0, 5.0).cdf, 5.0, 401)
@@ -294,7 +297,7 @@ class TestStepBound:
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))
         grid = spec.grid_for(0.5, 100)
         p = np.ones(101) / 101
-        comp = BoundContext(spec, grid, refined=False).components(DiscreteDist(grid, p))
+        comp = BoundContext(spec, grid, refined=False).components(p)
         assert comp.total < 1e-11
 
     def test_interior_mass_has_no_truncation_term(self):
@@ -302,7 +305,7 @@ class TestStepBound:
         grid = spec.grid_for(0.25, 80)
         p = np.zeros(81)
         p[10] = 1.0
-        comp = BoundContext(spec, grid, refined=False).components(DiscreteDist(grid, p))
+        comp = BoundContext(spec, grid, refined=False).components(p)
         assert comp.truncation_weighted == 0.0
         assert comp.jump_aggregation == pytest.approx(
             jump_aggregation_error(0.4, 0.25), rel=1e-14
@@ -316,7 +319,7 @@ class TestStepBound:
         grid = spec.grid_for(0.1, 50)
         p = np.zeros(50)
         p[-1] = 1.0
-        comp = BoundContext(spec, grid, refined=False).components(DiscreteDist(grid, p))
+        comp = BoundContext(spec, grid, refined=False).components(p)
         assert comp.truncation_weighted == pytest.approx(
             0.1 * np.exp(-0.05), rel=1e-13
         )
@@ -325,15 +328,13 @@ class TestStepBound:
         spec = ModelSpec(ModelKind.MG1, 0.5, Pareto(1.0, 0.9))
         grid = spec.grid_for(0.25, 20)
         with pytest.raises(CertificationError):
-            BoundContext(spec, grid, refined=False).components(
-                DiscreteDist(grid, np.ones(21) / 21)
-            )
+            BoundContext(spec, grid, refined=False).components(np.ones(21) / 21)
 
     def test_specneg_heavy_tail_allowed(self):
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Pareto(1.0, 0.9))
         grid = spec.grid_for(0.25, 20)
         ctx = BoundContext(spec, grid, refined=False)
-        comp = ctx.components(DiscreteDist(grid, np.ones(20) / 20))
+        comp = ctx.components(np.ones(20) / 20)
         assert comp.total > 0.0
 
 
@@ -344,13 +345,13 @@ def with_w1_bound(spec, w1):
     return ModelSpec(spec.kind, spec.lam, job)
 
 
-def reference_components(spec, grid, refiner, dist):
+def reference_components(spec, grid, refiner, p):
     """The step rule as four branches per step, recomputing every other charge."""
-    lam, d, p = spec.lam, grid.delta, dist.p
+    lam, d = spec.lam, grid.delta
     slack = lam * d * spec.job.w1_bound
     if refiner is not None:
-        agg, agg_slack = refiner.term(dist)
-        slack += agg_slack
+        agg = refiner.scale * float(p @ refiner.w)
+        slack += refiner.scale * float(p @ refiner.s)
     else:
         agg = jump_aggregation_error(lam, d)
     if spec.kind is ModelKind.MG1:
@@ -396,9 +397,9 @@ class TestStepRule:
                 for _ in range(8):
                     p = rng.random(grid.n_states)
                     p[-1] *= 1.0 + top_weight
-                    dist = DiscreteDist(grid, p / p.sum())
-                    got = ctx.components(dist)
-                    want = reference_components(charged, grid, refiner, dist)
+                    p /= p.sum()
+                    got = ctx.components(p)
+                    want = reference_components(charged, grid, refiner, p)
                     assert got == want
                     assert got.total == want.total
 
@@ -457,7 +458,7 @@ class TestScalingLaws:
             p = np.zeros(grid.n_states)
             p[1] = 1.0
             ctx = BoundContext(REF_MG1, grid, refined=False)
-            comp = ctx.components(DiscreteDist(grid, p))
+            comp = ctx.components(p)
             scaled = (comp.jump_aggregation + comp.jump_cut) / d**2
             if prev is not None:
                 ratios.append(scaled / prev)

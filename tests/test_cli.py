@@ -318,14 +318,21 @@ class TestSolveCommand:
         assert main(args) == EXIT_CERTIFICATION
         assert "mean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("refusal", ["infinite-mean", "mass-drift"])
     @pytest.mark.parametrize("command", ["solve", "validate"])
-    def test_refused_run_creates_no_output_dir(self, tmp_path, command):
+    def test_refused_run_creates_no_output_dir(
+        self, tmp_path, capsys, leak_mass, command, refusal
+    ):
         cfg = base_config()
-        cfg["model"]["job"] = {"family": "pareto", "params": {"x_min": 1, "alpha": 0.9}}
+        if refusal == "infinite-mean":
+            cfg["model"]["job"] = {"family": "pareto", "params": {"x_min": 1, "alpha": 0.9}}
+        else:  # the chain gains 1e-8 of mass per step, beyond the 1e-9 tolerance
+            leak_mass(1e-8)
         out = tmp_path / "out"
         args = [command, write_config(tmp_path, cfg), "--out", str(out)]
         assert main(args) == EXIT_CERTIFICATION
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("certification error: ")
 
     def test_bound_mode_flag(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -488,6 +495,16 @@ class TestMatrixCommand:
     def test_large_grid_refused(self, tmp_path):
         cfg = base_config(grid={"delta": "1/500", "m": 50})
         assert main(["matrix", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+
+    def test_bound_mode_flag_refused(self, tmp_path, capsys):
+        # the transition matrix does not depend on the bound mode
+        out = tmp_path / "out"
+        args = ["matrix", write_config(tmp_path, base_config()), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--bound-mode", "basic"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--bound-mode" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidateCommand:

@@ -6,7 +6,6 @@ import pytest
 
 from levyq import (
     Deterministic,
-    DiscreteDist,
     Erlang,
     GeneralMeasure,
     GridError,
@@ -203,8 +202,8 @@ class TestApply:
         kern = build_mg1(spec, grid)
         p = np.zeros(21)
         p[0] = 1.0
-        out = kern.apply(DiscreteDist(grid, p))
-        assert out.p[0] == pytest.approx(1.0, abs=1e-11)
+        out = kern.apply(p)
+        assert out[0] == pytest.approx(1.0, abs=1e-11)
 
     def test_one_hot_reproduces_rows(self):
         grid = REF_MG1.grid_for(0.5, 60)
@@ -212,7 +211,7 @@ class TestApply:
         for i in [0, 1, 2, 17, 60]:
             p = np.zeros(61)
             p[i] = 1.0
-            out = kern.apply(DiscreteDist(grid, p)).p
+            out = kern.apply(p)
             assert np.max(np.abs(out - kern.row(i))) < 1e-14
 
     def test_repeated_apply_matches_matrix_power(self):
@@ -221,19 +220,18 @@ class TestApply:
         dense = kern.dense()
         p = np.zeros(501)
         p[10] = 1.0
-        dist = DiscreteDist(grid, p)
         expected = p.copy()
         for _ in range(10):
-            dist = kern.apply(dist)
+            p = kern.apply(p)
             expected = expected @ dense
-        assert np.max(np.abs(dist.p - expected)) < 1e-12
+        assert np.max(np.abs(p - expected)) < 1e-12
 
     def test_grid_mismatch(self):
+        # a state vector of the 61-interval grid on the 60-interval kernel
         grid = REF_MG1.grid_for(0.5, 60)
-        other = REF_MG1.grid_for(0.5, 61)
         kern = build_mg1(REF_MG1, grid)
         with pytest.raises(GridError):
-            kern.apply(DiscreteDist(other, np.ones(62) / 62))
+            kern.apply(np.ones(62) / 62)
 
     @pytest.mark.parametrize("m_delta", [1, 2, 3, 7])
     @pytest.mark.parametrize(
@@ -252,7 +250,7 @@ class TestApply:
         grid = spec.grid_for(delta, m_delta)
         kern = build_kernel(spec, grid)
         p = np.random.default_rng(m_delta).dirichlet(np.ones(len(grid.states())))
-        out = kern.apply(DiscreteDist(grid, p)).p
+        out = kern.apply(p)
         assert np.max(np.abs(out - p @ kern.dense())) < 1e-14
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from levyq import (
-    DiscreteDist,
     GeneralMeasure,
     Grid,
     GridError,
@@ -218,27 +217,13 @@ class TestThresholdMass:
         assert lifted.threshold_mass(0.5) == pytest.approx(0.75, abs=1e-14)
 
 
-class TestDiscreteDist:
-    def test_validation(self):
-        g = Grid(0.5, 4)
-        with pytest.raises(ValueError):
-            DiscreteDist(g, np.array([0.5, 0.5, 0.5, 0.0, 0.0]))
-        with pytest.raises(GridError):
-            DiscreteDist(g, np.ones(3) / 3)
-
+class TestMeasureValidation:
     def test_nan_refused(self):
         # a NaN total must not slip through |total - 1| > tol
         g = Grid(0.5, 4)
-        with pytest.raises(ValueError):
-            DiscreteDist(g, np.array([np.nan, 0.5, 0.5, 0.0, 0.0]))
         with pytest.raises(ValueError):
             LiftedDistribution(g, np.nan, np.array([0.25, 0.25, 0.25, 0.25]))
         with pytest.raises(ValueError):
             GeneralMeasure(atoms=[(1.0, np.nan)])
         with pytest.raises(ValueError):
             GeneralMeasure(atoms=[(np.nan, 1.0)])
-
-    def test_state_lookup(self):
-        g = Grid(0.5, 4, zero_state=False)
-        d = DiscreteDist(g, np.array([0.25, 0.25, 0.25, 0.25]))
-        assert d.prob_of_state(1) == 0.25

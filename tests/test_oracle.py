@@ -193,9 +193,22 @@ class TestEmpiricalWasserstein:
         b = empirical_wasserstein(samples, m, seed=7)
         assert a == b
 
-    def test_needs_samples(self):
-        with pytest.raises(ValueError):
-            empirical_wasserstein(np.array([1.0]), self._lifted())
+    @pytest.mark.parametrize(
+        "samples, n_boot, match",
+        [
+            ([1.0], 200, "samples"),
+            ([np.nan, 1.0, 2.0, 2.0], 200, "samples"),
+            ([np.inf, 1.0, 2.0], 200, "samples"),
+            ([[1.0, 2.0], [2.0, 3.0]], 200, "samples"),
+            ([1.0, 2.0, 2.0], 2.5, "n_boot"),
+            ([1.0, 2.0, 2.0], True, "n_boot"),
+            ([1.0, 2.0, 2.0], 1, "n_boot"),
+        ],
+        ids=["one-sample", "nan", "inf", "2-d", "float-n_boot", "bool-n_boot", "one-resample"],
+    )
+    def test_refuses_bad_input(self, samples, n_boot, match):
+        with pytest.raises(ValueError, match=match):
+            empirical_wasserstein(np.array(samples), self._lifted(), n_boot=n_boot)
 
 
 class TestSimConfig:

@@ -98,12 +98,12 @@ def test_initial_projection_error_within_one_cell(mu0, m_per_unit, delta):
     spec = ModelSpec(ModelKind.MG1, 0.5, Uniform(1.0, 2.0))
     m_delta = int(np.ceil(10.0 / delta)) + 1
     grid = spec.grid_for(delta, m_delta)
-    dist, b0 = discretize_initial(mu0, grid)
+    p, b0 = discretize_initial(mu0, grid)
     assert 0.0 <= b0 <= delta + 1e-12
-    assert abs(dist.p.sum() - 1.0) < 1e-9
+    assert abs(p.sum() - 1.0) < 1e-9
     # the projection preserves interval masses, so it is idempotent
-    dist2, b0_again = discretize_initial(mu0, grid)
-    assert np.array_equal(dist.p, dist2.p)
+    p2, b0_again = discretize_initial(mu0, grid)
+    assert np.array_equal(p, p2)
 
 
 @given(st.floats(1e-3, 3.0), st.floats(1e-4, 0.5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyq import (
-    DiscreteDist,
+    CertificationError,
     GeneralMeasure,
     GridError,
     ModelKind,
@@ -26,14 +26,14 @@ REF_SN = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1 / 3, Pareto(1.0, 1.5))
 class TestDiscretizeInitial:
     def test_dirac_one_fine_grid(self):
         grid = REF_MG1.grid_for(1 / 500, 25000)
-        dist, b0 = discretize_initial(GeneralMeasure.dirac(1.0), grid)
-        assert dist.p[500] == 1.0
+        p, b0 = discretize_initial(GeneralMeasure.dirac(1.0), grid)
+        assert p[500] == 1.0
         assert b0 == pytest.approx(0.001, abs=1e-12)
 
     def test_dirac_five_hundredth_grid(self):
         grid = REF_SN.grid_for(1 / 100, 5500)
-        dist, b0 = discretize_initial(GeneralMeasure.dirac(5.0), grid)
-        assert dist.p[499] == 1.0  # state 500, array offset by one (no zero state)
+        p, b0 = discretize_initial(GeneralMeasure.dirac(5.0), grid)
+        assert p[499] == 1.0  # state 500, array offset by one (no zero state)
         assert b0 == pytest.approx(0.005, abs=1e-12)
 
     def test_grid_aligned_measure_has_zero_error(self):
@@ -41,7 +41,7 @@ class TestDiscretizeInitial:
         mu0 = GeneralMeasure(
             atoms=[(0.0, 0.25)], pieces=[(0.5, 1.0, 0.5), (2.0, 2.5, 0.25)]
         )
-        dist, b0 = discretize_initial(mu0, grid)
+        _, b0 = discretize_initial(mu0, grid)
         assert b0 == pytest.approx(0.0, abs=1e-14)
 
     def test_b0_never_exceeds_delta(self):
@@ -69,7 +69,7 @@ class TestDiscretizeInitial:
         rng = np.random.default_rng(1)
         p = rng.random(13)
         p /= p.sum()
-        lifted = lift(DiscreteDist(grid, p))
+        lifted = lift(grid, p)
         mu0 = GeneralMeasure(
             atoms=[(0.0, lifted.atom0)],
             pieces=[
@@ -78,8 +78,8 @@ class TestDiscretizeInitial:
                 if m > 0
             ],
         )
-        dist, b0 = discretize_initial(mu0, grid)
-        assert np.max(np.abs(dist.p - p)) < 1e-12
+        p_again, b0 = discretize_initial(mu0, grid)
+        assert np.max(np.abs(p_again - p)) < 1e-12
         assert b0 == pytest.approx(0.0, abs=1e-12)
 
 
@@ -96,13 +96,13 @@ class TestLift:
         grid = REF_MG1.grid_for(0.5, 4)
         p = np.zeros(5)
         p[0] = 1.0
-        m = lift(DiscreteDist(grid, p))
+        m = lift(grid, p)
         assert m.atom0 == 1.0
         assert m.interval_mass.sum() == 0.0
 
     def test_uniform_vector(self):
         grid = REF_MG1.grid_for(0.5, 4)
-        m = lift(DiscreteDist(grid, np.ones(5) / 5))
+        m = lift(grid, np.ones(5) / 5)
         assert m.atom0 == pytest.approx(0.2)
         assert np.allclose(m.densities(), 0.4)
 
@@ -125,7 +125,7 @@ class TestSolve:
     def test_mass_conservation(self):
         grid = REF_MG1.grid_for(0.1, 300)
         res = solve(
-            REF_MG1, grid, GeneralMeasure.dirac(1.0), 100, snapshot_every=20
+            REF_MG1, grid, GeneralMeasure.dirac(1.0), 100, snapshot_steps=range(0, 101, 20)
         )
         for m in res.distributions:
             assert abs(m.atom0 + m.interval_mass.sum() - 1.0) < 1e-10
@@ -139,7 +139,7 @@ class TestSolve:
             grid,
             GeneralMeasure(atoms=[(0.0, 1.0)]),
             80,
-            snapshot_every=10,
+            snapshot_steps=range(0, 81, 10),
         )
         for k, m in zip(res.snapshot_steps, res.distributions):
             assert m.atom0 >= np.exp(-0.4 * k * 0.1) - 1e-9
@@ -150,12 +150,21 @@ class TestSolve:
             REF_SN.grid_for(0.1, 120),
             GeneralMeasure.dirac(5.0),
             30,
-            snapshot_every=10,
+            snapshot_steps=range(0, 31, 10),
         )
         for k, m in zip(res.snapshot_steps, res.distributions):
             pos = 5.0 + k * 0.1
             idx = int(round(pos / 0.1)) - 1
             assert m.interval_mass[idx] >= np.exp(-REF_SN.lam * k * 0.1) - 1e-9
+
+    @pytest.mark.parametrize("extra, step", [(1e-11, 101), (np.nan, 1)], ids=["drift", "nan"])
+    def test_mass_drift_refused(self, leak_mass, extra, step):
+        # the bound does not charge for mass the chain gains or loses, so the
+        # first step whose total leaves 1 +- 1e-9 ends the run with a typed error
+        leak_mass(extra)
+        grid = REF_MG1.grid_for(0.5, 20)
+        with pytest.raises(CertificationError, match=rf"chain mass .* after step {step}$"):
+            solve(REF_MG1, grid, GeneralMeasure.dirac(1.0), 400)
 
     def test_cumulative_bound_nondecreasing(self):
         grid = REF_MG1.grid_for(0.25, 80)
@@ -184,7 +193,9 @@ class TestSolve:
 
     def test_ledger_matches_time_axis(self):
         grid = REF_MG1.grid_for(0.5, 20)
-        res = solve(REF_MG1, grid, GeneralMeasure.dirac(1.0), 10, snapshot_every=5)
+        res = solve(
+            REF_MG1, grid, GeneralMeasure.dirac(1.0), 10, snapshot_steps=range(0, 11, 5)
+        )
         assert len(res.ledger.cumulative) == 11
         assert np.allclose(res.times, [0.0, 2.5, 5.0])
 
@@ -192,7 +203,9 @@ class TestSolve:
 class TestCertifiedTail:
     def _result(self):
         grid = REF_MG1.grid_for(0.25, 60)
-        return solve(REF_MG1, grid, GeneralMeasure.dirac(1.0), 16, snapshot_every=8)
+        return solve(
+            REF_MG1, grid, GeneralMeasure.dirac(1.0), 16, snapshot_steps=range(0, 17, 8)
+        )
 
     def test_bracket_order(self):
         res = self._result()
