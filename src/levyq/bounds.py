@@ -271,24 +271,25 @@ class OneJumpRefiner:
 
 
 class StepComponents(NamedTuple):
+    """One step's charges; the ledger's columns, in this order."""
+
     jump_aggregation: float
     jump_cut: float
     truncation_weighted: float
     slack: float
 
-    @property
-    def total(self) -> float:
-        return sum(self)
+
+_COLUMN = {name: c for c, name in enumerate(StepComponents._fields)}
 
 
 class BoundContext:
     """Each step's charges, chosen once per run.
 
-    A step's components are the constant row ``[agg, cut, 0, tab]`` plus
-    ``coef * (p @ v)`` added to ``row[column]`` for each term
-    ``(column, coef, v)``, in order.  ``tab = lam * delta * job.w1_bound``
-    pays for solving with a tabulated law in place of the law it was
-    tabulated from (0 for laws given exactly).
+    A step's components are the constant row ``row`` plus ``coef * (p @ v)``
+    added to component ``c`` for each term ``(c, coef, v)``, in order.  The
+    row's slack ``lam * delta * job.w1_bound`` pays for solving with a
+    tabulated law in place of the law it was tabulated from (0 for laws
+    given exactly).
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid, refined: bool):
@@ -298,7 +299,7 @@ class BoundContext:
             trunc = np.empty(grid.m_delta + 1)
             for s in work_slices(len(trunc)):
                 trunc[s] = truncation_error_mg1(lam, d, np.arange(s.start, s.stop), grid, job)
-            terms = [(2, 1.0, trunc)]
+            terms = [("truncation_weighted", 1.0, trunc)]
         else:
             cut = jump_cut_error_specneg(lam, d, job.mean(), grid.m)
             top = np.zeros(grid.m_delta)
@@ -307,14 +308,17 @@ class BoundContext:
             # displaced mass is covered here rather than by the aggregation
             # charge (distance can reach 2*delta instead of delta)
             overshoot = 2.0 * d * lam * d * float(np.exp(-lam * d)) * float(job.cdf(d))
-            terms = [(2, truncation_error_specneg(lam, d, grid.m_delta, grid), top),
-                     (3, overshoot, top)]
+            trunc_top = truncation_error_specneg(lam, d, grid.m_delta, grid)
+            terms = [("truncation_weighted", trunc_top, top), ("slack", overshoot, top)]
         self.refiner = r = OneJumpRefiner(spec, grid) if refined else None
         if refined:  # the refined slack is added before the model's charges
-            terms = [(0, r.scale, r.w), (3, r.scale, r.s)] + terms
-        self.terms = terms
+            terms = [("jump_aggregation", r.scale, r.w), ("slack", r.scale, r.s)] + terms
+        self.terms = [(_COLUMN[name], coef, v) for name, coef, v in terms]
         agg = 0.0 if refined else jump_aggregation_error(lam, d)
-        self.row = (agg, cut, 0.0, lam * d * job.w1_bound)
+        self.row = StepComponents(
+            jump_aggregation=agg, jump_cut=cut, truncation_weighted=0.0,
+            slack=lam * d * job.w1_bound,
+        )
 
     def components(self, p: np.ndarray) -> StepComponents:
         row = list(self.row)
@@ -342,15 +346,14 @@ class BoundLedger:
         return [StepComponents(*r) for r in self.rows.tolist()]
 
     def _totals(self) -> np.ndarray:
-        r = self.rows  # summed left to right, as StepComponents.total does
-        return r[:, 0] + r[:, 1] + r[:, 2] + r[:, 3]
+        return sum(self.rows.T)  # column by column, left to right
 
     @property
     def cumulative(self) -> np.ndarray:
         return self.b0 + np.concatenate([[0.0], np.cumsum(self._totals())])
 
     def cumulative_excluding_truncation(self) -> np.ndarray:
-        increments = self._totals() - self.rows[:, 2]
+        increments = self._totals() - self.rows[:, _COLUMN["truncation_weighted"]]
         return self.b0 + np.concatenate([[0.0], np.cumsum(increments)])
 
     @property
@@ -358,13 +361,12 @@ class BoundLedger:
         return float(self.cumulative[-1])
 
     def table(self, delta: float) -> np.ndarray:
-        """One row per step: (step, time, jump_aggregation, jump_cut,
-        truncation_weighted, slack, cumulative); step 0 carries the initial
-        error."""
-        n = len(self.rows)
-        out = np.zeros((n + 1, 7))
+        """One row per step: (step, time, the ``StepComponents`` fields,
+        cumulative); step 0 carries the initial error."""
+        n, k = len(self.rows), len(StepComponents._fields)
+        out = np.zeros((n + 1, k + 3))
         out[:, 0] = np.arange(n + 1)
         out[:, 1] = out[:, 0] * delta
-        out[1:, 2:6] = self.rows
-        out[:, 6] = self.cumulative
+        out[1:, 2 : 2 + k] = self.rows
+        out[:, -1] = self.cumulative
         return out

@@ -59,6 +59,8 @@ _CONFIG_KEYS = (
 
 def _as_fraction(value, what: str) -> Fraction:
     """Exact value of a JSON number or a decimal / rational string (finite only)."""
+    if isinstance(value, bool):  # JSON true / false, though Python's bool is an int
+        raise ConfigError(f"{what}: expected a number, got {value!r}")
     try:
         if isinstance(value, str):
             return Fraction(value)
@@ -74,7 +76,7 @@ def _as_fraction(value, what: str) -> Fraction:
 def _as_float(value, what: str) -> float:
     if isinstance(value, str):
         value = _as_fraction(value, what)
-    elif not isinstance(value, (int, float)):
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what}: expected a number, got {value!r}")
     try:
         out = float(value)
@@ -253,6 +255,8 @@ class RunConfig:
                 f"after the first) must stay below 2**64, got seed {self.seed}"
             )
         self.output = raw.get("output")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a directory path string, got {self.output!r}")
 
     def _steps_of(self, t: Fraction, what: str) -> int:
         ratio = t / self.delta_frac
@@ -389,7 +393,7 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     files["ledger.csv"] = _write_csv(
         out_dir / "ledger.csv",
         ["step", "time", *solver.StepComponents._fields, "cumulative"],
-        _table_blocks(_block_formats(itertools.repeat("", len(ledger)), 7), ledger),
+        _table_blocks(_block_formats(itertools.repeat("", len(ledger)), ledger.shape[1]), ledger),
     )
 
     print(f"{'time':>10} {'bound':>14} {'P(Q=0)':>12} {'mean':>12}")
@@ -496,6 +500,17 @@ def _keep_freed_arrays() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse an output path that cannot become a directory; create nothing.
+
+    The path, or else its nearest existing ancestor, must be a directory, so
+    a run is not thrown away at the end for want of a place to write.
+    """
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     _keep_freed_arrays()
     parser = argparse.ArgumentParser(
@@ -521,6 +536,7 @@ def main(argv=None) -> int:
         if getattr(args, "bound_mode", None):
             cfg.bound_mode = args.bound_mode
         out_dir = Path(args.out or cfg.output or "levyq-out")
+        _check_out_dir(out_dir)
         runner = {"solve": run_solve, "validate": run_validate, "matrix": run_matrix}[
             args.command
         ]

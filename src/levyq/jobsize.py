@@ -3,11 +3,15 @@
 Every transition-matrix entry and every certified error component in this
 package reduces to a handful of integrals of the job-size CDF F:
 
-* ``cdf_integral(a, b)``        -- int_a^b F(s) ds
-* ``weighted_cdf_diff_integral``-- int_a^b (c - s) (F(s + delta) - F(s)) ds
+* ``prefix_cdf(x)`` / ``prefix_x_cdf(x)`` -- J(x) = int_0^x F and
+  K(x) = int_0^x s F(s) ds, which the kernel and the refiner difference
+  over whole grids
 * ``mean`` / ``tail_mean(a)``   -- E[B] and int_(a, inf) x dF(x)
 
-Every family (uniform, exponential, Erlang, Pareto, deterministic,
+The scalar forms ``cdf_integral(a, b)`` (int_a^b F) and
+``weighted_cdf_diff_integral`` (int_a^b (c - s) (F(s + delta) - F(s)) ds)
+are the same differences of J and K for one window; tests use them as
+oracles.  Every family (uniform, exponential, Erlang, Pareto, deterministic,
 tabulated) implements these in closed form, so every law takes one exact
 kernel and bound path.  A law known only through a CDF callable is tabulated
 first (:meth:`TabulatedCdf.from_cdf`): the step CDF below it is an exact law

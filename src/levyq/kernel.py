@@ -9,10 +9,10 @@ by the truncation) in place.
 The one-jump window integrals depend only on the index difference for
 generic rows (M/G/1 rows i >= 2) respectively generic columns (spectrally
 negative columns j >= 2).  Kernels are therefore stored as a Toeplitz band
-plus explicit special rows/columns, never densely: the finest configuration
-this package targets has tens of thousands of states, where a dense matrix
-would be both too large and too slow.  A dense reconstruction exists for
-small grids, used by tests and the `matrix` CLI subcommand.
+plus one explicit special row or column, never densely: the finest
+configuration this package targets has tens of thousands of states, where a
+dense matrix would be both too large and too slow.  A dense reconstruction
+exists for small grids, used by tests and the `matrix` CLI subcommand.
 
 One chain step multiplies the Toeplitz part by a single real FFT pair.  The
 band's spectrum is computed once, when the kernel is built, at the smallest
@@ -68,6 +68,7 @@ class ModelSpec:
     job: JobSize
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ModelKind(self.kind))  # accepts "mg1"
         if not self.lam > 0.0:  # a NaN rate fails too
             raise ValueError("arrival rate must be positive")
 
@@ -93,12 +94,12 @@ def rescale_for_speed(spec: ModelSpec, r: float) -> tuple[ModelSpec, float]:
 class TransitionKernel:
     """Structured storage of P = Pcheck + D.
 
-    ``toeplitz[k - k_lo]`` holds the generic-row entry at offset k = j - i
+    ``toeplitz[k + 1]`` holds the generic-row entry at offset k = j - i
     (M/G/1, rows i >= 2) or k = i - j (spectrally negative, columns j >= 2);
-    offset -1 carries the no-jump shift, so ``k_lo = -1``.  Special rows
-    (M/G/1 i = 0, 1) and the spectrally negative column j = 1 are stored
-    densely.  ``diag`` holds D(i, i) >= 0 per state.  Every entry is a
-    closed-form integral of the job-size CDF, exact up to rounding.
+    ``toeplitz[0]``, offset -1, carries the no-jump shift.  M/G/1 state 1's
+    row and the spectrally negative column j = 1 are stored densely; M/G/1
+    state 0 reads the band.  ``diag`` holds D(i, i) >= 0 per state.  Every
+    entry is a closed-form integral of the job-size CDF, exact up to rounding.
 
     At construction the band's real FFT is cached: ``nfft`` is the smallest
     5-smooth length >= len(body) + len(band) - 1, where the body is p[2:]
@@ -110,9 +111,7 @@ class TransitionKernel:
     grid: Grid
     kind: ModelKind
     toeplitz: np.ndarray
-    k_lo: int
     diag: np.ndarray
-    row0: np.ndarray | None = None
     row1: np.ndarray | None = None
     col1: np.ndarray | None = None
     nfft: int = field(init=False)
@@ -147,7 +146,9 @@ class TransitionKernel:
 
     def _apply_mg1(self, p: np.ndarray) -> np.ndarray:
         n = self.grid.m_delta
-        out = p[0] * self.row0 + p[1] * self.row1
+        head = p[0] * self.toeplitz  # state 0 reads the band
+        out = p[1] * self.row1
+        out[: len(head)] += head
         q = p[2:]
         if len(q):
             # c[j - 1] = sum_i p[i] t[j - i] for the rows i >= 2
@@ -169,28 +170,23 @@ class TransitionKernel:
 
     def row(self, i: int) -> np.ndarray:
         """Reconstruct row i of P (state index, not array index)."""
-        n = self.grid.m_delta
+        n, band = self.grid.m_delta, self.toeplitz
         if self.kind is ModelKind.MG1:
-            if i == 0:
-                r = self.row0.copy()
-            elif i == 1:
+            if i == 1:
                 r = self.row1.copy()
             else:
+                # states 0 and i >= 2: the band starts at column i - 1 (0 for i = 0)
                 r = np.zeros(n + 1)
-                for j in range(n + 1):
-                    k = j - i
-                    if self.k_lo <= k < self.k_lo + len(self.toeplitz):
-                        r[j] = self.toeplitz[k - self.k_lo]
+                start = max(i, 1) - 1
+                r[start : start + len(band)] = band[: n + 1 - start]
             r[i] += self.diag[i]
             return r
         # spectrally negative: state i sits at array index i - 1
         r = np.zeros(n)
         a = i - 1
         r[0] = self.col1[a]
-        for j in range(2, n + 1):
-            k = i - j
-            if self.k_lo <= k < self.k_lo + len(self.toeplitz):
-                r[j - 1] = self.toeplitz[k - self.k_lo]
+        j = np.arange(max(2, i + 2 - len(band)), min(n, i + 1) + 1)
+        r[j - 1] = band[i + 1 - j]  # columns j >= 2
         r[a] += self.diag[a]
         return r
 
@@ -224,8 +220,8 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     """Kernel of the discretized M/G/1 workload process.
 
     Generic rows (i >= 2): Pcheck(i, j) = e^{-lam d} (1{j = i-1}
-    + lam * t_int[j - i]).  Row 0 uses windows shifted one interval up
-    (the state represents workload exactly 0) and row 1 averages over the
+    + lam * t_int[j - i]).  Row 0 is the generic row at i = 1 (workload
+    exactly 0 shifts its windows one interval up); row 1 averages over the
     uniformly distributed idle time, which turns the window integral into a
     convolution with a triangle weight.
     """
@@ -260,9 +256,7 @@ def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
         grid=grid,
         kind=ModelKind.MG1,
         toeplitz=toeplitz,
-        k_lo=-1,
         diag=diag,
-        row0=row0,
         row1=row1,
     )
 
@@ -327,7 +321,6 @@ def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
         grid=grid,
         kind=ModelKind.SPECTRALLY_NEGATIVE,
         toeplitz=toeplitz,
-        k_lo=-1,
         diag=diag,
         col1=col1,
     )

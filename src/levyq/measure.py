@@ -47,6 +47,11 @@ _MASS_TOL = 1e-9
 WORK_BUDGET = 4096  # float64 values per temporary in a setup sweep (32 KiB)
 
 
+def _is_int(x) -> bool:
+    """An integer, Python's or numpy's, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def work_slices(n: int) -> list[slice]:
     """Consecutive slices of at most ``WORK_BUDGET`` items covering range(n)."""
     return [slice(lo, min(lo + WORK_BUDGET, n)) for lo in range(0, n, WORK_BUDGET)]
@@ -91,8 +96,8 @@ class Grid:
     def __post_init__(self):
         if not (self.delta > 0.0):
             raise GridError(f"delta must be positive, got {self.delta}")
-        if self.m_delta < 1:
-            raise GridError(f"m_delta must be >= 1, got {self.m_delta}")
+        if not _is_int(self.m_delta) or self.m_delta < 1:
+            raise GridError(f"m_delta must be an integer >= 1, got {self.m_delta!r}")
 
     @property
     def m(self) -> float:

@@ -39,6 +39,7 @@ from .measure import (
     WORK_BUDGET,
     GeneralMeasure,
     LiftedDistribution,
+    _is_int,
     _merged_breakpoints,
     empirical_distance,
 )
@@ -65,10 +66,6 @@ class SimConfig:
             raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:

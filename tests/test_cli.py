@@ -157,6 +157,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             _as_fraction(value, "x")
 
+    @pytest.mark.parametrize("value", [True, False], ids=["true", "false"])
+    def test_booleans_are_not_numbers(self, tmp_path, value):
+        # bool is an int in Python: JSON true must not load as 1
+        with pytest.raises(ConfigError, match="expected a number"):
+            _as_float(value, "x")
+        with pytest.raises(ConfigError, match="expected a number"):
+            _as_fraction(value, "x")
+        cfg = base_config(validation={"n_paths": value})
+        with pytest.raises(ConfigError, match="n_paths: expected a number"):
+            load_config(write_config(tmp_path, cfg))
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -192,6 +203,11 @@ class TestConfigParsing:
             pytest.param(("queries",), [query(slack=-1)], id="query-slack-negative"),
             pytest.param(("queries",), [3], id="query-not-object"),
             pytest.param(("queries",), 5, id="queries-not-list"),
+            pytest.param(("output",), 5, id="output-not-string"),
+            pytest.param(("model", "lambda"), True, id="lambda-bool"),
+            pytest.param(("horizon", "t_end"), True, id="t-end-bool"),
+            pytest.param(("model", "job"), erlang_job(True), id="erlang-shape-bool"),
+            pytest.param(("validation", "n_paths"), True, id="n-paths-bool"),
         ],
     )
     def test_malformed_field_fails_at_load(self, tmp_path, capsys, path, value):
@@ -206,6 +222,24 @@ class TestConfigParsing:
         assert main(args) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["file", "under-file", "dangling-link"])
+    @pytest.mark.parametrize("command", ["solve", "validate", "matrix"])
+    def test_unusable_output_path_refused_before_the_run(
+        self, tmp_path, capsys, command, case
+    ):
+        # mkdir would fail only after the whole run; an unwritable parent is
+        # not tested, since a superuser may write every directory
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        out = {"file": blocker, "under-file": blocker / "sub", "dangling-link": tmp_path / "link"}
+        if case == "dangling-link":
+            out[case].symlink_to(tmp_path / "missing")
+        args = [command, write_config(tmp_path, base_config()), "--out", str(out[case])]
+        assert main(args) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert blocker.read_text() == "keep"
+        assert not (tmp_path / "missing").exists()
 
     def test_seed_range_covers_every_snapshot(self, tmp_path):
         # one positive snapshot is validated with seed + 1

@@ -128,6 +128,24 @@ def test_nan_arrival_rate_refused(kind):
         ModelSpec(kind, float("nan"), Uniform(1.0, 2.0))
 
 
+def test_kind_given_by_value_is_the_enum():
+    # kept as a string, "mg1" would give a grid without the zero state and
+    # pass every "is ModelKind.MG1" test as spectrally negative
+    spec = ModelSpec("mg1", 0.25, Uniform(1.0, 5.0))
+    assert spec.kind is ModelKind.MG1
+    assert spec.grid_for(0.5, 10).zero_state
+    assert ModelSpec("spectrally_negative", 0.5, Pareto(1.0, 1.5)).kind is (
+        ModelKind.SPECTRALLY_NEGATIVE
+    )
+    res = solve(spec, spec.grid_for(0.5, 10), GeneralMeasure.dirac(1.0), 2)
+    assert len(res.ledger.rows) == 2
+
+
+def test_unknown_kind_refused():
+    with pytest.raises(ValueError, match="banana"):
+        ModelSpec("banana", 0.25, Uniform(1.0, 5.0))
+
+
 class TestSpecnegEntries:
     def test_pure_drift_limit(self):
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1e-12, Pareto(1.0, 1.5))
@@ -266,7 +284,7 @@ class TestApply:
 def test_work_budget_leaves_kernel_bit_identical(monkeypatch, spec, budget):
     # grid values are sampled in work slices of elementwise job-size functions
     grid = spec.grid_for(0.01, 700)
-    parts = ("toeplitz", "diag", "row0", "row1", "col1")
+    parts = ("toeplitz", "diag", "row1", "col1")
 
     def arrays():
         kern = build_kernel(spec, grid)

@@ -77,6 +77,14 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid(0.1, 0)
 
+    @pytest.mark.parametrize("m_delta", [10.5, 10.0, True, "10"], ids=repr)
+    def test_non_integer_size_refused(self, m_delta):
+        # 10.5 would fail inside numpy and True would make one interval;
+        # numpy integers stay accepted
+        with pytest.raises(GridError, match="integer"):
+            Grid(0.1, m_delta)
+        assert Grid(0.1, np.int64(5)).n_states == 6
+
 
 class TestCdfOf:
     def test_pure_atom_at_zero(self):

@@ -233,6 +233,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=field):
             SimConfig(**{**self.MG1_ARGS, field: value})
 
+    def test_kind_given_by_value_simulates_like_the_enum(self):
+        # the kind decides which recursion runs
+        by_value = ModelSpec("mg1", REF_MG1.lam, REF_MG1.job)
+        cfg = {**self.MG1_ARGS, "n_paths": 1_000}
+        assert np.array_equal(
+            simulate(SimConfig(**{**cfg, "spec": by_value})), simulate(SimConfig(**cfg))
+        )
+
     def test_accepts_numpy_integers_and_the_largest_seed(self):
         SimConfig(**{**self.MG1_ARGS, "n_paths": np.int64(3), "seed": np.uint64(2**64 - 1)})
         SimConfig(**{**self.MG1_ARGS, "t": 0.0, "seed": 2**64 - 1})
