@@ -29,8 +29,12 @@ added to the certified total, never silently dropped.  A tabulated law's
 in :meth:`TabulatedCdf.from_cdf`).
 
 The refiner samples its shapes in chunks of ``WORK_BUDGET // SUBGRID``
-blocks, so every temporary of the sweep stays within the shared work budget
-(32 KiB) and a run does not map and trim large arrays chunk after chunk.
+blocks, so a run does not map and trim large arrays chunk after chunk.  Each
+chunk evaluates the law's primitives once, on one table of sub-grid points
+that covers its blocks and the shifts its shapes read.  That table (its
+points and the primitives' values there) is the only temporary allowed past
+the shared work budget (32 KiB), by its halo of at most two blocks and one
+point; every other temporary of the sweep stays within it.
 """
 
 from __future__ import annotations
@@ -135,6 +139,15 @@ class OneJumpRefiner:
     points per interval, with a rigorous Lipschitz envelope (from CDF
     monotonicity alone) on the sampling error.
 
+    Every shape is a difference of the law's primitives J and K at shifts
+    of whole intervals, so the sweep tabulates them once per chunk of
+    blocks, at the sub-grid points x_j = j * delta / SUBGRID, and reads each
+    shape's samples and its chord's block edges (every ``SUBGRID``-th entry)
+    as slices of that table.  The M/G/1 shapes are swept together, and the
+    spectrally negative bottom pass reads the same deviation rows.  The
+    table is the only temporary of the sweep past ``WORK_BUDGET``, by its
+    halo of at most two blocks and one point.
+
     Built once per run: a value vector ``w`` and a slack vector ``s`` over
     start states.  ``w[i]`` is the sampled distance for a one-jump start in
     interval i (capped at delta), ``s[i]`` its sampling deficit.  The
@@ -149,34 +162,111 @@ class OneJumpRefiner:
         self.grid = grid
         self.L = SUBGRID
         self._chunk = max(1, WORK_BUDGET // SUBGRID)  # blocks per sweep chunk
+        self._frac = np.arange(SUBGRID) / SUBGRID
         d = grid.delta
         self.scale = spec.lam * d * float(np.exp(-spec.lam * d))
         self.w, self.s = self._build()
 
     # -- construction ------------------------------------------------------
 
-    def _abs_sums(self, k_lo: int, k_hi: int, fn, visit=None) -> np.ndarray:
-        """Sampled integral of |fn - chord| on each block k_lo..k_hi.
+    def _chunks(self, k_lo: int, k_hi: int) -> list[tuple[int, int]]:
+        """Blocks k_lo..k_hi as (first, last) runs of at most ``_chunk``."""
+        return [
+            (lo, min(lo + self._chunk, k_hi + 1) - 1)
+            for lo in range(k_lo, k_hi + 1, self._chunk)
+        ]
 
-        Blocks are sampled ``_chunk`` at a time; ``visit(ks, dev)``, if
-        given, sees each chunk, where ``dev[b, m]`` is fn minus its chord on
-        block ``ks[b]`` at ``(ks[b] + m / L) * delta`` (exactly 0 at block
-        starts).  Each row sum runs over one block, so the chunk size does
-        not change the result.
+    def _points(self, j_lo: int, j_hi: int) -> np.ndarray:
+        """The sub-grid points x_j = j * delta / L for j = j_lo..j_hi."""
+        return np.arange(j_lo, j_hi + 1) * (self.grid.delta / self.L)
+
+    def _deviation(self, g: np.ndarray) -> np.ndarray:
+        """Samples of a shape over whole blocks (L per block and the last
+        block's end) minus the shape's chord on each block.
+
+        Row b holds block b at offsets m / L, m = 0..L-1, and is exactly 0
+        at the block's start, where the chord meets the sample.
+        """
+        e = g[:: self.L]
+        chord = e[:-1, None] + np.diff(e)[:, None] * self._frac
+        return g[:-1].reshape(-1, self.L) - chord
+
+    def _block_sums(self, dev: np.ndarray) -> np.ndarray:
+        """Sampled integral of |dev| on each block (one row each, so the
+        chunking does not change the result)."""
+        return self.grid.delta / self.L * np.abs(dev).sum(axis=1)
+
+    def _sweep_mg1(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block sums of |shape - chord| on blocks k_lo..k_hi for the
+        interior shape phi(u) = (J(u + 2 delta) - J(u + delta)) / delta and
+        for state 1's shape f1(y) = 2 / delta^2 * ((y + delta)
+        (J(y + delta) - J(y)) - (K(y + delta) - K(y))).
+
+        A chunk's samples sit at x_j, j = lo*L..(hi+1)*L; the table of J
+        runs two blocks past them and that of K one block.
         """
         d, L = self.grid.delta, self.L
-        frac = np.arange(L) / L
-        sums = np.empty(k_hi - k_lo + 1)
-        for lo in range(k_lo, k_hi + 1, self._chunk):
-            ks = np.arange(lo, min(lo + self._chunk, k_hi + 1))
-            g = fn(np.arange(lo, ks[-1] + 2) * d)
-            chord = g[:-1, None] + np.diff(g)[:, None] * frac
-            dev = fn((ks[:, None] + frac) * d) - chord
-            dev[:, 0] = 0.0
-            if visit is not None:
-                visit(ks, dev)
-            sums[ks - k_lo] = d / L * np.abs(dev).sum(axis=1)
-        return sums
+        J, K = self.spec.job.prefix_cdf, self.spec.job.prefix_x_cdf
+        phi_sums = np.empty(max(0, k_hi - k_lo + 1))
+        f1_sums = np.empty_like(phi_sums)
+        for lo, hi in self._chunks(k_lo, k_hi):
+            m = (hi - lo + 1) * L + 1  # samples in the chunk
+            x = self._points(lo * L, (hi + 3) * L)
+            jt, kt = J(x), K(x[: m + L])
+            at_y, at_y1, at_y2 = jt[:m], jt[L : m + L], jt[2 * L :]  # J(y + k delta)
+            phi = (at_y2 - at_y1) / d
+            f1 = (2.0 / d**2) * (x[L : m + L] * (at_y1 - at_y) - (kt[L:] - kt[:m]))
+            blocks = slice(lo - k_lo, hi - k_lo + 1)
+            phi_sums[blocks] = self._block_sums(self._deviation(phi))
+            f1_sums[blocks] = self._block_sums(self._deviation(f1))
+        return phi_sums, f1_sums
+
+    def _sweep_specneg(self, k_lo: int) -> tuple[np.ndarray, ...]:
+        """Per-block sums of |psi - chord| on blocks k_lo..0 for
+        psi(u) = 1 - (J(delta - u) - J(-u)) / delta, and the bottom values.
+
+        On y-block 0 a start in interval i >= 1 has the one-jump CDF of the
+        generic block k = -i times the late-jump factor y / delta.  It is
+        rebuilt from that block's deviation row and psi at the block's
+        edges, psi(-i delta) and psi((1 - i) delta) (the bottom mass), with
+        a slope envelope for the factor.  Returns the block sums and, per
+        start state i = 1..n, the bottom mass, the sampled bottom value and
+        its Lipschitz constant.
+        """
+        d, L, n = self.grid.delta, self.L, self.grid.m_delta
+        J, F = self.spec.job.prefix_cdf, self.spec.job.cdf
+        frac = self._frac
+        ii = np.arange(1, n + 1)
+        c1_bottom = (F((1 + ii) * d) - F((ii - 1) * d)) / d
+        bottom_mass, b_val, b_lip = np.empty(n), np.empty(n), np.empty(n)
+
+        def bottom(j, dev, edges):  # start states j + 1; psi at ascending block edges
+            gap = edges[:-1] - edges[1:]
+            bottom_mass[j] = edges[1:]
+            dev_bottom = frac * (dev + gap[:, None] * (1.0 - frac))
+            b_val[j] = d / L * np.abs(dev_bottom).sum(axis=1)
+            b_lip[j] = (2.0 * np.abs(gap) + np.abs(dev).max(axis=1)) / d
+            b_lip[j] += c1_bottom[j]
+
+        sums = np.empty(1 - k_lo)
+        for lo, hi in self._chunks(k_lo, 0):
+            m = (hi - lo + 1) * L + 1
+            # u = x_j for j = lo*L..(hi+1)*L reads J at x_{-j} and x_{L-j}:
+            # one table over x_{-(hi+1)L}..x_{(1-lo)L}, one block past them
+            jt = J(self._points(-(hi + 1) * L, (1 - lo) * L))[::-1]
+            psi = 1.0 - (jt[:m] - jt[L:]) / d
+            dev = self._deviation(psi)
+            sums[lo - k_lo : hi - k_lo + 1] = self._block_sums(dev)
+            neg = min(hi, -1) - lo + 1  # blocks k < 0 hold the starts i = -k
+            if neg > 0:
+                bottom(-np.arange(lo, lo + neg) - 1, dev[:neg], psi[: neg * L + 1 : L])
+        # starts above the job support put no generic block on y-block 0:
+        # psi at their edges from J on the grid points, and no deviation
+        for j0 in range(-k_lo, n, self._chunk):
+            j = np.arange(j0, min(j0 + self._chunk, n))[::-1]
+            jt = J(np.arange(j[0] + 2, j0 - 1, -1) * d)  # J((1 - k) delta), k ascending
+            bottom(j, np.zeros((len(j), L)), 1.0 - (jt[:-1] - jt[1:]) / d)
+        return sums, bottom_mass, b_val, b_lip
 
     def _window(self, per_block: np.ndarray, k_lo: int, base: int, first: int):
         """For start states i = base..n: the sum of per_block over the blocks
@@ -194,8 +284,6 @@ class OneJumpRefiner:
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         spec, grid, L = self.spec, self.grid, self.L
         job, d, n = spec.job, grid.delta, grid.m_delta
-        J = job.prefix_cdf
-        K = job.prefix_x_cdf
         F = job.cdf
         q = d**2 / (4 * L)  # sampling deficit per unit of Lipschitz constant
 
@@ -203,60 +291,24 @@ class OneJumpRefiner:
             sup = job.sup_support
             k_hi = n if not np.isfinite(sup) else min(n, int(np.ceil(sup / d)) + 1)
             k_lo = max(-2, int(np.floor(job.inf_support / d)) - 2)
-
-            def phi(u):
-                return (J(u + 2 * d) - J(u + d)) / d
-
-            def f1(y):
-                return (2.0 / d**2) * (
-                    (y + d) * (J(y + d) - J(y)) - (K(y + d) - K(y))
-                )
-
             ks = np.arange(k_lo, k_hi + 1)
             c1_gen = (F((ks + 3) * d) - F((ks + 1) * d)) / d
             # a start in interval i >= 2 has the one-jump CDF phi(y - i*delta),
             # and a start at 0 has phi(y - delta), as if it were in interval 1.
             # State 1 has its own shape f1; like phi(y - delta) it is 0 on
             # y-blocks below k_lo + 1, and its slope envelope is twice state 0's.
-            w_gen = self._window(self._abs_sums(k_lo, k_hi, phi), k_lo, 1, 0)
+            phi_sums, f1_sums = self._sweep_mg1(k_lo, k_hi)
+            w_gen = self._window(phi_sums, k_lo, 1, 0)
             s_gen = q * self._window(c1_gen, k_lo, 1, 0)
-            w1 = self._abs_sums(max(0, k_lo + 1), min(n - 1, k_hi), f1).sum()
+            w1 = f1_sums[max(0, k_lo + 1) - k_lo : min(n - 1, k_hi) - k_lo + 1].sum()
             w = np.concatenate([w_gen[:1], [w1], w_gen[1:]])
             s = np.concatenate([s_gen[:1], [2.0 * s_gen[0]], s_gen[1:]])
         else:
             sup = job.sup_support
             k_lo = -n if not np.isfinite(sup) else max(-n, -(int(np.ceil(sup / d)) + 1))
-
-            def psi(u):
-                return 1.0 - (J(d - u) - J(-u)) / d
-
             ks = np.arange(k_lo, 1)
             c1_gen = (F((1 - ks) * d) - F((-1 - ks) * d)) / d
-            # on y-block 0 the one-jump CDF carries the late-jump factor
-            # y/delta: rebuild it per start state from the generic block
-            # k = -i and the shape's grid values below delta and below 0,
-            # with a slope envelope for the factor
-            ii = np.arange(1, n + 1)
-            bottom_mass = psi((1 - ii) * d)
-            gap = psi(-ii * d) - bottom_mass
-            c1_bottom = (F((1 + ii) * d) - F((ii - 1) * d)) / d
-            frac = np.arange(L) / L
-            b_val = np.empty(n)
-            b_lip = np.empty(n)
-
-            def bottom(j, dev):  # start states j + 1, generic block k = -(j + 1)
-                dev_bottom = frac * (dev + gap[j, None] * (1.0 - frac))
-                b_val[j] = d / L * np.abs(dev_bottom).sum(axis=1)
-                b_lip[j] = (2.0 * np.abs(gap[j]) + np.abs(dev).max(axis=1)) / d
-                b_lip[j] += c1_bottom[j]
-
-            a = self._abs_sums(
-                k_lo, 0, psi, visit=lambda ks, dev: bottom(-ks[ks < 0] - 1, dev[ks < 0])
-            )
-            # starts above the job support put no generic block on y-block 0
-            for j in range(-k_lo, n, self._chunk):
-                jj = np.arange(j, min(j + self._chunk, n))
-                bottom(jj, np.zeros((len(jj), L)))
+            a, bottom_mass, b_val, b_lip = self._sweep_specneg(k_lo)
             b_slack = q * b_lip
             cap = d * bottom_mass
             capped = b_val + b_slack >= cap  # the worst case is tighter

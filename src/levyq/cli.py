@@ -359,14 +359,30 @@ def _density_formats(grid: Grid) -> list[str]:
     return formats
 
 
+def _density_blocks(formats: list[str], dist: LiftedDistribution):
+    """Pair each density block format with its rows' (mass, density) values.
+
+    One block of rows is filled at a time from a slice of the masses (the
+    density is ``dist.densities()`` slice by slice), so no whole table is built.
+    """
+    mass, delta = dist.interval_mass, dist.grid.delta
+    step = _rows_per_block(2)
+    rows = np.empty((step, 2))
+    for start, fmt in zip(range(0, len(mass), step), formats, strict=True):
+        block = mass[start:start + step]
+        table = rows[: len(block)]
+        table[:, 0] = block
+        np.divide(block, delta, out=table[:, 1])
+        yield fmt, table.ravel().tolist()
+
+
 def _write_density(path: Path, dist: LiftedDistribution, formats: list[str]) -> str:
     """One snapshot's density file: the atom at 0 (no density), then the intervals."""
-    table = np.column_stack((dist.interval_mass, dist.densities()))
     atom = ("0,0,%.17g,\n", (dist.atom0,))
     return _write_csv(
         path,
         ["interval_lo", "interval_hi", "mass", "density"],
-        itertools.chain([atom], _table_blocks(formats, table)),
+        itertools.chain([atom], _density_blocks(formats, dist)),
     )
 
 

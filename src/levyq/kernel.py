@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CertificationError, GridError
 from .jobsize import JobSize
-from .measure import Grid, grid_values, work_slices
+from .measure import Grid, _is_finite_real, grid_values, work_slices
 
 __all__ = [
     "ModelKind",
@@ -69,8 +69,10 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))  # accepts "mg1"
-        if not self.lam > 0.0:  # a NaN rate fails too
-            raise ValueError("arrival rate must be positive")
+        if not (_is_finite_real(self.lam) and self.lam > 0.0):  # NaN, inf, bool, str
+            raise ValueError(
+                f"arrival rate must be a positive finite number, got {self.lam!r}"
+            )
 
     def grid_for(self, delta: float, m_delta: int) -> Grid:
         """Grid with the zero-state convention matching this model."""

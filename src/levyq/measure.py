@@ -28,6 +28,7 @@ Everything is immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -50,6 +51,16 @@ WORK_BUDGET = 4096  # float64 values per temporary in a setup sweep (32 KiB)
 def _is_int(x) -> bool:
     """An integer, Python's or numpy's, but not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_real(x) -> bool:
+    """A finite real number, Python's or numpy's, but not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def work_slices(n: int) -> list[slice]:
@@ -94,8 +105,8 @@ class Grid:
     zero_state: bool = True
 
     def __post_init__(self):
-        if not (self.delta > 0.0):
-            raise GridError(f"delta must be positive, got {self.delta}")
+        if not (_is_finite_real(self.delta) and self.delta > 0.0):
+            raise GridError(f"delta must be a positive finite number, got {self.delta!r}")
         if not _is_int(self.m_delta) or self.m_delta < 1:
             raise GridError(f"m_delta must be an integer >= 1, got {self.m_delta!r}")
 

@@ -292,6 +292,125 @@ class TestWorkBudget:
         assert traced_peak(lambda: OneJumpRefiner(REF_MG1, grid)) < 1.05 * 2**20
 
 
+def swept_blocks(spec, grid):
+    """The blocks k whose shape samples the refiner sweeps: the generic
+    one-jump shape is constant off the job support."""
+    job, d, n = spec.job, grid.delta, grid.m_delta
+    if spec.kind is ModelKind.MG1:
+        k_lo = max(-2, int(np.floor(job.inf_support / d)) - 2)
+        k_hi = n if not np.isfinite(job.sup_support) else min(
+            n, int(np.ceil(job.sup_support / d)) + 1
+        )
+        return range(k_lo, k_hi + 1)
+    if not np.isfinite(job.sup_support):
+        return range(-n, 1)
+    return range(max(-n, -(int(np.ceil(job.sup_support / d)) + 1)), 1)
+
+
+def reference_block_sums(fn, ks, d, L=SUBGRID):
+    """Sampled integral of |fn - chord| on each block k, the shape evaluated
+    point by point at (k + m / L) * delta with its chord through the block's
+    ends at k * delta and (k + 1) * delta."""
+    frac = np.arange(L) / L
+    sums = []
+    for k in ks:
+        lo, hi = fn(k * d), fn((k + 1) * d)
+        dev = fn((k + frac) * d) - (lo + (hi - lo) * frac)
+        dev[0] = 0.0
+        sums.append(d / L * np.abs(dev).sum())
+    return np.array(sums)
+
+
+class TestTableSweep:
+    """Every shape is read from one table of J (and K) per chunk of blocks."""
+
+    @pytest.mark.parametrize(
+        "spec, delta, m_delta",
+        [p for p in TestWorkBudget.GRIDS if p.id in ("mg1-uniform", "specneg-pareto")],
+    )
+    def test_primitives_evaluated_once_per_table_point(
+        self, monkeypatch, spec, delta, m_delta
+    ):
+        grid = spec.grid_for(delta, m_delta)
+        points = {"prefix_cdf": 0, "prefix_x_cdf": 0}
+        for name in points:
+            def counted(job, x, name=name, primitive=getattr(JobSize, name)):
+                points[name] += np.size(x)
+                return primitive(job, x)
+
+            monkeypatch.setattr(JobSize, name, counted)
+        refiner = OneJumpRefiner(spec, grid)
+        blocks = len(swept_blocks(spec, grid))
+        chunks = -(-blocks // refiner._chunk)
+        # each chunk's table spans its blocks, a halo of at most two blocks
+        # and the last block's end, once per primitive
+        most = (blocks + 2 * chunks) * SUBGRID + chunks
+        assert 0 < points["prefix_cdf"] <= most
+        assert points["prefix_x_cdf"] <= most
+
+    @pytest.mark.parametrize(
+        "spec, args", TestRefined.CASES, ids=["mg1-uniform", "mg1-erlang",
+                                             "specneg-pareto", "specneg-uniform"]
+    )
+    def test_block_sums_match_pointwise_shapes(self, spec, args):
+        grid = spec.grid_for(*args)
+        refiner = OneJumpRefiner(spec, grid)
+        J, K = spec.job.prefix_cdf, spec.job.prefix_x_cdf
+        d, n, L = grid.delta, grid.m_delta, SUBGRID
+        if spec.kind is ModelKind.MG1:
+            ks = range(-2, n + 1)  # every block the sweep may visit
+
+            def phi(u):
+                return (J(u + 2 * d) - J(u + d)) / d
+
+            def f1(y):
+                return (2.0 / d**2) * ((y + d) * (J(y + d) - J(y)) - (K(y + d) - K(y)))
+
+            got_phi, got_f1 = refiner._sweep_mg1(ks[0], ks[-1])
+            want_phi = reference_block_sums(phi, ks, d)
+            np.testing.assert_allclose(got_phi, want_phi, rtol=0, atol=1e-14)
+            # f1 amplifies differences of K by 2 / delta^2 (50 here), and on the
+            # Erlang grid K reaches ~12, so moving a sample argument by one ulp
+            # moves a block sum by up to 1.1e-14 (either side is as close to a
+            # high-precision evaluation as the other)
+            want_f1 = reference_block_sums(f1, ks, d)
+            np.testing.assert_allclose(got_f1, want_f1, rtol=0, atol=2e-14)
+        else:
+            # the blocks the refiner sweeps: on the uniform grid, starts above
+            # the job support take the bottom pass's path without a table
+            ks = swept_blocks(spec, grid)
+
+            def psi(u):
+                return 1.0 - (J(d - u) - J(-u)) / d
+
+            got, bottom_mass, b_val, _ = refiner._sweep_specneg(ks[0])
+            want = reference_block_sums(psi, ks, d)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            # the bottom pass: start i reads generic block -i and psi at its edges
+            # (off the support that block's deviation is 0 up to rounding)
+            frac = np.arange(L) / L
+            for i in range(1, n + 1):
+                lo, hi = psi(-i * d), psi((1 - i) * d)
+                dev = psi((-i + frac) * d) - (lo + (hi - lo) * frac)
+                dev[0] = 0.0
+                dev_bottom = frac * (dev + (lo - hi) * (1.0 - frac))
+                assert bottom_mass[i - 1] == pytest.approx(hi, rel=0, abs=1e-14)
+                assert b_val[i - 1] == pytest.approx(
+                    d / L * np.abs(dev_bottom).sum(), rel=0, abs=1e-14
+                )
+
+    def test_jobs_beyond_the_grid_build(self):
+        # every job leaves [0, M]: no block is swept and nothing is charged
+        # for aggregation (the jump is the truncation term's)
+        spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(10.0, 15.0))
+        grid = spec.grid_for(0.5, 10)
+        refiner = OneJumpRefiner(spec, grid)
+        assert np.all(refiner.w == 0.0)
+        res = solve(spec, grid, GeneralMeasure.dirac(1.0), 4, bound_mode="refined")
+        assert np.all(res.ledger.rows[:, 0] == 0.0)
+        assert np.isfinite(res.ledger.final)
+
+
 class TestStepBound:
     def test_zero_rate_limit_mg1(self):
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))

@@ -11,7 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levyq import ConfigError, Grid, LiftedDistribution, solve
+from levyq import (
+    ConfigError,
+    GeneralMeasure,
+    Grid,
+    LiftedDistribution,
+    ModelKind,
+    ModelSpec,
+    Uniform,
+    solve,
+)
 from levyq.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -475,6 +484,24 @@ class TestCsvWriter:
             digest = _write_density(path, dist, formats)
             assert path.read_text().splitlines(True) == reference_density(dist)
             assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_density_file_matches_column_stack_table(self, tmp_path):
+        # the writer slices the masses block by block; the file must be the
+        # one formatted from the whole (mass, density) table
+        spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
+        grid = spec.grid_for(0.01, self.M_DELTA)
+        res = solve(spec, grid, GeneralMeasure.dirac(1.0), 20, snapshot_steps=[20])
+        dist = res.distributions[-1]
+        table = np.column_stack((dist.interval_mass, dist.densities()))
+        edges = grid.edges()
+        want = ["interval_lo,interval_hi,mass,density\n", "0,0,%.17g,\n" % dist.atom0]
+        want += [
+            "%.17g,%.17g,%.17g,%.17g\n" % (edges[i], edges[i + 1], *row)
+            for i, row in enumerate(table.tolist())
+        ]
+        path = tmp_path / "d.csv"
+        _write_density(path, dist, _density_formats(grid))
+        assert path.read_bytes().decode().splitlines(True) == want
 
     def test_solve_outputs_match_reference(self, tmp_path):
         cfg = base_config(

@@ -128,6 +128,34 @@ def test_nan_arrival_rate_refused(kind):
         ModelSpec(kind, float("nan"), Uniform(1.0, 2.0))
 
 
+NOT_A_FINITE_NUMBER = [
+    pytest.param(v, id=name)
+    for name, v in [("true", True), ("false", False), ("inf", float("inf")),
+                    ("-inf", -float("inf")), ("str", "0.5"), ("none", None),
+                    ("int-beyond-float", 10**400)]
+]
+
+
+@pytest.mark.parametrize("lam", NOT_A_FINITE_NUMBER)
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_rate_must_be_a_finite_number(kind, lam):
+    # True once ran as rate 1 and "0.5" died with a bare TypeError
+    with pytest.raises(ValueError, match="arrival rate"):
+        ModelSpec(kind, lam, Uniform(1.0, 2.0))
+
+
+@pytest.mark.parametrize("delta", NOT_A_FINITE_NUMBER)
+def test_grid_step_must_be_a_finite_number(delta):
+    with pytest.raises(GridError, match="delta"):
+        measure.Grid(delta, 10)
+
+
+@pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5), np.int64(2)], ids=repr)
+def test_python_and_numpy_numbers_accepted(value):
+    assert ModelSpec(ModelKind.MG1, value, Uniform(1.0, 2.0)).lam == value
+    assert measure.Grid(value, 10).delta == value
+
+
 def test_kind_given_by_value_is_the_enum():
     # kept as a string, "mg1" would give a grid without the zero state and
     # pass every "is ModelKind.MG1" test as spectrally negative
