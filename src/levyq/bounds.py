@@ -338,10 +338,12 @@ class BoundContext:
     """Each step's charges, chosen once per run.
 
     A step's components are the constant row ``row`` plus ``coef * (p @ v)``
-    added to component ``c`` for each term ``(c, coef, v)``, in order.  The
-    row's slack ``lam * delta * job.w1_bound`` pays for solving with a
-    tabulated law in place of the law it was tabulated from (0 for laws
-    given exactly).
+    added to component ``c`` for each term ``(c, coef, v)``, in order.  Each
+    ``p @ v`` is an ``np.einsum``: numpy's own single-threaded loop, with no
+    temporary, where BLAS's dot would round differently with the thread
+    count.  The row's slack ``lam * delta * job.w1_bound`` pays for solving
+    with a tabulated law in place of the law it was tabulated from (0 for
+    laws given exactly).
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid, refined: bool):
@@ -375,7 +377,7 @@ class BoundContext:
     def components(self, p: np.ndarray) -> StepComponents:
         row = list(self.row)
         for c, coef, v in self.terms:
-            row[c] += coef * float(p @ v)
+            row[c] += coef * float(np.einsum("i,i", p, v))
         return StepComponents(*row)
 
 
@@ -397,16 +399,10 @@ class BoundLedger:
     def steps(self) -> list[StepComponents]:
         return [StepComponents(*r) for r in self.rows.tolist()]
 
-    def _totals(self) -> np.ndarray:
-        return sum(self.rows.T)  # column by column, left to right
-
     @property
     def cumulative(self) -> np.ndarray:
-        return self.b0 + np.concatenate([[0.0], np.cumsum(self._totals())])
-
-    def cumulative_excluding_truncation(self) -> np.ndarray:
-        increments = self._totals() - self.rows[:, _COLUMN["truncation_weighted"]]
-        return self.b0 + np.concatenate([[0.0], np.cumsum(increments)])
+        totals = sum(self.rows.T)  # column by column, left to right
+        return self.b0 + np.concatenate([[0.0], np.cumsum(totals)])
 
     @property
     def final(self) -> float:

@@ -16,7 +16,6 @@ not met (e.g. the M/G/1 bound with an infinite-mean job-size law),
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import itertools
 import json
@@ -31,10 +30,6 @@ from . import jobsize, oracle, solver
 from .errors import CertificationError, ConfigError, LevyqError
 from .kernel import ModelKind, ModelSpec, build_kernel
 from .measure import GeneralMeasure, Grid, LiftedDistribution
-
-# glibc mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -494,28 +489,6 @@ def _write_manifest(cfg: RunConfig, out_dir: Path, command: str, files: dict) ->
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _keep_freed_arrays() -> None:
-    """Let the C allocator reuse freed arrays instead of mapping fresh pages.
-
-    glibc maps each block above its mmap threshold (128 KiB, raised only as
-    larger blocks are freed) on its own, and returns the top of the heap to
-    the system once twice that sits free.  A fine grid's step loop frees and
-    allocates about 1 MB of FFT and state buffers per step, so every step
-    would fault in ~260 fresh pages.  Fixed thresholds of 32 MiB (glibc's
-    ceiling for the raised threshold) and 64 MiB keep those pages mapped;
-    peak memory does not grow, since the freed pages are reused.  A no-op
-    where the C library has no ``mallopt``.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def _check_out_dir(out_dir: Path) -> None:
     """Refuse an output path that cannot become a directory; create nothing.
 
@@ -528,7 +501,6 @@ def _check_out_dir(out_dir: Path) -> None:
 
 
 def main(argv=None) -> int:
-    _keep_freed_arrays()
     parser = argparse.ArgumentParser(
         prog="levyq",
         description="Certified transient analysis of queues with one-sided "

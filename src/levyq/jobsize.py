@@ -8,15 +8,14 @@ package reduces to a handful of integrals of the job-size CDF F:
   over whole grids
 * ``mean`` / ``tail_mean(a)``   -- E[B] and int_(a, inf) x dF(x)
 
-The scalar forms ``cdf_integral(a, b)`` (int_a^b F) and
-``weighted_cdf_diff_integral`` (int_a^b (c - s) (F(s + delta) - F(s)) ds)
-are the same differences of J and K for one window; tests use them as
-oracles.  Every family (uniform, exponential, Erlang, Pareto, deterministic,
-tabulated) implements these in closed form, so every law takes one exact
-kernel and bound path.  A law known only through a CDF callable is tabulated
-first (:meth:`TabulatedCdf.from_cdf`): the step CDF below it is an exact law
-of its own, and its ``w1_bound`` bounds the Wasserstein distance between the
-two laws, which the certified bound charges once per step.
+Every window integral of F that a kernel row or a refined shape needs is a
+difference of J and K.  Every family (uniform, exponential, Erlang, Pareto,
+deterministic, tabulated) implements these in closed form, so every law
+takes one exact kernel and bound path.  A law known only through a CDF
+callable is tabulated first (:meth:`TabulatedCdf.from_cdf`): the step CDF
+below it is an exact law of its own, and its ``w1_bound`` bounds the
+Wasserstein distance between the two laws, which the certified bound
+charges once per step.
 
 Conventions: the support is contained in [0, inf), F(x) = 0 for all x < 0,
 and the prefix integrals J(x) = int_0^x F and K(x) = int_0^x s F(s) ds
@@ -106,34 +105,6 @@ class JobSize:
         xa = _as_float_array(x)
         out = np.where(xa <= 0.0, 0.0, self._K(np.maximum(xa, 0.0)))
         return _scalarize(out, x)
-
-    def cdf_integral(self, a: float, b: float) -> float:
-        """int_a^b F(s) ds (treating F(s) = 0 for s < 0).
-
-        Raises ValueError for reversed bounds.
-        """
-        if b < a:
-            raise ValueError(f"reversed integration bounds: [{a}, {b}]")
-        return float(self.prefix_cdf(b) - self.prefix_cdf(a))
-
-    def weighted_cdf_diff_integral(
-        self, delta: float, a: float, b: float, c: float
-    ) -> float:
-        """int_a^b (c - s) (F(s + delta) - F(s)) ds.
-
-        This is the convolution of the CDF increment with a linear weight that
-        shows up when averaging over a uniformly distributed idle time.
-        """
-        if b < a:
-            raise ValueError(f"reversed integration bounds: [{a}, {b}]")
-        J = self.prefix_cdf
-        K = self.prefix_x_cdf
-        # split into the two plain integrals, substituting u = s + delta
-        upper = (c + delta) * (J(b + delta) - J(a + delta)) - (
-            K(b + delta) - K(a + delta)
-        )
-        lower = c * (J(b) - J(a)) - (K(b) - K(a))
-        return float(upper - lower)
 
     def mean(self) -> float | None:
         """E[B], or None when the first moment does not exist."""
@@ -514,7 +485,7 @@ class TabulatedCdf(JobSize):
         xs = np.linspace(0.0, support_hi, n_knots)  # the last knot is support_hi
         fs = np.array([fn(x) for x in xs[:-1].tolist()] + [1.0], dtype=float)
         law = cls(xs, fs)
-        return law._with_w1_bound(np.dot(np.diff(fs), np.diff(xs)))
+        return law._with_w1_bound(np.einsum("i,i", np.diff(fs), np.diff(xs)))
 
     def _with_w1_bound(self, w1: float) -> "TabulatedCdf":
         object.__setattr__(self, "w1_bound", float(w1))
@@ -551,7 +522,7 @@ class TabulatedCdf(JobSize):
         return np.where(below, 0.0, out)
 
     def mean(self):
-        return float(np.dot(self.xs, self._weights))
+        return float(np.einsum("i,i", self.xs, self._weights))
 
     def tail_mean(self, a):
         aa = _as_float_array(a)

@@ -162,7 +162,7 @@ class TransitionKernel:
     def _apply_specneg(self, p: np.ndarray) -> np.ndarray:
         n = self.grid.m_delta
         out = np.zeros(n)
-        out[0] = float(np.dot(p, self.col1))
+        out[0] = float(np.einsum("i,i", p, self.col1))  # not BLAS's threaded dot
         # states j >= 2 sit at c[L - 1 + (j - 2)], L = len(toeplitz)
         L = len(self.toeplitz)
         out[1:] += self._convolve(p, L - 1 + (n - 1))[L - 1 :]

@@ -161,7 +161,7 @@ class LiftedDistribution:
 
     def mean(self) -> float:
         mids = (np.arange(self.grid.m_delta) + 0.5) * self.grid.delta
-        return float(np.dot(self.interval_mass, mids))
+        return float(np.einsum("i,i", self.interval_mass, mids))
 
     def densities(self) -> np.ndarray:
         return self.interval_mass / self.grid.delta

@@ -9,9 +9,14 @@ error components in a ledger.  The bound does not charge for mass drift, so
 a step whose mass leaves 1 +- 1e-9 ends the run with a CertificationError.
 
 The step loop is sequential; summation order is fixed so runs are
-bit-reproducible.  Snapshots are stored only at requested steps (full
-trajectories at fine grids would not fit in memory), while the ledger keeps
-one scalar record per step.
+bit-reproducible, and no product on the path goes through BLAS, whose
+threaded dot products would make the bytes depend on the thread count.
+Before the setup, ``solve`` frees one untouched block larger than any buffer
+of a step: glibc then keeps freed arrays on its heap for reuse instead of
+mapping fresh pages every step, for the CLI and Python callers alike and
+with no allocator settings.  Snapshots are stored only at requested steps
+(full trajectories at fine grids would not fit in memory), while the ledger
+keeps one scalar record per step.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from .bounds import BoundContext, BoundLedger, StepComponents
 from .errors import CertificationError, GridError, SupportError
 from .kernel import ModelSpec, build_kernel
 from .measure import _MASS_TOL, GeneralMeasure, Grid, LiftedDistribution, wasserstein
+
+# glibc moves its mmap threshold up to a freed mmapped chunk only if the
+# chunk, header and page rounding included, is at most 32 MiB; a block of
+# 31 MiB stays below that with room to spare
+_FREED_BLOCK_VALUES = (31 << 20) // 8
 
 __all__ = [
     "TransientResult",
@@ -130,6 +140,14 @@ def solve(
     if bad:
         raise ValueError(f"snapshot steps outside horizon: {sorted(bad)}")
 
+    # Freeing an mmapped block raises glibc's dynamic mmap threshold to its
+    # size and its trim threshold to twice that, so later arrays below it
+    # live on the heap, whose freed pages are reused.  16 * n_states values
+    # cover a step's largest buffer with a wide margin: the FFT buffers hold
+    # about nfft values, and nfft, the 5-smooth length of two grids' worth
+    # of states at most, is <= ~2.5 * n_states.  The block is never written,
+    # so it costs no resident memory.
+    np.empty(min(16 * grid.n_states, _FREED_BLOCK_VALUES))
     p, b0 = discretize_initial(mu0, grid)
     ledger = BoundLedger(b0, np.empty((horizon_steps, len(StepComponents._fields))))
     snaps: dict[int, LiftedDistribution] = {}

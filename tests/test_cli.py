@@ -648,6 +648,14 @@ def test_cli_import_loads_no_scipy():
     assert run_python(code).strip() == "[]"
 
 
+def test_package_sets_no_allocator_options():
+    # the CLI and the Python API take one run path: no module reaches into
+    # the C allocator
+    for path in sorted((SRC_DIR / "levyq").glob("*.py")):
+        text = path.read_text()
+        assert "ctypes" not in text and "mallopt" not in text, path.name
+
+
 def test_solve_and_validate_load_no_numpy_ma(tmp_path):
     # np.unique and np.union1d import numpy.ma on their first call
     cfg = base_config(validation={"n_paths": 50, "seed": 3})
@@ -665,22 +673,58 @@ def test_solve_and_validate_load_no_numpy_ma(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc page faults")
-def test_fine_grid_solve_maps_few_fresh_pages(tmp_path):
+@pytest.mark.parametrize("entry", ["cli", "api"])
+def test_fine_grid_solve_maps_few_fresh_pages(tmp_path, entry):
     # 25 001 states, 100 refined steps: the setup sweeps stay within their
     # work budget and the step loop reuses freed buffers, so the whole run
     # after import faults in ~900 pages; a step that mapped its ~1 MB of
-    # buffers afresh would fault in ~260 on its own
-    raw = json.loads((CONFIG_DIR / "mg1_uniform.json").read_text())
-    raw["horizon"] = {"t_end": "1/5", "snapshot_times": []}
-    raw["queries"] = []
-    raw.pop("output")
-    args = ["solve", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+    # buffers afresh would fault in ~260 on its own.  The CLI and a Python
+    # caller of ``solve`` take the same path, with no allocator settings.
+    if entry == "cli":
+        raw = json.loads((CONFIG_DIR / "mg1_uniform.json").read_text())
+        raw["horizon"] = {"t_end": "1/5", "snapshot_times": []}
+        raw["queries"] = []
+        raw.pop("output")
+        args = ["solve", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+        setup, run = "from levyq.cli import main", f"code = main({args!r})"
+    else:
+        setup = (
+            "from levyq import GeneralMeasure, ModelKind, ModelSpec, Uniform, solve; "
+            "spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0)); "
+            "grid = spec.grid_for(1 / 500, 25_000)"
+        )
+        run = "solve(spec, grid, GeneralMeasure.dirac(1.0), 100); code = 0"
     code = (
-        "import resource; from levyq.cli import main; "
+        f"import resource; {setup}; "
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
-        f"code = main({args!r}); "
+        f"{run}; "
         "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
     )
     exit_code, faults = map(int, run_python(code).splitlines()[-1].split())
     assert exit_code == EXIT_OK
     assert faults < 1200
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # a spectrally negative solve on 20 000 states: the kernel's state-1
+    # column and every bound term are reductions over all states, which a
+    # threaded BLAS dot would split by the thread count
+    raw = json.loads((CONFIG_DIR / "specneg_pareto.json").read_text())
+    raw["grid"] = {"delta": "1/1000", "m": 20}
+    raw["horizon"] = {"t_end": "1/200", "snapshot_times": []}
+    raw["queries"] = []
+    raw.pop("output")
+    path = write_config(tmp_path, raw)
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        code = (
+            "import os, json; "
+            f"os.environ['OPENBLAS_NUM_THREADS'] = {threads!r}; "
+            "from levyq.cli import main; "
+            f"assert main(['solve', {str(path)!r}, '--out', {str(out)!r}]) == 0; "
+            f"print(json.dumps(json.load(open({str(out / 'manifest.json')!r}))['outputs']))"
+        )
+        digests.append(json.loads(run_python(code).splitlines()[-1]))
+    assert sorted(digests[0]) == ["density_t0.csv", "density_t0_005.csv", "ledger.csv"]
+    assert digests[0] == digests[1]

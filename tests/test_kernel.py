@@ -21,6 +21,7 @@ from levyq import (
 )
 from levyq import measure
 from levyq.kernel import _fft_len
+from reference_integrals import cdf_integral, weighted_cdf_diff_integral
 
 
 def riemann_window(job, delta, a, b, n=500_000):
@@ -48,9 +49,7 @@ def dense_mg1_oracle(spec, grid):
                 w = _window(spec.job, d, (j - 1) * d, j * d)
                 P[i, j] = enl * (float(j == 0) + lam * w)
             elif i == 1:
-                w = spec.job.weighted_cdf_diff_integral(
-                    d, (j - 1) * d, j * d, j * d
-                )
+                w = weighted_cdf_diff_integral(spec.job, d, (j - 1) * d, j * d, j * d)
                 P[i, j] = enl * (float(j == 0) + 2.0 * lam / d * w)
             else:
                 w = _window(spec.job, d, (j - i) * d, (j - i + 1) * d)
@@ -67,7 +66,7 @@ def dense_specneg_oracle(spec, grid):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if j == 1:
-                P[i - 1, j - 1] = enl * lam * (d - spec.job.cdf_integral((i - 1) * d, i * d))
+                P[i - 1, j - 1] = enl * lam * (d - cdf_integral(spec.job, (i - 1) * d, i * d))
             else:
                 w = _window(spec.job, d, (i - j) * d, (i - j + 1) * d)
                 P[i - 1, j - 1] = enl * (float(j == i + 1) + lam * w)
@@ -77,7 +76,7 @@ def dense_specneg_oracle(spec, grid):
 
 
 def _window(job, delta, a, b):
-    return job.cdf_integral(a + delta, b + delta) - job.cdf_integral(a, b)
+    return cdf_integral(job, a + delta, b + delta) - cdf_integral(job, a, b)
 
 
 REF_MG1 = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))

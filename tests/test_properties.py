@@ -19,6 +19,7 @@ from levyq import (
     jump_cut_error_specneg,
     wasserstein,
 )
+from reference_integrals import cdf_integral
 
 finite = st.floats(
     min_value=0.0, max_value=8.0, allow_nan=False, allow_infinity=False
@@ -56,8 +57,8 @@ def simple_measures(draw):
 @settings(max_examples=200, deadline=None)
 def test_cdf_integral_additive_and_bounded(job, x, y, z):
     a, b, c = sorted((x, y, z))
-    whole = job.cdf_integral(a, c)
-    assert abs(whole - (job.cdf_integral(a, b) + job.cdf_integral(b, c))) <= max(
+    whole = cdf_integral(job, a, c)
+    assert abs(whole - (cdf_integral(job, a, b) + cdf_integral(job, b, c))) <= max(
         1e-12 * max(abs(whole), 1.0), 1e-13
     )
     assert -1e-12 <= whole <= (c - a) + 1e-12
