@@ -18,13 +18,13 @@ epochs and sizes are drawn in row slices of ``WORK_BUDGET`` values, in the
 stream order of one whole (batch, max jumps) draw, so every sample is the
 same number as with one draw.
 
-The bootstrap of the distance to a lifted law keeps each resample as counts
-over the sorted distinct sample values (one sort and a neighbour compare);
-no measure is built per resample.  The counts are drawn from their exact law
-as one multinomial over the tied values and a pool of the untied samples,
-then uniform picks within the pool, so a resample costs O(tied values +
-untied samples), not O(n_paths): the oracle's samples often put most of
-their mass on a few values (paths without a jump, the idle queue's 0).
+The bootstrap keeps each resample as counts over the sorted distinct sample
+values (one sort and a neighbour compare), drawn from their exact law: one
+multinomial over the tied values and a pool of the untied samples, then
+uniform picks in the pool.  A resample costs O(tied values + untied
+samples), not O(n_paths), as samples often share a few values (paths
+without a jump, the idle queue's 0).  Past the pool no per-sample array is
+kept, and the distance keeps only the segments inside the sample range.
 """
 
 from __future__ import annotations
@@ -64,8 +64,12 @@ class SimConfig:
             raise ValueError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
         if not (0.0 <= self.t < np.inf):  # a NaN t fails too
             raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
@@ -185,10 +189,12 @@ def empirical_wasserstein(
         raise ValueError("samples must be a 1-D array of at least two finite values")
     if not _is_int(n_boot) or n_boot < 2:
         raise ValueError(f"n_boot must be an integer >= 2, got {n_boot!r}")
+    _check_seed(seed)
     values = _merged_breakpoints(samples)
     inv = np.searchsorted(values, samples)
     mult = np.bincount(inv)
     resample = _resampler(inv, mult)
+    del samples, inv  # the resampler holds its untied pool; no per-sample array is needed
     distance = empirical_distance(values, m)
     est = distance(mult)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2**32], dtype=np.uint64)))

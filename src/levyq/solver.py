@@ -28,7 +28,14 @@ import numpy as np
 from .bounds import BoundContext, BoundLedger, StepComponents
 from .errors import CertificationError, GridError, SupportError
 from .kernel import ModelSpec, build_kernel
-from .measure import _MASS_TOL, GeneralMeasure, Grid, LiftedDistribution, wasserstein
+from .measure import (
+    _MASS_TOL,
+    GeneralMeasure,
+    Grid,
+    LiftedDistribution,
+    _is_int,
+    wasserstein,
+)
 
 # glibc moves its mmap threshold up to a freed mmapped chunk only if the
 # chunk, header and page rounding included, is at most 32 MiB; a block of
@@ -130,12 +137,15 @@ def solve(
     per-start-state one-jump aggregation cost, computed once per run, by the
     evolving distribution every step (see :class:`OneJumpRefiner`).
     """
-    if horizon_steps < 0:
-        raise ValueError("horizon_steps must be >= 0")
+    if not _is_int(horizon_steps) or horizon_steps < 0:
+        raise ValueError(f"horizon_steps must be an integer >= 0, got {horizon_steps!r}")
     if bound_mode not in ("basic", "refined"):
         raise ValueError(f"unknown bound mode {bound_mode!r}")
-    wanted = {0, horizon_steps}
-    wanted.update(int(k) for k in (() if snapshot_steps is None else snapshot_steps))
+    steps = list(() if snapshot_steps is None else snapshot_steps)
+    bad = [k for k in steps if not _is_int(k)]
+    if bad:
+        raise ValueError(f"snapshot steps must be integers, got {bad!r}")
+    wanted = {0, int(horizon_steps), *(int(k) for k in steps)}
     bad = [k for k in wanted if not 0 <= k <= horizon_steps]
     if bad:
         raise ValueError(f"snapshot steps outside horizon: {sorted(bad)}")

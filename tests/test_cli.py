@@ -430,8 +430,8 @@ class TestCsvText:
         main(["validate", write_config(tmp_path, self.CONFIG), "--out", str(out)])
         assert (out / "validation.csv").read_text() == (
             "time,n_paths,empirical_wd,std_error,certified_bound,status\n"
-            "0.5,10,0.85978275182590858,0.47298567099132194,0.62559473223859507,pass\n"
-            "1,10,0.090502520521613214,0.078653900269182175,0.98601181052036035,pass\n"
+            "0.5,10,0.85978275182590869,0.47298567099132194,0.62559473223859507,pass\n"
+            "1,10,0.090502520521613214,0.078653900269182161,0.98601181052036035,pass\n"
         )
 
 

@@ -156,21 +156,31 @@ class TestEmpiricalWasserstein:
         # reference: each resample's empirical measure built from the same
         # draws, in the same call order (one multinomial over the tied values
         # and the pool of untied samples, then picks in the pool); samples
-        # have ties, sit on the atom at 0 and pass M = 4
+        # have ties, sit on the atom at 0 and pass M = 4, or lie inside
+        # (0.5, 3.5), so that grid edges sit below and above every sample
         m = self._lifted()
         tied_only = np.round(np.random.default_rng(20).uniform(0.0, 4.6, 300), 1)
         mixed = np.concatenate([tied_only, np.random.default_rng(22).uniform(0.0, 4.6, 60)])
+        inner = np.concatenate([
+            np.round(np.random.default_rng(24).uniform(0.6, 3.4, 200), 1),
+            np.random.default_rng(25).uniform(0.6, 3.4, 40),
+        ])
         n_boot, seed = 30, 3
 
         def empirical(xs):
             values, counts = np.unique(xs, return_counts=True)
             return GeneralMeasure(atoms=list(zip(values, counts / len(xs))))
 
-        for samples in (tied_only, mixed):
+        for samples in (tied_only, mixed, inner):
             n = len(samples)
             values, inv, mult = np.unique(samples, return_inverse=True, return_counts=True)
             tied = values[mult > 1]
             untied = samples[mult[inv] == 1]
+            distance = empirical_distance(values, m)
+            # the segments between merged breakpoints, and m's CDF at their ends
+            xs = np.union1d(values, m.grid.edges())
+            m_start, m_end = m.cdf(xs[:-1]), m.cdf(xs[1:])  # m is continuous above 0
+            crossing = 0
             key = np.array([seed, 2**32], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
             stats = []
@@ -178,13 +188,21 @@ class TestEmpiricalWasserstein:
                 if len(untied):
                     c = rng.multinomial(n, np.append(mult[mult > 1], len(untied)) / n)
                     picks = untied[rng.integers(0, len(untied), c[-1])]
-                    xs = np.concatenate([np.repeat(tied, c[:-1]), picks])
+                    xs_b = np.concatenate([np.repeat(tied, c[:-1]), picks])
                 else:
-                    xs = np.repeat(tied, rng.multinomial(n, mult / n))
-                stats.append(wasserstein(empirical(xs), m))
+                    xs_b = np.repeat(tied, rng.multinomial(n, mult / n))
+                stats.append(wasserstein(empirical(xs_b), m))
+                counts = np.bincount(np.searchsorted(values, xs_b), minlength=len(values))
+                assert distance(counts) == pytest.approx(stats[-1], rel=1e-12)
+                f = np.searchsorted(np.sort(xs_b), xs[:-1], side="right") / n
+                crossing += np.count_nonzero((m_start < f) & (f < m_end))
             est, se = empirical_wasserstein(samples, m, n_boot=n_boot, seed=seed)
             assert est == pytest.approx(wasserstein(empirical(samples), m), rel=1e-12)
             assert se == pytest.approx(np.std(stats, ddof=1), rel=1e-12)
+        # the last set leaves edges 0 and 0.5 below it and 3.5 and 4 above it,
+        # and its resampled CDFs cross m's inside a segment
+        assert 0.5 < inner.min() and inner.max() < 3.5
+        assert crossing > 0
 
     def test_deterministic_given_seed(self):
         m = self._lifted()
@@ -194,21 +212,28 @@ class TestEmpiricalWasserstein:
         assert a == b
 
     @pytest.mark.parametrize(
-        "samples, n_boot, match",
+        "samples, n_boot, seed, match",
         [
-            ([1.0], 200, "samples"),
-            ([np.nan, 1.0, 2.0, 2.0], 200, "samples"),
-            ([np.inf, 1.0, 2.0], 200, "samples"),
-            ([[1.0, 2.0], [2.0, 3.0]], 200, "samples"),
-            ([1.0, 2.0, 2.0], 2.5, "n_boot"),
-            ([1.0, 2.0, 2.0], True, "n_boot"),
-            ([1.0, 2.0, 2.0], 1, "n_boot"),
+            ([1.0], 200, 0, "samples"),
+            ([np.nan, 1.0, 2.0, 2.0], 200, 0, "samples"),
+            ([np.inf, 1.0, 2.0], 200, 0, "samples"),
+            ([[1.0, 2.0], [2.0, 3.0]], 200, 0, "samples"),
+            ([1.0, 2.0, 2.0], 2.5, 0, "n_boot"),
+            ([1.0, 2.0, 2.0], True, 0, "n_boot"),
+            ([1.0, 2.0, 2.0], 1, 0, "n_boot"),
+            ([1.0, 2.0, 2.0], 200, 1.5, "seed"),
+            ([1.0, 2.0, 2.0], 200, True, "seed"),
+            ([1.0, 2.0, 2.0], 200, -1, "seed"),
+            ([1.0, 2.0, 2.0], 200, 2**64, "seed"),
         ],
-        ids=["one-sample", "nan", "inf", "2-d", "float-n_boot", "bool-n_boot", "one-resample"],
+        ids=[
+            "one-sample", "nan", "inf", "2-d", "float-n_boot", "bool-n_boot", "one-resample",
+            "float-seed", "bool-seed", "negative-seed", "huge-seed",
+        ],
     )
-    def test_refuses_bad_input(self, samples, n_boot, match):
+    def test_refuses_bad_input(self, samples, n_boot, seed, match):
         with pytest.raises(ValueError, match=match):
-            empirical_wasserstein(np.array(samples), self._lifted(), n_boot=n_boot)
+            empirical_wasserstein(np.array(samples), self._lifted(), n_boot=n_boot, seed=seed)
 
 
 class TestSimConfig:
@@ -487,9 +512,10 @@ class TestOracleMemory:
         assert traced_peak(lambda: simulate(cfg)) <= 12 * 2**20
 
     def test_empirical_wasserstein(self, traced_peak):
-        # np.unique's dedupe traced 4.0 MiB
+        # np.unique's dedupe traced 4.0 MiB; keeping the per-sample index
+        # and every segment through the resamples traced 3.0 MiB
         samples = simulate(SimConfig(REF_SN, GeneralMeasure.dirac(5.0), 0.5, 100_000, 42))
         grid = REF_SN.grid_for(1 / 100, 5500)
         m = LiftedDistribution(grid, 0.0, np.full(5500, 1 / 5500))
         peak = traced_peak(lambda: empirical_wasserstein(samples, m, n_boot=5))
-        assert peak <= 3.5 * 2**20
+        assert peak <= 2.5 * 2**20

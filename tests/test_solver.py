@@ -188,8 +188,24 @@ class TestSolve:
             REF_MG1, grid, GeneralMeasure.dirac(1.0), 10, snapshot_steps=[2, 4]
         )
         assert list(res.snapshot_steps) == [0, 2, 4, 10]
+        res = solve(
+            REF_MG1, grid, GeneralMeasure.dirac(1.0), np.int64(10),
+            snapshot_steps=np.array([2, 4]),
+        )
+        assert list(res.snapshot_steps) == [0, 2, 4, 10]
         with pytest.raises(ValueError):
             solve(REF_MG1, grid, GeneralMeasure.dirac(1.0), 10, snapshot_steps=[11])
+
+    @pytest.mark.parametrize(
+        "horizon_steps, snapshot_steps",
+        [(10, [2.7]), (10, [True]), (10, [np.float64(4.0)]), (10.0, None), (True, None)],
+        ids=["float-snapshot", "bool-snapshot", "numpy-float-snapshot", "float-horizon",
+             "bool-horizon"],
+    )
+    def test_refuses_non_integer_steps(self, horizon_steps, snapshot_steps):
+        grid = REF_MG1.grid_for(0.5, 20)
+        with pytest.raises(ValueError, match="integer"):
+            solve(REF_MG1, grid, GeneralMeasure.dirac(1.0), horizon_steps, snapshot_steps)
 
     def test_ledger_matches_time_axis(self):
         grid = REF_MG1.grid_for(0.5, 20)
