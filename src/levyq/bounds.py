@@ -34,7 +34,10 @@ chunk evaluates the law's primitives once, on one table of sub-grid points
 that covers its blocks and the shifts its shapes read.  That table (its
 points and the primitives' values there) is the only temporary allowed past
 the shared work budget (32 KiB), by its halo of at most two blocks and one
-point; every other temporary of the sweep stays within it.
+point; every other temporary of the sweep stays within it.  The spectrally
+negative bottom block is swept once, in the same chunks: a start that one
+jump cannot bring there (above the job support plus two intervals) carries
+exact zeros, not values rebuilt from J that are 0 up to rounding.
 """
 
 from __future__ import annotations
@@ -144,9 +147,9 @@ class OneJumpRefiner:
     blocks, at the sub-grid points x_j = j * delta / SUBGRID, and reads each
     shape's samples and its chord's block edges (every ``SUBGRID``-th entry)
     as slices of that table.  The M/G/1 shapes are swept together, and the
-    spectrally negative bottom pass reads the same deviation rows.  The
-    table is the only temporary of the sweep past ``WORK_BUDGET``, by its
-    halo of at most two blocks and one point.
+    spectrally negative bottom values are read off the same deviation rows
+    in the same pass.  The table is the only temporary of the sweep past
+    ``WORK_BUDGET``, by its halo of at most two blocks and one point.
 
     Built once per run: a value vector ``w`` and a slack vector ``s`` over
     start states.  ``w[i]`` is the sampled distance for a one-jump start in
@@ -221,7 +224,7 @@ class OneJumpRefiner:
             f1_sums[blocks] = self._block_sums(self._deviation(f1))
         return phi_sums, f1_sums
 
-    def _sweep_specneg(self, k_lo: int) -> tuple[np.ndarray, ...]:
+    def _sweep_specneg(self, k_lo: int, c1: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-block sums of |psi - chord| on blocks k_lo..0 for
         psi(u) = 1 - (J(delta - u) - J(-u)) / delta, and the bottom values.
 
@@ -229,25 +232,16 @@ class OneJumpRefiner:
         generic block k = -i times the late-jump factor y / delta.  It is
         rebuilt from that block's deviation row and psi at the block's
         edges, psi(-i delta) and psi((1 - i) delta) (the bottom mass), with
-        a slope envelope for the factor.  Returns the block sums and, per
+        a slope envelope for the factor that adds the block's own slope
+        bound ``c1[k - k_lo]``.  A start i > -k_lo lies above the job
+        support plus two intervals, so one jump cannot bring it to y-block
+        0: its entries stay exactly 0.  Returns the block sums and, per
         start state i = 1..n, the bottom mass, the sampled bottom value and
         its Lipschitz constant.
         """
         d, L, n = self.grid.delta, self.L, self.grid.m_delta
-        J, F = self.spec.job.prefix_cdf, self.spec.job.cdf
-        frac = self._frac
-        ii = np.arange(1, n + 1)
-        c1_bottom = (F((1 + ii) * d) - F((ii - 1) * d)) / d
-        bottom_mass, b_val, b_lip = np.empty(n), np.empty(n), np.empty(n)
-
-        def bottom(j, dev, edges):  # start states j + 1; psi at ascending block edges
-            gap = edges[:-1] - edges[1:]
-            bottom_mass[j] = edges[1:]
-            dev_bottom = frac * (dev + gap[:, None] * (1.0 - frac))
-            b_val[j] = d / L * np.abs(dev_bottom).sum(axis=1)
-            b_lip[j] = (2.0 * np.abs(gap) + np.abs(dev).max(axis=1)) / d
-            b_lip[j] += c1_bottom[j]
-
+        J, frac = self.spec.job.prefix_cdf, self._frac
+        bottom_mass, b_val, b_lip = np.zeros(n), np.zeros(n), np.zeros(n)
         sums = np.empty(1 - k_lo)
         for lo, hi in self._chunks(k_lo, 0):
             m = (hi - lo + 1) * L + 1
@@ -259,13 +253,14 @@ class OneJumpRefiner:
             sums[lo - k_lo : hi - k_lo + 1] = self._block_sums(dev)
             neg = min(hi, -1) - lo + 1  # blocks k < 0 hold the starts i = -k
             if neg > 0:
-                bottom(-np.arange(lo, lo + neg) - 1, dev[:neg], psi[: neg * L + 1 : L])
-        # starts above the job support put no generic block on y-block 0:
-        # psi at their edges from J on the grid points, and no deviation
-        for j0 in range(-k_lo, n, self._chunk):
-            j = np.arange(j0, min(j0 + self._chunk, n))[::-1]
-            jt = J(np.arange(j[0] + 2, j0 - 1, -1) * d)  # J((1 - k) delta), k ascending
-            bottom(j, np.zeros((len(j), L)), 1.0 - (jt[:-1] - jt[1:]) / d)
+                j = -np.arange(lo, lo + neg) - 1
+                dev, edges = dev[:neg], psi[: neg * L + 1 : L]  # ascending edges
+                gap = edges[:-1] - edges[1:]
+                bottom_mass[j] = edges[1:]
+                dev_bottom = frac * (dev + gap[:, None] * (1.0 - frac))
+                b_val[j] = d / L * np.abs(dev_bottom).sum(axis=1)
+                b_lip[j] = (2.0 * np.abs(gap) + np.abs(dev).max(axis=1)) / d
+                b_lip[j] += c1[lo - k_lo : lo - k_lo + neg]
         return sums, bottom_mass, b_val, b_lip
 
     def _window(self, per_block: np.ndarray, k_lo: int, base: int, first: int):
@@ -308,7 +303,7 @@ class OneJumpRefiner:
             k_lo = -n if not np.isfinite(sup) else max(-n, -(int(np.ceil(sup / d)) + 1))
             ks = np.arange(k_lo, 1)
             c1_gen = (F((1 - ks) * d) - F((-1 - ks) * d)) / d
-            a, bottom_mass, b_val, b_lip = self._sweep_specneg(k_lo)
+            a, bottom_mass, b_val, b_lip = self._sweep_specneg(k_lo, c1_gen)
             b_slack = q * b_lip
             cap = d * bottom_mass
             capped = b_val + b_slack >= cap  # the worst case is tighter

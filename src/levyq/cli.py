@@ -29,7 +29,7 @@ import numpy as np
 from . import jobsize, oracle, solver
 from .errors import CertificationError, ConfigError, LevyqError
 from .kernel import ModelKind, ModelSpec, build_kernel
-from .measure import GeneralMeasure, Grid, LiftedDistribution
+from .measure import WORK_BUDGET, GeneralMeasure, Grid, LiftedDistribution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,15 +186,9 @@ class RunConfig:
         m_frac = _as_fraction(grid.get("m"), "grid.m")
         if delta_frac <= 0 or m_frac <= 0:
             raise ConfigError("grid.delta and grid.m must be positive")
-        ratio = m_frac / delta_frac
-        m_delta = round(ratio)
-        if abs(ratio - m_delta) > Fraction(1, 10**9) * max(1, m_delta):
-            raise ConfigError(
-                f"grid.m = {grid.get('m')} is not a multiple of delta = {grid.get('delta')}"
-            )
-        self.delta = float(delta_frac)
-        self.grid = self.spec.grid_for(self.delta, int(m_delta))
         self.delta_frac = delta_frac
+        self.delta = float(delta_frac)
+        self.grid = self.spec.grid_for(self.delta, self._steps_of(m_frac, "grid.m"))
 
         self.initial = parse_initial(
             _as_object(raw.get("initial", {}), "initial", ("dirac", "atoms", "uniform_pieces"))
@@ -289,7 +283,7 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK_VALUES = 4096  # values formatted by one `%`: 2 048 density rows
+_BLOCK_VALUES = WORK_BUDGET  # values formatted by one `%`: 2 048 density rows
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> str:
@@ -385,8 +379,8 @@ def _time_label(t: float) -> str:
     return f"{t:.6f}".rstrip("0").rstrip(".").replace(".", "_")
 
 
-def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    result = solver.solve(
+def _solve(cfg: RunConfig) -> solver.TransientResult:
+    return solver.solve(
         cfg.spec,
         cfg.grid,
         cfg.initial,
@@ -394,6 +388,10 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         snapshot_steps=cfg.snapshot_steps,
         bound_mode=cfg.bound_mode,
     )
+
+
+def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+    result = _solve(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
     formats = _density_formats(cfg.grid)
@@ -417,20 +415,13 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
             f"P(Q > {q['threshold']:g}) at t={q['time']:g} with slack {q['slack']:g}: "
             f"[{lo:.6g}, {hi:.6g}]"
         )
-    return EXIT_OK, {"files": files, "result": result}
+    return EXIT_OK, files
 
 
 def run_validate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     if not cfg.validation_enabled:
         raise ConfigError("validation.enabled is false; nothing to validate")
-    result = solver.solve(
-        cfg.spec,
-        cfg.grid,
-        cfg.initial,
-        cfg.horizon_steps,
-        snapshot_steps=cfg.snapshot_steps,
-        bound_mode=cfg.bound_mode,
-    )
+    result = _solve(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     ok = True
@@ -457,7 +448,7 @@ def run_validate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         ["time", "n_paths", "empirical_wd", "std_error", "certified_bound", "status"],
         rows,
     )}
-    return (EXIT_OK if ok else EXIT_VALIDATION), {"files": files}
+    return (EXIT_OK if ok else EXIT_VALIDATION), files
 
 
 def run_matrix(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
@@ -477,7 +468,7 @@ def run_matrix(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         _table_blocks(_block_formats(labels, dense.shape[1]), dense),
     )
     print(f"wrote {dense.shape[0]}x{dense.shape[1]} matrix to {out_dir/'matrix.csv'}")
-    return EXIT_OK, {"files": {"matrix.csv": digest}}
+    return EXIT_OK, {"matrix.csv": digest}
 
 
 def _write_manifest(cfg: RunConfig, out_dir: Path, command: str, files: dict) -> None:
@@ -528,8 +519,8 @@ def main(argv=None) -> int:
         runner = {"solve": run_solve, "validate": run_validate, "matrix": run_matrix}[
             args.command
         ]
-        code, extra = runner(cfg, out_dir)
-        _write_manifest(cfg, out_dir, args.command, extra.get("files", {}))
+        code, files = runner(cfg, out_dir)
+        _write_manifest(cfg, out_dir, args.command, files)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measure import _is_finite_real, _is_int
+
 __all__ = [
     "JobSize",
     "Uniform",
@@ -44,6 +46,15 @@ __all__ = [
 
 def _as_float_array(x):
     return np.asarray(x, dtype=float)
+
+
+def _require_finite(law, *names) -> None:
+    """Refuse a parameter that is not a finite real number: NaN, an infinity,
+    a bool or a string would otherwise fail mid-run or certify NaN."""
+    for name in names:
+        value = getattr(law, name)
+        if not _is_finite_real(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _scalarize(out, x):
@@ -139,6 +150,7 @@ class Uniform(JobSize):
     hi: float
 
     def __post_init__(self):
+        _require_finite(self, "lo", "hi")
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -189,7 +201,8 @@ class Exponential(JobSize):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:  # a NaN rate fails too
+        _require_finite(self, "rate")
+        if not self.rate > 0.0:
             raise ValueError("rate must be positive")
 
     @property
@@ -234,8 +247,9 @@ class Erlang(JobSize):
     rate: float
 
     def __post_init__(self):
-        if self.shape < 1 or int(self.shape) != self.shape:
-            raise ValueError("shape must be a positive integer")
+        if not _is_int(self.shape) or self.shape < 1:
+            raise ValueError(f"shape must be an integer >= 1, got {self.shape!r}")
+        _require_finite(self, "rate")
         if not self.rate > 0.0:
             raise ValueError("rate must be positive")
 
@@ -301,6 +315,7 @@ class Pareto(JobSize):
     alpha: float
 
     def __post_init__(self):
+        _require_finite(self, "x_min", "alpha")
         if not self.x_min > 0.0:
             raise ValueError("x_min must be positive")
         if not self.alpha > 0.0:
@@ -368,6 +383,7 @@ class Deterministic(JobSize):
     value: float
 
     def __post_init__(self):
+        _require_finite(self, "value")
         if not self.value >= 0.0:
             raise ValueError("job size must be nonnegative")
 
@@ -423,11 +439,13 @@ class TabulatedCdf(JobSize):
         fs = np.asarray(self.cdf_values, dtype=float)
         if xs.ndim != 1 or xs.shape != fs.shape or len(xs) == 0:
             raise ValueError("xs and cdf_values must be equal-length 1-D arrays")
-        # written so that a NaN knot or CDF value fails every comparison
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("xs must be finite")
         if not np.all(np.diff(xs) > 0):
             raise ValueError("xs must be strictly increasing")
         if not xs[0] >= 0:
             raise ValueError("support must lie in [0, inf)")
+        # written so that a NaN CDF value fails every comparison
         if not (np.all(np.diff(fs) >= 0) and fs[0] >= 0 and abs(fs[-1] - 1.0) <= 1e-12):
             raise ValueError("cdf_values must be non-decreasing from >= 0 to 1")
         object.__setattr__(self, "xs", xs)
@@ -478,9 +496,9 @@ class TabulatedCdf(JobSize):
         Raises ValueError for a non-finite or non-positive ``support_hi``,
         fewer than two knots, or values that are not a CDF.
         """
-        if not 0.0 < support_hi < np.inf:  # a NaN bound fails too
+        if not (_is_finite_real(support_hi) and support_hi > 0.0):
             raise ValueError("from_cdf requires a finite positive support bound")
-        if not (isinstance(n_knots, (int, np.integer)) and n_knots >= 2):
+        if not (_is_int(n_knots) and n_knots >= 2):
             raise ValueError(f"n_knots must be an integer >= 2, got {n_knots!r}")
         xs = np.linspace(0.0, support_hi, n_knots)  # the last knot is support_hi
         fs = np.array([fn(x) for x in xs[:-1].tolist()] + [1.0], dtype=float)

@@ -21,7 +21,10 @@ Elementwise stages over long arrays (CDF interpolation, the segment
 integrals) run in slices of ``WORK_BUDGET`` values into preallocated
 outputs, so a fine grid's setup holds a few full-length arrays rather than
 dozens of full-length temporaries.  Every reduction still runs over the
-whole array, so the slicing does not change any result.
+whole array, so the slicing does not change any result.  One plain
+elementwise function, :func:`_abs_linear_integrals`, integrates the
+segments; only the bootstrap's per-resample distance in
+:func:`empirical_distance` has its own form, one gather and one dot.
 
 Everything is immutable after construction; operations are pure.
 """
@@ -336,11 +339,10 @@ def wasserstein(a, b) -> float:
     fb = _to_step_linear(b)
     xs = _merged_breakpoints(fa.xs, fb.xs)
     seg = np.empty(len(xs) - 1)
-    work = _segment_work(min(WORK_BUDGET, len(seg)))
     for s in work_slices(len(seg)):
         x = xs[s.start : s.stop + 1]
         (a_start, a_end), (b_start, b_end) = fa.on_segments(x), fb.on_segments(x)
-        _abs_linear_segments(np.diff(x), a_start - b_start, a_end - b_end, seg[s], work)
+        seg[s] = _abs_linear_integrals(np.diff(x), a_start - b_start, a_end - b_end)
     return float(seg.sum())
 
 
@@ -367,11 +369,7 @@ def empirical_distance(values: np.ndarray, m) -> Callable[[np.ndarray], float]:
     lo, hi = (int(i) for i in np.searchsorted(xs, (values[0], values[-1])))
     tails = 0.0
     for s, f in ((slice(0, lo), 0.0), (slice(hi, len(length)), 1.0)):
-        n = len(length[s])
-        seg = _abs_linear_segments(
-            length[s], f - m_start[s], f - m_end[s], np.empty(n), _segment_work(n)
-        )
-        tails += seg.sum()
+        tails += _abs_linear_integrals(length[s], f - m_start[s], f - m_end[s]).sum()
     at = np.searchsorted(values, xs[lo:hi], side="right")
     half = length[lo:hi] * 0.5
     m_start, m_end = m_start[lo:hi].copy(), m_end[lo:hi].copy()
@@ -395,41 +393,16 @@ def empirical_distance(values: np.ndarray, m) -> Callable[[np.ndarray], float]:
     return distance
 
 
-def _segment_work(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch for :func:`_abs_linear_segments` on up to n segments."""
-    return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-
-
-def _abs_linear_segments(length, d_start, d_end, out, work) -> np.ndarray:
-    """Exact integral of |g| over each segment on which g is linear, into out.
+def _abs_linear_integrals(length, d_start, d_end) -> np.ndarray:
+    """Exact integral of |g| over each segment on which g is linear.
 
     g runs from ``d_start`` to ``d_end`` over a segment of ``length``; a
-    segment whose end values differ in sign is split at its root.  ``work``
-    is scratch from :func:`_segment_work`, at least as long as ``length``;
-    ``out`` may not alias the inputs.  Every stage writes into ``out`` or
-    ``work``, and the arithmetic is that of the expression
-    ``where(d_start * d_end >= 0, |d_start + d_end|, (d_start**2 + d_end**2)
-    / (|d_start| + |d_end|)) * 0.5 * length``, term for term (a zero
-    denominator is replaced by 1).
+    segment whose end values differ in sign is split at its root, which
+    gives (d_start^2 + d_end^2) / (|d_start| + |d_end|) * length / 2.
     """
-    n = len(length)
-    a, b, mask = work[0][:n], work[1][:n], work[2][:n]
-    # the crossing integral: squares over |d_start| + |d_end| (1 where that is 0)
-    np.abs(d_start, out=a)
-    np.abs(d_end, out=b)
-    np.add(a, b, out=a)
-    np.less_equal(a, 0.0, out=mask)
-    np.copyto(a, 1.0, where=mask)
-    np.square(d_start, out=b)
-    np.square(d_end, out=out)
-    np.add(b, out, out=b)
+    den = np.abs(d_start) + np.abs(d_end)
+    den[den <= 0.0] = 1.0  # both ends 0: the first branch applies
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(b, a, out=b)
-    # segments whose ends share a sign: |d_start + d_end|
-    np.multiply(d_start, d_end, out=a)
-    np.greater_equal(a, 0.0, out=mask)
-    np.add(d_start, d_end, out=a)
-    np.abs(a, out=a)
-    np.copyto(b, a, where=mask)
-    np.multiply(b, 0.5, out=b)
-    return np.multiply(b, length, out=out)
+        crossing = (np.square(d_start) + np.square(d_end)) / den
+    same_sign = d_start * d_end >= 0.0
+    return np.where(same_sign, np.abs(d_start + d_end), crossing) * 0.5 * length

@@ -377,13 +377,13 @@ class TestTableSweep:
             np.testing.assert_allclose(got_f1, want_f1, rtol=0, atol=2e-14)
         else:
             # the blocks the refiner sweeps: on the uniform grid, starts above
-            # the job support take the bottom pass's path without a table
+            # the job support read no block, and their bottom values stay 0
             ks = swept_blocks(spec, grid)
 
             def psi(u):
                 return 1.0 - (J(d - u) - J(-u)) / d
 
-            got, bottom_mass, b_val, _ = refiner._sweep_specneg(ks[0])
+            got, bottom_mass, b_val, _ = refiner._sweep_specneg(ks[0], np.zeros(len(ks)))
             want = reference_block_sums(psi, ks, d)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
             # the bottom pass: start i reads generic block -i and psi at its edges
@@ -398,6 +398,26 @@ class TestTableSweep:
                 assert b_val[i - 1] == pytest.approx(
                     d / L * np.abs(dev_bottom).sum(), rel=0, abs=1e-14
                 )
+
+    @pytest.mark.parametrize(
+        "job", [Deterministic(1.23), Deterministic(0.0), Uniform(0.3, 2.7)],
+        ids=["deterministic", "deterministic-zero", "uniform"],
+    )
+    def test_specneg_above_support_starts_carry_exact_zeros(self, job):
+        # a start i >= ceil(sup B / delta) + 2 ends one jump above
+        # i delta - sup B >= 2 delta, so it never reaches y-block 0: its bottom
+        # values are 0 exactly, and no rounding dust makes a charge negative
+        spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, job)
+        grid = spec.grid_for(1 / 100, 5500)
+        refiner = OneJumpRefiner(spec, grid)
+        assert np.all(refiner.w >= 0.0)
+        assert np.all(refiner.s >= 0.0)
+        ks = swept_blocks(spec, grid)
+        _, bottom_mass, b_val, b_lip = refiner._sweep_specneg(ks[0], np.zeros(len(ks)))
+        first = int(np.ceil(job.sup_support / grid.delta)) + 2
+        assert first < grid.m_delta
+        for values in (bottom_mass, b_val, b_lip):
+            assert np.all(values[first - 1 :] == 0.0)
 
     def test_jobs_beyond_the_grid_build(self):
         # every job leaves [0, M]: no block is swept and nothing is charged

@@ -300,8 +300,10 @@ class TestFromCdf:
 
     @pytest.mark.parametrize(
         "hi, n_knots",
-        [(np.inf, 11), (float("nan"), 11), (0.0, 11), (-1.0, 11), (5.0, 1), (5.0, 2.5)],
-        ids=["inf", "nan", "zero", "negative", "one-knot", "float-knots"],
+        [(np.inf, 11), (float("nan"), 11), (0.0, 11), (-1.0, 11), (True, 11), (5.0, 1),
+         (5.0, 2.5), (5.0, True)],
+        ids=["inf", "nan", "zero", "negative", "bool-support", "one-knot", "float-knots",
+             "bool-knots"],
     )
     def test_bad_support_or_knots_refused(self, hi, n_knots):
         with pytest.raises(ValueError):
@@ -353,6 +355,43 @@ def test_nan_parameter_refused(build):
     """NaN fails every comparison, so each check must be written to fail on it."""
     with pytest.raises(ValueError):
         build()
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: Uniform(0, INF), "hi"),
+        (lambda: Uniform(True, 5), "lo"),
+        (lambda: Exponential(INF), "rate"),
+        (lambda: Erlang(2, INF), "rate"),
+        (lambda: Erlang(2.0, 1), "shape"),
+        (lambda: Erlang(True, 1), "shape"),
+        (lambda: Pareto(1, INF), "alpha"),
+        (lambda: Pareto(INF, 1.5), "x_min"),
+        (lambda: Deterministic(INF), "value"),
+        (lambda: Deterministic("1"), "value"),
+        (lambda: TabulatedCdf([0, INF], [0.5, 1]), "xs"),
+    ],
+    ids=[
+        "uniform-inf-hi", "uniform-bool-lo", "exponential-inf-rate", "erlang-inf-rate",
+        "erlang-float-shape", "erlang-bool-shape", "pareto-inf-alpha", "pareto-inf-x_min",
+        "deterministic-inf", "deterministic-str", "tabulated-inf-knot",
+    ],
+)
+def test_non_finite_bool_or_non_integer_parameter_refused(build, name):
+    """Refused at construction, naming the parameter, not mid-solve or as a
+    NaN certificate."""
+    with pytest.raises(ValueError, match=name):
+        build()
+
+
+def test_numpy_scalar_parameters_accepted():
+    assert Uniform(np.float64(0.5), np.int64(3)).hi == 3
+    assert Erlang(np.int64(2), np.float32(1.5)).mean() == pytest.approx(2 / 1.5)
+    assert Pareto(np.float64(1.0), np.float64(1.5)).mean() == pytest.approx(3.0)
 
 
 class TestScaling:

@@ -5,6 +5,7 @@ import pytest
 
 from levyq import (
     CertificationError,
+    Deterministic,
     GeneralMeasure,
     GridError,
     ModelKind,
@@ -170,6 +171,14 @@ class TestSolve:
         grid = REF_MG1.grid_for(0.25, 80)
         res = solve(REF_MG1, grid, GeneralMeasure.dirac(1.0), 40)
         assert np.all(np.diff(res.ledger.cumulative) >= -1e-18)
+        # every charge is an upper bound, so no entry may be negative, not
+        # even by rounding: a start far above a bounded job support once
+        # charged the rounding dust of its exactly-zero bottom values
+        spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Deterministic(1.23))
+        res = solve(spec, spec.grid_for(1 / 100, 5500), GeneralMeasure.dirac(50.0), 20)
+        assert np.all(res.ledger.rows >= 0.0)
+        assert res.ledger.b0 >= 0.0
+        assert np.all(np.diff(res.ledger.cumulative) >= 0.0)
 
     def test_triangle_inequality_between_resolutions(self):
         # both runs approximate the same law, so their mutual distance is
