@@ -8,16 +8,7 @@ lifted and the true transient law.  An exact event-driven Monte Carlo
 simulator validates the certificates statistically.
 """
 
-from .bounds import (
-    BoundLedger,
-    OneJumpRefiner,
-    StepComponents,
-    jump_aggregation_error,
-    jump_cut_error_mg1,
-    jump_cut_error_specneg,
-    truncation_error_mg1,
-    truncation_error_specneg,
-)
+from .bounds import BoundLedger, OneJumpRefiner, StepComponents
 from .errors import (
     CertificationError,
     ConfigError,
@@ -84,14 +75,9 @@ __all__ = [
     "certified_tail",
     "discretize_initial",
     "empirical_wasserstein",
-    "jump_aggregation_error",
-    "jump_cut_error_mg1",
-    "jump_cut_error_specneg",
     "lift",
     "rescale_for_speed",
     "simulate",
     "solve",
-    "truncation_error_mg1",
-    "truncation_error_specneg",
     "wasserstein",
 ]

@@ -1,32 +1,22 @@
-"""Certified per-step Wasserstein error components and their accumulation.
+"""Certified per-step Wasserstein charges and their accumulation.
 
 Each chain step can increase the Wasserstein distance between the true
-transient law and the lifted discrete law by at most the sum of three
-components, weighted by the current discrete distribution p:
-
-* jump aggregation: conditioned on one jump in the step, the true law is
-  replaced by a piecewise-uniform one with the same interval masses.  The
-  basic bound charges the full interval width: lam * delta^2 * e^{-lam*delta}.
-  The refined variant charges each start interval the actual distance
-  between its exact one-jump law and that law's grid projection, which is
-  usually far smaller.
-* jump cut: two or more jumps per step are ignored (and, for the M/G/1
-  queue, so are single jumps leaving the truncated space -- that part is
-  charged per starting interval under "truncation").
-* truncation: mass that should leave [0, M] stays inside.
+transient law and the lifted discrete law by at most the sum of its charges
+(jump aggregation, jump cut, truncation and slack), weighted by the current
+discrete distribution p.  :class:`BoundContext` writes each charge, with its
+derivation, once per run; :class:`OneJumpRefiner` supplies the refined
+aggregation term's per-state geometry.
 
 Carrying the previous cumulative bound forward unchanged is justified by a
 synchronous-jump coupling argument: two copies of the queue driven by the
 same arrivals and jump sizes never increase their pathwise distance, so
 pre-existing error cannot grow under the true dynamics.  The solver
-therefore just adds the per-step components.
+therefore just adds the per-step charges.
 
 All quantities here are upper bounds by construction; whenever an evaluation
 is approximate (sub-grid sampling of the refined term, the tabulation of a
 CDF callable) the approximation error is tracked separately as "slack" and
-added to the certified total, never silently dropped.  A tabulated law's
-``w1_bound`` costs lam * delta * w1_bound per step (the coupling argument is
-in :meth:`TabulatedCdf.from_cdf`).
+added to the certified total, never silently dropped.
 
 The refiner samples its shapes in chunks of ``WORK_BUDGET // SUBGRID``
 blocks, so a run does not map and trim large arrays chunk after chunk.  Each
@@ -48,80 +38,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CertificationError
-from .jobsize import JobSize
 from .kernel import ModelKind, ModelSpec
-from .measure import WORK_BUDGET, Grid, work_slices
+from .measure import WORK_BUDGET, Grid, grid_values, work_slices
 
 SUBGRID = 256  # sub-grid points per interval in the refined term
 
 __all__ = [
-    "jump_aggregation_error",
-    "jump_cut_error_mg1",
-    "jump_cut_error_specneg",
-    "truncation_error_mg1",
-    "truncation_error_specneg",
     "OneJumpRefiner",
     "StepComponents",
     "BoundLedger",
 ]
-
-
-def jump_aggregation_error(lam: float, delta: float) -> float:
-    """Basic one-jump flattening cost per step: lam * delta^2 * e^{-lam delta}.
-
-    Mass lam*delta*e^{-lam delta} may need to move by at most delta (one
-    interval width) to turn the exact one-jump law into its piecewise
-    uniform projection.
-    """
-    if lam <= 0 or delta <= 0:
-        raise ValueError("lam and delta must be positive")
-    return lam * delta**2 * float(np.exp(-lam * delta))
-
-
-def jump_cut_error_mg1(lam: float, delta: float, mean_b: float | None) -> float:
-    """Cost of ignoring >= 2 jumps per step: lam*delta*(1 - e^{-lam delta})*E[B]."""
-    if mean_b is None:
-        raise CertificationError(
-            "the M/G/1 Wasserstein bound requires a finite job-size mean"
-        )
-    return lam * delta * (1.0 - float(np.exp(-lam * delta))) * mean_b
-
-
-def jump_cut_error_specneg(
-    lam: float, delta: float, mean_b: float | None, m: float
-) -> float:
-    """Multi-jump cost, spectrally negative: jumps are stopped at 0, so the
-    displacement is also capped by M + delta even without a finite mean."""
-    enl = float(np.exp(-lam * delta))
-    capped = (1.0 - (1.0 + lam * delta) * enl) * (m + delta)
-    if mean_b is None:
-        return capped
-    return min(lam * delta * (1.0 - enl) * mean_b, capped)
-
-
-def truncation_error_mg1(
-    lam: float, delta: float, i: int | np.ndarray, grid: Grid, job: JobSize
-) -> float | np.ndarray:
-    """Cost of cutting single jumps out of [0, M], starting from interval i.
-
-    ``i`` may be an index array; the result then has its shape.
-    """
-    tm = job.tail_mean(grid.m - i * delta)
-    if tm is None:
-        raise CertificationError(
-            "the M/G/1 truncation bound requires a finite job-size mean"
-        )
-    out = lam * delta * float(np.exp(-lam * delta)) * np.asarray(tm, dtype=float)
-    return out if np.ndim(out) else float(out)
-
-
-def truncation_error_specneg(lam: float, delta: float, i: int, grid: Grid) -> float:
-    """Only the topmost interval loses (no-jump) mass over the truncation edge."""
-    if not (1 <= i <= grid.m_delta):
-        raise ValueError(f"state index {i} outside 1..{grid.m_delta}")
-    if i < grid.m_delta:
-        return 0.0
-    return delta * float(np.exp(-lam * delta))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +81,8 @@ class OneJumpRefiner:
     start states.  ``w[i]`` is the sampled distance for a one-jump start in
     interval i (capped at delta), ``s[i]`` its sampling deficit.  The
     mixture deviation is linear in p, so by the triangle inequality
-    ``p @ w + p @ s`` bounds the one-jump distance for every p, and its
-    charge in :class:`BoundContext` (``scale * (p @ w)`` as aggregation,
-    ``scale * (p @ s)`` as slack) is certified by construction.
+    ``p @ w + p @ s`` bounds the one-jump distance for every p;
+    :class:`BoundContext` weights both by the one-jump probability.
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid):
@@ -166,8 +91,6 @@ class OneJumpRefiner:
         self.L = SUBGRID
         self._chunk = max(1, WORK_BUDGET // SUBGRID)  # blocks per sweep chunk
         self._frac = np.arange(SUBGRID) / SUBGRID
-        d = grid.delta
-        self.scale = spec.lam * d * float(np.exp(-spec.lam * d))
         self.w, self.s = self._build()
 
     # -- construction ------------------------------------------------------
@@ -330,43 +253,73 @@ _COLUMN = {name: c for c, name in enumerate(StepComponents._fields)}
 
 
 class BoundContext:
-    """Each step's charges, chosen once per run.
+    """Each step's charges, chosen once per run; every charge is written here.
+
+    With x = lam * delta, a step holds no jump with probability e^{-x}, one
+    jump with q = x e^{-x} and two or more with 1 - (1 + x) e^{-x}.
+
+    * jump aggregation: conditioned on one jump, the true law is replaced by
+      a piecewise-uniform one with the same interval masses.  The basic
+      bound moves the one-jump mass by at most one interval width:
+      lam * delta^2 * e^{-x}.  The refined bound charges each start state
+      the distance between its exact one-jump law and that law's grid
+      projection, ``q * (p @ w)``, and the sampling deficit ``q * (p @ s)``
+      as slack (see :class:`OneJumpRefiner`).
+    * jump cut: two or more jumps in a step are ignored.  They displace the
+      path by at most their sum, whose mean on that event is
+      x (1 - e^{-x}) E[B].  Spectrally negative jumps are stopped at 0, so
+      the displacement is also at most M + delta, on probability
+      1 - (1 + x) e^{-x}; a law without a mean takes that cap.
+    * truncation: mass that should leave [0, M] stays inside.  For the
+      M/G/1 queue, a single jump from state i that leaves [0, M] costs at
+      most its size: q * E[B; B > M - i delta] per unit of mass at i.  In
+      the spectrally negative model only the top interval crosses M, by at
+      most delta when no jump comes: delta e^{-x} per unit of its mass.  A
+      single jump from it smaller than delta may end above M as well, at a
+      distance up to 2 delta instead of the delta the aggregation charge
+      pays for; that costs 2 delta q F(delta), charged as slack.
+    * slack: ``lam * delta * job.w1_bound`` pays for solving with a
+      tabulated law in place of the law it was tabulated from (0 for laws
+      given exactly; the coupling argument is in
+      :meth:`TabulatedCdf.from_cdf`).
 
     A step's components are the constant row ``row`` plus ``coef * (p @ v)``
     added to component ``c`` for each term ``(c, coef, v)``, in order.  Each
     ``p @ v`` is an ``np.einsum``: numpy's own single-threaded loop, with no
     temporary, where BLAS's dot would round differently with the thread
-    count.  The row's slack ``lam * delta * job.w1_bound`` pays for solving
-    with a tabulated law in place of the law it was tabulated from (0 for
-    laws given exactly).
+    count.
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid, refined: bool):
         lam, d, job = spec.lam, grid.delta, spec.job
+        enl = float(np.exp(-lam * d))
+        q = lam * d * enl
+        mean_b = job.mean()
         if spec.kind is ModelKind.MG1:
-            cut = jump_cut_error_mg1(lam, d, job.mean())
-            trunc = np.empty(grid.m_delta + 1)
-            for s in work_slices(len(trunc)):
-                trunc[s] = truncation_error_mg1(lam, d, np.arange(s.start, s.stop), grid, job)
+            if mean_b is None:
+                raise CertificationError(
+                    "the M/G/1 Wasserstein bound requires a finite job-size mean"
+                )
+            cut = lam * d * (1.0 - enl) * mean_b
+            trunc = grid_values(lambda x: job.tail_mean(grid.m - x), d, 0, grid.m_delta)
+            trunc *= q
             terms = [("truncation_weighted", 1.0, trunc)]
         else:
-            cut = jump_cut_error_specneg(lam, d, job.mean(), grid.m)
+            # P(N >= 2) without the cancellation of 1 - (1 + x) e^{-x}
+            cut = float(-np.expm1(-lam * d) - q) * (grid.m + d)
+            if mean_b is not None:
+                cut = min(lam * d * (1.0 - enl) * mean_b, cut)
             top = np.zeros(grid.m_delta)
             top[-1] = 1.0  # p @ top is exactly p[-1]
-            # single small jump from the top interval may overshoot M; the
-            # displaced mass is covered here rather than by the aggregation
-            # charge (distance can reach 2*delta instead of delta)
-            overshoot = 2.0 * d * lam * d * float(np.exp(-lam * d)) * float(job.cdf(d))
-            trunc_top = truncation_error_specneg(lam, d, grid.m_delta, grid)
-            terms = [("truncation_weighted", trunc_top, top), ("slack", overshoot, top)]
+            overshoot = 2.0 * d * lam * d * enl * float(job.cdf(d))
+            terms = [("truncation_weighted", d * enl, top), ("slack", overshoot, top)]
         self.refiner = r = OneJumpRefiner(spec, grid) if refined else None
         if refined:  # the refined slack is added before the model's charges
-            terms = [("jump_aggregation", r.scale, r.w), ("slack", r.scale, r.s)] + terms
+            terms = [("jump_aggregation", q, r.w), ("slack", q, r.s)] + terms
         self.terms = [(_COLUMN[name], coef, v) for name, coef, v in terms]
-        agg = 0.0 if refined else jump_aggregation_error(lam, d)
         self.row = StepComponents(
-            jump_aggregation=agg, jump_cut=cut, truncation_weighted=0.0,
-            slack=lam * d * job.w1_bound,
+            jump_aggregation=0.0 if refined else lam * d**2 * enl,
+            jump_cut=cut, truncation_weighted=0.0, slack=lam * d * job.w1_bound,
         )
 
     def components(self, p: np.ndarray) -> StepComponents:

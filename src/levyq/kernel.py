@@ -87,7 +87,7 @@ def rescale_for_speed(spec: ModelSpec, r: float) -> tuple[ModelSpec, float]:
     grid with delta/r and multiply reported workloads (densities' support,
     Wasserstein bounds) by ``scale`` to map back.
     """
-    if not (0 < r < np.inf):  # a NaN speed fails too
+    if not (_is_finite_real(r) and r > 0):  # NaN, inf, bool
         raise ValueError("speed must be positive and finite")
     return ModelSpec(spec.kind, spec.lam, spec.job.scaled(1.0 / r)), r
 

@@ -158,6 +158,8 @@ class LiftedDistribution:
 
     def threshold_mass(self, x: float) -> float:
         """Exact mass of (x, inf); 1 for x < 0, 0 for x >= m."""
+        if not _is_finite_real(x):
+            raise ValueError(f"threshold must be a finite number, got {x!r}")
         if x < 0.0:
             return 1.0
         return float(max(0.0, 1.0 - self.cdf(x)))
@@ -233,11 +235,6 @@ class GeneralMeasure:
     def cdf(self, x):
         """Right-continuous CDF at x (scalar or array)."""
         return self._step_linear_cdf().right_at(x)
-
-    def mean(self) -> float:
-        m = sum(x * w for x, w in self.atoms)
-        m += sum((a + b) / 2.0 * w for a, b, w in self.pieces)
-        return m
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         locs = np.array([x for x, _ in self.atoms] + [0.0] * len(self.pieces))

@@ -33,6 +33,7 @@ from .measure import (
     GeneralMeasure,
     Grid,
     LiftedDistribution,
+    _is_finite_real,
     _is_int,
     wasserstein,
 )
@@ -69,6 +70,8 @@ class TransientResult:
         return cum[self.snapshot_steps]
 
     def at_time(self, t: float) -> tuple[LiftedDistribution, float]:
+        if not _is_finite_real(t):
+            raise KeyError(f"no snapshot at time {t!r}")
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise KeyError(f"no snapshot at time {t}")
@@ -201,8 +204,12 @@ def certified_tail(
     P(Q > x) <= mass(x - slack) + b/slack and
     P(Q > x) >= mass(x + slack) - b/slack, both clipped to [0, 1].
     """
-    if slack <= 0:
-        raise ValueError("slack must be positive")
+    if not _is_int(snapshot):
+        raise ValueError(f"snapshot must be an integer index, got {snapshot!r}")
+    if not _is_finite_real(x):
+        raise ValueError(f"x must be a finite number, got {x!r}")
+    if not (_is_finite_real(slack) and slack > 0):
+        raise ValueError(f"slack must be a positive finite number, got {slack!r}")
     m = result.distributions[snapshot]
     b = float(result.bounds[snapshot])
     upper = m.threshold_mass(x - slack) + b / slack

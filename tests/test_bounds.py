@@ -20,13 +20,8 @@ from levyq import (
     TabulatedCdf,
     Uniform,
     empirical_wasserstein,
-    jump_aggregation_error,
-    jump_cut_error_mg1,
-    jump_cut_error_specneg,
     simulate,
     solve,
-    truncation_error_mg1,
-    truncation_error_specneg,
 )
 from levyq import bounds
 from levyq.bounds import SUBGRID, BoundContext, StepComponents
@@ -34,112 +29,135 @@ from levyq.bounds import SUBGRID, BoundContext, StepComponents
 REF_MG1 = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
 
 
+SN = ModelKind.SPECTRALLY_NEGATIVE
+
+
+def basic_context(kind, lam, job, delta, m_delta):
+    """The basic-mode charges of one model and grid, and the grid."""
+    spec = ModelSpec(kind, lam, job)
+    grid = spec.grid_for(delta, m_delta)
+    return BoundContext(spec, grid, refined=False), grid
+
+
+def basic_row(kind, lam, job, delta, m_delta=10):
+    """The constant charges of a basic-mode step: aggregation, cut, slack."""
+    return basic_context(kind, lam, job, delta, m_delta)[0].row
+
+
+def truncation_at(ctx, grid, i):
+    """State i's truncation charge per unit mass: a step's charge from a
+    point mass at i (an einsum with a unit vector is exact)."""
+    return ctx.components((grid.states() == i).astype(float)).truncation_weighted
+
+
 class TestJumpAggregationBasic:
     def test_frozen_value(self):
         # lam = 1/4, delta = 1/500, evaluated at 40-digit precision
-        assert jump_aggregation_error(0.25, 1 / 500) == pytest.approx(
-            9.995001249791692705729383665055532e-7, rel=1e-13
+        row = basic_row(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 1 / 500)
+        assert row.jump_aggregation == pytest.approx(
+            9.995001249791692705729383665055532e-7, rel=1e-13, abs=0
         )
 
     def test_leading_order(self):
         lam = 0.7
         for d in [1e-3, 1e-4, 1e-5]:
-            assert jump_aggregation_error(lam, d) / d**2 == pytest.approx(
-                lam, rel=2 * lam * d
-            )
+            row = basic_row(ModelKind.MG1, lam, Uniform(1.0, 5.0), d)
+            assert row.jump_aggregation / d**2 == pytest.approx(lam, rel=2 * lam * d, abs=0)
 
     def test_vanishes_with_rate(self):
-        assert jump_aggregation_error(1e-300, 0.1) == pytest.approx(0.0, abs=1e-280)
+        row = basic_row(ModelKind.MG1, 1e-300, Uniform(1.0, 5.0), 0.1)
+        assert row.jump_aggregation == pytest.approx(0.0, abs=1e-280)
 
-    def test_rejects_nonpositive(self):
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_rejects_nonpositive(self, lam):
         with pytest.raises(ValueError):
-            jump_aggregation_error(0.0, 0.1)
+            ModelSpec(ModelKind.MG1, lam, Uniform(1.0, 5.0))
 
 
 class TestJumpCut:
     def test_mg1_frozen_value(self):
-        assert jump_cut_error_mg1(0.25, 1 / 500, 3.0) == pytest.approx(
-            7.498125312460941405924502416701e-7, rel=1e-13
+        row = basic_row(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 1 / 500)  # E[B] = 3
+        assert row.jump_cut == pytest.approx(
+            7.498125312460941405924502416701e-7, rel=1e-13, abs=0
         )
 
     def test_mg1_quadratic_scaling(self):
-        vals = [jump_cut_error_mg1(0.25, d, 3.0) for d in (1e-2, 5e-3, 2.5e-3)]
-        assert vals[0] / vals[1] == pytest.approx(4.0, rel=1e-2)
-        assert vals[1] / vals[2] == pytest.approx(4.0, rel=1e-2)
+        vals = [
+            basic_row(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), d).jump_cut
+            for d in (1e-2, 5e-3, 2.5e-3)
+        ]
+        assert vals[0] / vals[1] == pytest.approx(4.0, rel=1e-2, abs=0)
+        assert vals[1] / vals[2] == pytest.approx(4.0, rel=1e-2, abs=0)
 
     def test_mg1_zero_mean(self):
-        assert jump_cut_error_mg1(0.5, 0.1, 0.0) == 0.0
+        assert basic_row(ModelKind.MG1, 0.5, Deterministic(0.0), 0.1).jump_cut == 0.0
 
     def test_mg1_requires_mean(self):
         with pytest.raises(CertificationError):
-            jump_cut_error_mg1(0.5, 0.1, None)
+            basic_row(ModelKind.MG1, 0.5, Pareto(1.0, 0.9), 0.1)
 
     def test_specneg_frozen_branches(self):
         # lam = 1/3, delta = 1/100, M = 55, E[B] = 3: first branch is smaller
-        value = jump_cut_error_specneg(1 / 3, 1 / 100, 3.0, 55.0)
+        value = basic_row(SN, 1 / 3, Pareto(1.0, 1.5), 1 / 100, 5500).jump_cut
         branch1 = 3.327783945476678479797272018278e-5
         branch2 = 3.049328234743234508934268378913e-4
-        assert value == pytest.approx(branch1, rel=1e-13)
+        assert value == pytest.approx(branch1, rel=1e-13, abs=0)
         assert value < branch2
 
     def test_specneg_without_mean_takes_capped_branch(self):
-        capped = jump_cut_error_specneg(1 / 3, 1 / 100, None, 55.0)
-        assert capped == pytest.approx(3.049328234743234508934268378913e-4, rel=1e-12)
+        capped = basic_row(SN, 1 / 3, Pareto(1.0, 0.9), 1 / 100, 5500).jump_cut
+        assert capped == pytest.approx(3.049328234743234508934268378913e-4, rel=1e-12, abs=0)
 
     def test_specneg_quadratic_scaling(self):
-        for mean_b in (3.0, None):
+        for job in (Pareto(1.0, 1.5), Pareto(1.0, 0.9)):  # E[B] = 3, no mean
             vals = [
-                jump_cut_error_specneg(0.25, d, mean_b, 10.0)
+                basic_row(SN, 0.25, job, d, round(10.0 / d)).jump_cut  # M = 10
                 for d in (1e-2, 5e-3, 2.5e-3)
             ]
-            assert vals[0] / vals[1] == pytest.approx(4.0, rel=2e-2)
+            assert vals[0] / vals[1] == pytest.approx(4.0, rel=2e-2, abs=0)
 
 
 class TestTruncation:
     def test_mg1_zero_beyond_support(self):
-        grid = REF_MG1.grid_for(0.5, 100)  # M = 50
+        ctx, grid = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)  # M = 50
         for i in range(0, 80):  # M - i*d >= 10 > sup support
-            assert truncation_error_mg1(0.25, 0.5, i, grid, REF_MG1.job) == 0.0
+            assert truncation_at(ctx, grid, i) == 0.0
 
     def test_mg1_top_state_full_mean(self):
-        grid = REF_MG1.grid_for(0.5, 100)
-        v = truncation_error_mg1(0.25, 0.5, 100, grid, REF_MG1.job)
+        ctx, grid = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)
         expected = 0.25 * 0.5 * np.exp(-0.125) * 3.0
-        assert v == pytest.approx(expected, rel=1e-13)
+        assert truncation_at(ctx, grid, 100) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_mg1_uniform_tail_value(self):
         # M - i*d = 3: tail integral of x over (3, 5] at density 1/4 is 2
-        grid = REF_MG1.grid_for(0.5, 100)
-        i = 94  # 50 - 47 = 3
-        v = truncation_error_mg1(0.25, 0.5, i, grid, REF_MG1.job)
-        assert v == pytest.approx(0.25 * 0.5 * np.exp(-0.125) * 2.0, rel=1e-12)
+        ctx, grid = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)
+        v = truncation_at(ctx, grid, 94)  # 50 - 47 = 3
+        assert v == pytest.approx(0.25 * 0.5 * np.exp(-0.125) * 2.0, rel=1e-12, abs=0)
 
     def test_specneg_only_top_interval(self):
-        spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Pareto(1.0, 1.5))
-        grid = spec.grid_for(0.1, 50)
+        ctx, grid = basic_context(SN, 0.5, Pareto(1.0, 1.5), 0.1, 50)
         for i in range(1, 50):
-            assert truncation_error_specneg(0.5, 0.1, i, grid) == 0.0
-        top = truncation_error_specneg(0.5, 0.1, 50, grid)
-        assert top == pytest.approx(0.1 * np.exp(-0.05), rel=1e-13)
+            assert truncation_at(ctx, grid, i) == 0.0
+        top = truncation_at(ctx, grid, 50)
+        assert top == pytest.approx(0.1 * np.exp(-0.05), rel=1e-13, abs=0)
         assert top <= 0.1
 
     def test_specneg_zero_rate_limit(self):
-        spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1.0, Pareto(1.0, 1.5))
-        grid = spec.grid_for(0.1, 50)
-        assert truncation_error_specneg(1e-14, 0.1, 50, grid) == pytest.approx(
-            0.1, rel=1e-12
-        )
+        ctx, grid = basic_context(SN, 1e-14, Pareto(1.0, 1.5), 0.1, 50)
+        assert truncation_at(ctx, grid, 50) == pytest.approx(0.1, rel=1e-12, abs=0)
 
 
 class TestMonotoneInRate:
     def test_all_components_nondecreasing(self):
         d = 0.01
         lams = np.linspace(1e-3, 1.0 / d, 60)
-        agg = [jump_aggregation_error(l, d) for l in lams]
-        cut = [jump_cut_error_mg1(l, d, 3.0) for l in lams]
-        cut_sn = [jump_cut_error_specneg(l, d, 3.0, 20.0) for l in lams]
-        grid = REF_MG1.grid_for(d, 2000)
-        trunc = [truncation_error_mg1(l, d, 2000, grid, REF_MG1.job) for l in lams]
+        agg, cut, cut_sn, trunc = [], [], [], []
+        for lam in lams:
+            ctx, grid = basic_context(ModelKind.MG1, lam, Uniform(1.0, 5.0), d, 2000)
+            agg.append(ctx.row.jump_aggregation)
+            cut.append(ctx.row.jump_cut)
+            trunc.append(truncation_at(ctx, grid, 2000))
+            cut_sn.append(basic_row(SN, lam, Pareto(1.0, 1.5), d, 2000).jump_cut)  # M = 20
         for seq in (agg, cut, cut_sn, trunc):
             assert np.all(np.diff(seq) >= -1e-15)
 
@@ -173,9 +191,16 @@ def oracle_mixture_wd(spec, grid, p, fine=256):
     return float(np.trapezoid(np.abs(G - H), ys))
 
 
+def one_jump_probability(spec, grid):
+    """lam * delta * e^{-lam delta}: the chance of exactly one jump in a step."""
+    lam, d = spec.lam, grid.delta
+    return lam * d * float(np.exp(-lam * d))
+
+
 def refined_charge(refiner, p):
     """The refined value and its slack, as BoundContext charges them for p."""
-    return refiner.scale * float(p @ refiner.w), refiner.scale * float(p @ refiner.s)
+    q = one_jump_probability(refiner.spec, refiner.grid)
+    return q * float(p @ refiner.w), q * float(p @ refiner.s)
 
 
 class TestRefined:
@@ -234,7 +259,7 @@ class TestRefined:
         rng = np.random.default_rng(12)
         for spec, args in self.CASES:
             grid = spec.grid_for(*args)
-            basic = jump_aggregation_error(spec.lam, grid.delta)
+            basic = BoundContext(spec, grid, refined=False).row.jump_aggregation
             refiner = OneJumpRefiner(spec, grid)
             for _ in range(3):
                 p = rng.random(grid.n_states)
@@ -446,11 +471,10 @@ class TestStepBound:
         p[10] = 1.0
         comp = BoundContext(spec, grid, refined=False).components(p)
         assert comp.truncation_weighted == 0.0
-        assert comp.jump_aggregation == pytest.approx(
-            jump_aggregation_error(0.4, 0.25), rel=1e-14
-        )
+        enl = np.exp(-0.4 * 0.25)
+        assert comp.jump_aggregation == pytest.approx(0.4 * 0.25**2 * enl, rel=1e-14, abs=0)
         assert comp.jump_cut == pytest.approx(
-            jump_cut_error_mg1(0.4, 0.25, 2.0), rel=1e-14
+            0.4 * 0.25 * (1.0 - enl) * 2.0, rel=1e-14, abs=0  # E[B] = 2
         )
 
     def test_specneg_top_state_truncation(self):
@@ -485,26 +509,31 @@ def with_w1_bound(spec, w1):
 
 
 def reference_components(spec, grid, refiner, p):
-    """The step rule as four branches per step, recomputing every other charge.
+    """The step rule as four branches per step, writing every charge anew.
 
     Its products are the step rule's own reduction, einsum (not BLAS's dot).
     """
-    lam, d = spec.lam, grid.delta
-    slack = lam * d * spec.job.w1_bound
+    lam, d, job = spec.lam, grid.delta, spec.job
+    enl = float(np.exp(-lam * d))
+    q = one_jump_probability(spec, grid)
+    slack = lam * d * job.w1_bound
     if refiner is not None:
-        agg = refiner.scale * float(np.einsum("i,i", p, refiner.w))
-        slack += refiner.scale * float(np.einsum("i,i", p, refiner.s))
+        agg = q * float(np.einsum("i,i", p, refiner.w))
+        slack += q * float(np.einsum("i,i", p, refiner.s))
     else:
-        agg = jump_aggregation_error(lam, d)
+        agg = lam * d**2 * enl
+    mean_cut = None if job.mean() is None else lam * d * (1.0 - enl) * job.mean()
     if spec.kind is ModelKind.MG1:
-        cut = jump_cut_error_mg1(lam, d, spec.job.mean())
-        trunc_vec = truncation_error_mg1(lam, d, grid.states(), grid, spec.job)
+        cut = mean_cut
+        trunc_vec = q * job.tail_mean(grid.m - grid.states() * d)
         trunc = float(np.einsum("i,i", p, trunc_vec))
     else:
-        cut = jump_cut_error_specneg(lam, d, spec.job.mean(), grid.m)
-        trunc = truncation_error_specneg(lam, d, grid.m_delta, grid) * float(p[-1])
-        enl = float(np.exp(-lam * d))
-        overshoot_rate = 2.0 * d * lam * d * enl * float(spec.job.cdf(d))
+        two_or_more = float(-np.expm1(-lam * d) - lam * d * enl)
+        cut = two_or_more * (grid.m + d)
+        if mean_cut is not None:
+            cut = min(mean_cut, cut)
+        trunc = d * enl * float(p[-1])
+        overshoot_rate = 2.0 * d * lam * d * enl * float(job.cdf(d))
         slack += overshoot_rate * float(p[-1])
     return StepComponents(agg, cut, trunc, slack)
 

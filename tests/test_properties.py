@@ -15,10 +15,9 @@ from levyq import (
     Pareto,
     Uniform,
     discretize_initial,
-    jump_aggregation_error,
-    jump_cut_error_specneg,
     wasserstein,
 )
+from levyq.bounds import BoundContext
 from reference_integrals import cdf_integral
 
 finite = st.floats(
@@ -110,14 +109,21 @@ def test_initial_projection_error_within_one_cell(mu0, m_per_unit, delta):
 @given(st.floats(1e-3, 3.0), st.floats(1e-4, 0.5))
 @settings(max_examples=200)
 def test_jump_aggregation_dominated_by_width(lam, delta):
-    assert 0.0 <= jump_aggregation_error(lam, delta) <= lam * delta**2
+    spec = ModelSpec(ModelKind.MG1, lam, Uniform(1.0, 5.0))
+    row = BoundContext(spec, spec.grid_for(delta, 1), refined=False).row
+    assert 0.0 <= row.jump_aggregation <= lam * delta**2
 
 
 @given(st.floats(1e-3, 3.0), st.floats(1e-4, 0.5), st.floats(0.1, 50.0))
 @settings(max_examples=200)
 def test_specneg_cut_branches_consistent(lam, delta, m):
-    with_mean = jump_cut_error_specneg(lam, delta, 3.0, m)
-    without = jump_cut_error_specneg(lam, delta, None, m)
+    def cut(job):  # M = m up to half an interval
+        spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, lam, job)
+        grid = spec.grid_for(delta, max(1, round(m / delta)))
+        return BoundContext(spec, grid, refined=False).row.jump_cut
+
+    with_mean = cut(Pareto(1.0, 1.5))  # E[B] = 3
+    without = cut(Pareto(1.0, 0.9))
     assert with_mean <= without + 1e-15
 
 

@@ -16,6 +16,7 @@ from levyq import (
     certified_tail,
     discretize_initial,
     lift,
+    rescale_for_speed,
     solve,
     wasserstein,
 )
@@ -314,3 +315,33 @@ class TestSpeedRescaling:
         base = ModelSpec(ModelKind.MG1, 0.3, Exponential(1.0))
         with pytest.raises(ValueError, match="speed must be positive and finite"):
             rescale_for_speed(base, r)
+
+
+NAN, INF = float("nan"), float("inf")
+BAD_QUERIES = [
+    pytest.param(lambda res: res.at_time(NAN), KeyError, id="at-time-nan"),
+    pytest.param(lambda res: res.at_time(INF), KeyError, id="at-time-inf"),
+    pytest.param(lambda res: certified_tail(res, 1, 5.0, NAN), ValueError, id="tail-slack-nan"),
+    pytest.param(lambda res: certified_tail(res, 1, NAN, 0.1), ValueError, id="tail-x-nan"),
+    pytest.param(lambda res: certified_tail(res, 1, 5.0, True), ValueError, id="tail-slack-bool"),
+    pytest.param(lambda res: certified_tail(res, True, 5.0, 0.1), ValueError,
+                 id="tail-snapshot-bool"),
+    pytest.param(lambda res: res.distributions[1].threshold_mass(NAN), ValueError,
+                 id="threshold-nan"),
+    pytest.param(lambda res: rescale_for_speed(res.spec, True), ValueError, id="speed-bool"),
+]
+
+
+class TestQueryArguments:
+    """Queries refuse NaN, infinite and bool arguments instead of answering."""
+
+    @pytest.fixture(scope="class")
+    def res(self):
+        # 201 states, delta = 0.1, snapshots at t = 0, 1, 2
+        grid = REF_MG1.grid_for(0.1, 200)
+        return solve(REF_MG1, grid, GeneralMeasure.dirac(1.0), 20, snapshot_steps=[10])
+
+    @pytest.mark.parametrize("query, error", BAD_QUERIES)
+    def test_refused(self, res, query, error):
+        with pytest.raises(error):
+            query(res)
