@@ -17,9 +17,12 @@ below it is an exact law of its own, and its ``w1_bound`` bounds the
 Wasserstein distance between the two laws, which the certified bound
 charges once per step.
 
-Conventions: the support is contained in [0, inf), F(x) = 0 for all x < 0,
-and the prefix integrals J(x) = int_0^x F and K(x) = int_0^x s F(s) ds
-clamp their argument at 0.
+Conventions: the support is contained in [0, inf).  Each family writes its
+closed forms for float arrays on [0, inf) only; :class:`JobSize` extends
+them to all of R in one place: F, J and K are 0 for x < 0 and the tail mean
+is E[B] there, a NaN argument gives NaN, and a scalar argument gives a
+Python float.  ``inf_support`` and ``sup_support`` default to 0 and inf,
+the conservative ends; a family overrides them where it knows better.
 
 All instances are immutable after construction and all methods are pure, so
 values may be shared freely between threads.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import _is_finite_real, _is_int
+from .measure import _is_finite_real, _is_int, _on_half_line
 
 __all__ = [
     "JobSize",
@@ -44,10 +47,6 @@ __all__ = [
 ]
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def _require_finite(law, *names) -> None:
     """Refuse a parameter that is not a finite real number: NaN, an infinity,
     a bool or a string would otherwise fail mid-run or certify NaN."""
@@ -57,19 +56,13 @@ def _require_finite(law, *names) -> None:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _scalarize(out, x):
-    """Return a python float when the input was scalar."""
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 class JobSize:
     """Base class for job/claim size distributions.
 
-    Subclasses provide closed-form prefix integrals ``_J`` (of F) and ``_K``
-    (of s*F); the generic integral operations below are built from those and
-    are exact up to floating-point rounding.
+    Subclasses provide closed forms on [0, inf) for the CDF ``_cdf``, the
+    prefix integrals ``_J`` (of F) and ``_K`` (of s*F) and ``_tail_mean``;
+    the queries below extend them to every argument and are exact up to
+    floating-point rounding.
 
     ``w1_bound`` bounds the Wasserstein distance from the law the caller
     meant to this one.  It is 0 for every law given exactly; only
@@ -77,6 +70,8 @@ class JobSize:
     """
 
     w1_bound: float = 0.0
+    inf_support: float = 0.0
+    sup_support: float = np.inf
 
     # -- family-specific primitives ------------------------------------------
 
@@ -89,44 +84,32 @@ class JobSize:
     def _K(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def inf_support(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def sup_support(self) -> float:
+    def _tail_mean(self, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # -- generic operations -------------------------------------------------
 
     def cdf(self, x):
         """F(x), defined on all of R (0 below the support)."""
-        xa = _as_float_array(x)
-        out = np.where(xa < 0.0, 0.0, self._cdf(np.maximum(xa, 0.0)))
-        return _scalarize(out, x)
+        return _on_half_line(self._cdf, x, 0.0)
 
     def prefix_cdf(self, x):
-        """J(x) = int_0^x F(s) ds, clamped to 0 for x <= 0."""
-        xa = _as_float_array(x)
-        out = np.where(xa <= 0.0, 0.0, self._J(np.maximum(xa, 0.0)))
-        return _scalarize(out, x)
+        """J(x) = int_0^x F(s) ds, 0 for x <= 0."""
+        return _on_half_line(self._J, x, 0.0)
 
     def prefix_x_cdf(self, x):
-        """K(x) = int_0^x s F(s) ds, clamped to 0 for x <= 0."""
-        xa = _as_float_array(x)
-        out = np.where(xa <= 0.0, 0.0, self._K(np.maximum(xa, 0.0)))
-        return _scalarize(out, x)
+        """K(x) = int_0^x s F(s) ds, 0 for x <= 0."""
+        return _on_half_line(self._K, x, 0.0)
 
     def mean(self) -> float | None:
         """E[B], or None when the first moment does not exist."""
         raise NotImplementedError
 
     def tail_mean(self, a):
-        """int_(a, inf) x dF(x); None iff the mean is undefined.
-
-        Accepts scalars or arrays (``a >= 0``).
-        """
-        raise NotImplementedError
+        """int_(a, inf) x dF(x), E[B] for a <= 0; None iff the mean is undefined."""
+        if self.mean() is None:
+            return None
+        return _on_half_line(self._tail_mean, a, self._tail_mean(0.0))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n iid samples (exact, inverse-CDF or compositional)."""
@@ -181,11 +164,9 @@ class Uniform(JobSize):
     def mean(self):
         return (self.lo + self.hi) / 2.0
 
-    def tail_mean(self, a):
-        aa = np.maximum(_as_float_array(a), 0.0)
-        u = np.clip(aa, self.lo, self.hi)
-        out = (self.hi**2 - u**2) / (2.0 * (self.hi - self.lo))
-        return _scalarize(out, a)
+    def _tail_mean(self, a):
+        u = np.clip(a, self.lo, self.hi)
+        return (self.hi**2 - u**2) / (2.0 * (self.hi - self.lo))
 
     def sample(self, rng, n):
         return rng.uniform(self.lo, self.hi, n)
@@ -205,14 +186,6 @@ class Exponential(JobSize):
         if not self.rate > 0.0:
             raise ValueError("rate must be positive")
 
-    @property
-    def inf_support(self) -> float:
-        return 0.0
-
-    @property
-    def sup_support(self) -> float:
-        return np.inf
-
     def _cdf(self, x):
         return -np.expm1(-self.rate * x)
 
@@ -227,10 +200,8 @@ class Exponential(JobSize):
     def mean(self):
         return 1.0 / self.rate
 
-    def tail_mean(self, a):
-        aa = np.maximum(_as_float_array(a), 0.0)
-        out = (aa + 1.0 / self.rate) * np.exp(-self.rate * aa)
-        return _scalarize(out, a)
+    def _tail_mean(self, a):
+        return (a + 1.0 / self.rate) * np.exp(-self.rate * a)
 
     def sample(self, rng, n):
         return rng.exponential(1.0 / self.rate, n)
@@ -253,20 +224,12 @@ class Erlang(JobSize):
         if not self.rate > 0.0:
             raise ValueError("rate must be positive")
 
-    @property
-    def inf_support(self) -> float:
-        return 0.0
-
-    @property
-    def sup_support(self) -> float:
-        return np.inf
-
     def _stage_cdfs(self, x, n):
         # regularized lower incomplete gamma = Erlang(m, rate) CDF, m = 1..n
         from scipy import special
 
         out = np.empty((n,) + np.shape(x))
-        rx = self.rate * np.asarray(x)
+        rx = self.rate * x
         for m in range(1, n + 1):
             out[m - 1] = special.gammainc(m, rx)
         return out
@@ -292,12 +255,10 @@ class Erlang(JobSize):
     def mean(self):
         return self.shape / self.rate
 
-    def tail_mean(self, a):
+    def _tail_mean(self, a):
         from scipy import special
 
-        aa = np.maximum(_as_float_array(a), 0.0)
-        out = self.mean() * special.gammaincc(self.shape + 1, self.rate * aa)
-        return _scalarize(out, a)
+        return self.mean() * special.gammaincc(self.shape + 1, self.rate * a)
 
     def sample(self, rng, n):
         # sum of exponentials keeps the draw exact for integer shape
@@ -324,10 +285,6 @@ class Pareto(JobSize):
     @property
     def inf_support(self) -> float:
         return self.x_min
-
-    @property
-    def sup_support(self) -> float:
-        return np.inf
 
     def _cdf(self, x):
         xm = self.x_min
@@ -358,14 +315,10 @@ class Pareto(JobSize):
             return None
         return self.alpha * self.x_min / (self.alpha - 1.0)
 
-    def tail_mean(self, a):
-        if self.alpha <= 1.0:
-            return None
+    def _tail_mean(self, a):
         xm, al = self.x_min, self.alpha
-        aa = np.maximum(_as_float_array(a), 0.0)
-        u = np.maximum(aa, xm)
-        out = al * xm**al * u ** (1.0 - al) / (al - 1.0)
-        return _scalarize(out, a)
+        u = np.maximum(a, xm)
+        return al * xm**al * u ** (1.0 - al) / (al - 1.0)
 
     def sample(self, rng, n):
         # inverse CDF: x = x_min * U^{-1/alpha}, U on (0, 1] to stay finite
@@ -397,7 +350,7 @@ class Deterministic(JobSize):
 
     def _cdf(self, x):
         # right-continuous step at the atom
-        return (np.asarray(x) >= self.value).astype(float)
+        return (x >= self.value).astype(float)
 
     def _J(self, x):
         return np.maximum(x - self.value, 0.0)
@@ -408,10 +361,8 @@ class Deterministic(JobSize):
     def mean(self):
         return self.value
 
-    def tail_mean(self, a):
-        aa = _as_float_array(a)
-        out = np.where(aa < self.value, self.value, 0.0)
-        return _scalarize(out, a)
+    def _tail_mean(self, a):
+        return np.where(a < self.value, self.value, 0.0)
 
     def sample(self, rng, n):
         return np.full(n, self.value)
@@ -521,34 +472,29 @@ class TabulatedCdf(JobSize):
         return np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 1)
 
     def _cdf(self, x):
-        xa = np.asarray(x)
-        k = np.searchsorted(self.xs, xa, side="right") - 1
+        k = np.searchsorted(self.xs, x, side="right") - 1
         return np.where(k < 0, 0.0, self.cdf_values[np.maximum(k, 0)])
 
     def _J(self, x):
-        xa = np.asarray(x)
-        k = self._segment(xa)
-        below = xa < self.xs[0]
-        out = self._jk[k] + self.cdf_values[k] * (xa - self.xs[k])
+        k = self._segment(x)
+        below = x < self.xs[0]
+        out = self._jk[k] + self.cdf_values[k] * (x - self.xs[k])
         return np.where(below, 0.0, out)
 
     def _K(self, x):
-        xa = np.asarray(x)
-        k = self._segment(xa)
-        below = xa < self.xs[0]
-        out = self._kk[k] + self.cdf_values[k] * (xa**2 - self.xs[k] ** 2) / 2.0
+        k = self._segment(x)
+        below = x < self.xs[0]
+        out = self._kk[k] + self.cdf_values[k] * (x**2 - self.xs[k] ** 2) / 2.0
         return np.where(below, 0.0, out)
 
     def mean(self):
         return float(np.einsum("i,i", self.xs, self._weights))
 
-    def tail_mean(self, a):
-        aa = _as_float_array(a)
+    def _tail_mean(self, a):
         xw = self.xs * self._weights
         suffix = np.concatenate([np.cumsum(xw[::-1])[::-1], [0.0]])
-        idx = np.searchsorted(self.xs, aa, side="right")
-        out = suffix[idx]
-        return _scalarize(out, a)
+        idx = np.searchsorted(self.xs, a, side="right")
+        return suffix[idx]
 
     def sample(self, rng, n):
         idx = rng.choice(len(self.xs), size=n, p=self._weights / self._weights.sum())

@@ -66,6 +66,19 @@ def _is_finite_real(x) -> bool:
         return False
 
 
+def _on_half_line(fn, x, below):
+    """``fn`` at max(x, 0), with ``below`` where x < 0 and NaN where x is NaN.
+
+    The argument convention of every law and measure query: ``fn`` sees a
+    float array on [0, inf) only, and a scalar x gives a Python float.
+    """
+    xa = np.asarray(x, dtype=float)
+    out = np.where(xa < 0.0, below, fn(np.maximum(xa, 0.0)))
+    if np.isnan(xa).any():
+        out = np.where(np.isnan(xa), np.nan, out)
+    return float(out) if xa.ndim == 0 else out
+
+
 def work_slices(n: int) -> list[slice]:
     """Consecutive slices of at most ``WORK_BUDGET`` items covering range(n)."""
     return [slice(lo, min(lo + WORK_BUDGET, n)) for lo in range(0, n, WORK_BUDGET)]
@@ -193,12 +206,12 @@ class GeneralMeasure:
         atoms = [(float(x), float(w)) for x, w in self.atoms]
         pieces = [(float(a), float(b), float(w)) for a, b, w in self.pieces]
         for x, w in atoms:
-            if not x >= 0:
-                raise ValueError("atom locations must be >= 0")
+            if not (math.isfinite(x) and x >= 0):
+                raise ValueError(f"atom locations must be finite and >= 0, got {x!r}")
             if w < 0:
                 raise ValueError("negative atom mass")
         for a, b, w in pieces:
-            if not (0 <= a < b):
+            if not (0 <= a < b and math.isfinite(b)):
                 raise ValueError(f"invalid uniform piece [{a}, {b}]")
             if w < 0:
                 raise ValueError("negative piece mass")
@@ -294,12 +307,15 @@ class _StepLinearCdf:
         """F at each segment start xs[:-1] and its left limit at each end xs[1:]."""
         return self.right_at(xs[:-1]), self.left_at(xs[1:])
 
-    def _interp(self, q_in, side):
-        q = np.atleast_1d(np.asarray(q_in, dtype=float))
-        out = np.empty(len(q))
-        for s in work_slices(len(q)):
-            self._interp_into(q[s], side, out[s])
-        return float(out[0]) if np.ndim(q_in) == 0 else out
+    def _interp(self, q, side):
+        def interp(x):
+            flat = np.reshape(x, -1)
+            out = np.empty(len(flat))
+            for s in work_slices(len(flat)):
+                self._interp_into(flat[s], side, out[s])
+            return out.reshape(np.shape(x))
+
+        return _on_half_line(interp, q, 0.0)
 
     def _interp_into(self, q, side, out):
         k = np.searchsorted(self.xs, q, side=side) - 1

@@ -39,6 +39,7 @@ from .measure import (
     WORK_BUDGET,
     GeneralMeasure,
     LiftedDistribution,
+    _is_finite_real,
     _is_int,
     _merged_breakpoints,
     empirical_distance,
@@ -62,7 +63,7 @@ class SimConfig:
     def __post_init__(self):
         if not _is_int(self.n_paths) or self.n_paths < 1:
             raise ValueError(f"n_paths must be an integer >= 1, got {self.n_paths!r}")
-        if not (0.0 <= self.t < np.inf):  # a NaN t fails too
+        if not (_is_finite_real(self.t) and self.t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {self.t!r}")
         _check_seed(self.seed)
 

@@ -206,6 +206,9 @@ def certified_tail(
     """
     if not _is_int(snapshot):
         raise ValueError(f"snapshot must be an integer index, got {snapshot!r}")
+    n = len(result.times)
+    if not 0 <= snapshot < n:
+        raise ValueError(f"snapshot must be in 0..{n - 1}, got {snapshot}")
     if not _is_finite_real(x):
         raise ValueError(f"x must be a finite number, got {x!r}")
     if not (_is_finite_real(slack) and slack > 0):

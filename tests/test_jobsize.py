@@ -403,3 +403,43 @@ class TestScaling:
         job = Erlang(6, 2.0)
         xs = np.linspace(0.1, 10.0, 33)
         assert np.allclose(job.scaled(2.0).cdf(xs), job.cdf(xs / 2.0), atol=1e-13)
+
+
+CONVENTION_LAWS = [
+    pytest.param(Uniform(1.0, 5.0), id="uniform"),
+    pytest.param(Exponential(2.5), id="exponential"),
+    pytest.param(Erlang(3, 0.7), id="erlang"),
+    pytest.param(Pareto(1.0, 1.5), id="pareto"),
+    pytest.param(Deterministic(2.0), id="deterministic"),
+    pytest.param(TabulatedCdf(np.array([0.5, 1.0, 2.5]), np.array([0.2, 0.5, 1.0])),
+                 id="tabulated"),
+    pytest.param(TabulatedCdf.from_cdf(square_cdf, 5.0, 101), id="from-cdf"),
+]
+
+
+class TestArgumentConvention:
+    """Every query extends a family's closed forms on [0, inf) the same way:
+    0 (F, J, K) or E[B] (tail mean) below 0, NaN for NaN, and a Python float
+    for a scalar."""
+
+    @pytest.mark.parametrize("query", ["cdf", "prefix_cdf", "prefix_x_cdf", "tail_mean"])
+    @pytest.mark.parametrize("job", CONVENTION_LAWS)
+    def test_queries(self, job, query):
+        f = getattr(job, query)
+        below = f(0.0) if query == "tail_mean" else 0.0
+        for x in (NAN, -INF, -1.0, 0.0, 0.3, 2.0, 1e9):
+            assert type(f(x)) is float
+        assert np.isnan(f(NAN))
+        out = f(np.array([NAN, -INF, -1.0, 0.0, 2.0]))
+        assert isinstance(out, np.ndarray) and out.shape == (5,)
+        assert np.isnan(out[0]) and not np.isnan(out[1:]).any()
+        assert out[1] == out[2] == f(-1.0) == below
+        if query == "tail_mean":
+            assert below == pytest.approx(job.mean(), rel=1e-15, abs=0)
+        elif query != "cdf":
+            assert not np.signbit(f(0.0))  # J(0) = K(0) = +0.0
+
+    @pytest.mark.parametrize("job", CONVENTION_LAWS)
+    def test_support_brackets_samples(self, job):
+        s = job.sample(np.random.default_rng(3), 10_000)
+        assert job.inf_support <= s.min() and s.max() <= job.sup_support

@@ -13,7 +13,11 @@ from levyq import (
     Grid,
     GridError,
     LiftedDistribution,
+    ModelKind,
+    ModelSpec,
+    Uniform,
     measure,
+    solve,
     wasserstein,
 )
 
@@ -109,6 +113,18 @@ class TestCdfOf:
         m = GeneralMeasure(atoms=[(1.0, 0.4)], pieces=[(2.0, 3.0, 0.6)])
         assert m.cdf(1.0) == pytest.approx(0.4, abs=1e-15)
         assert m.cdf(np.nextafter(1.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("which", ["general", "lifted"])
+    def test_nan_gives_nan(self, which):
+        if which == "general":
+            m = GeneralMeasure(atoms=[(1.0, 0.4)], pieces=[(2.0, 3.0, 0.6)])
+        else:
+            spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
+            res = solve(spec, spec.grid_for(0.1, 200), GeneralMeasure.dirac(1.0), 20)
+            m = res.distributions[-1]
+        out = m.cdf(np.array([np.nan, -1.0, 25.0]))
+        assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == pytest.approx(1.0)
+        assert np.isnan(m.cdf(np.nan)) and type(m.cdf(np.nan)) is float
 
 
 class TestWasserstein:
@@ -235,3 +251,12 @@ class TestMeasureValidation:
             GeneralMeasure(atoms=[(1.0, np.nan)])
         with pytest.raises(ValueError):
             GeneralMeasure(atoms=[(np.nan, 1.0)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: GeneralMeasure.dirac(np.inf), lambda: GeneralMeasure.uniform(0.0, np.inf)],
+        ids=["dirac-inf", "uniform-inf"],
+    )
+    def test_infinite_location_refused(self, build):
+        with pytest.raises(ValueError, match="atom locations|uniform piece"):
+            build()

@@ -245,6 +245,8 @@ class TestSimConfig:
             ("t", float("nan")),
             ("t", float("inf")),
             ("t", -0.5),
+            ("t", True),
+            ("t", np.array([1.0])),
             ("n_paths", 1.5),
             ("n_paths", 10.0),
             ("n_paths", True),

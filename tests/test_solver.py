@@ -326,6 +326,10 @@ BAD_QUERIES = [
     pytest.param(lambda res: certified_tail(res, 1, 5.0, True), ValueError, id="tail-slack-bool"),
     pytest.param(lambda res: certified_tail(res, True, 5.0, 0.1), ValueError,
                  id="tail-snapshot-bool"),
+    pytest.param(lambda res: certified_tail(res, -1, 5.0, 0.1), ValueError,
+                 id="tail-snapshot-minus-one"),
+    pytest.param(lambda res: certified_tail(res, len(res.times), 5.0, 0.1), ValueError,
+                 id="tail-snapshot-len"),
     pytest.param(lambda res: res.distributions[1].threshold_mass(NAN), ValueError,
                  id="threshold-nan"),
     pytest.param(lambda res: rescale_for_speed(res.spec, True), ValueError, id="speed-bool"),
