@@ -375,8 +375,22 @@ def _write_density(path: Path, dist: LiftedDistribution, formats: list[str]) -> 
     )
 
 
-def _time_label(t: float) -> str:
-    return f"{t:.6f}".rstrip("0").rstrip(".").replace(".", "_")
+def _density_name(t: float) -> str:
+    """A snapshot's density file: its time to 6 decimals, with "_" for "."."""
+    return "density_t" + f"{t:.6f}".rstrip("0").rstrip(".").replace(".", "_") + ".csv"
+
+
+def _check_density_names(cfg: RunConfig) -> None:
+    """Refuse snapshot times whose density files would share one name."""
+    times = {}
+    for step in cfg.snapshot_steps:
+        t = step * cfg.grid.delta  # as the solver computes its snapshot times
+        first = times.setdefault(_density_name(t), t)
+        if first != t:
+            raise ConfigError(
+                f"snapshot times {first!r} and {t!r} would both be written to "
+                f"{_density_name(t)} (file names keep 6 decimals of the time)"
+            )
 
 
 def _solve(cfg: RunConfig) -> solver.TransientResult:
@@ -391,12 +405,13 @@ def _solve(cfg: RunConfig) -> solver.TransientResult:
 
 
 def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+    _check_density_names(cfg)
     result = _solve(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
     formats = _density_formats(cfg.grid)
     for t, dist in zip(result.times, result.distributions):
-        name = f"density_t{_time_label(t)}.csv"
+        name = _density_name(t)
         files[name] = _write_density(out_dir / name, dist, formats)
     ledger = result.ledger.table(cfg.grid.delta)
     files["ledger.csv"] = _write_csv(

@@ -31,6 +31,7 @@ values may be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
 
@@ -210,9 +211,54 @@ class Exponential(JobSize):
         return Exponential(self.rate / factor)
 
 
+def _poisson_tails(lam, lo: int, hi: int):
+    """The smaller side of N ~ Poisson(lam) at m = lo..hi, elementwise.
+
+    Returns ``(up, sides)``: where ``up`` (lam < hi) sides[m - lo] is
+    P(N >= m), elsewhere P(N < m); the other side is 1 minus it, at least
+    about 1/2.  The side is summed at hi going up, or at lo going down, and
+    each further stage adds P(N = m), so no term cancels.  One term comes
+    from log space and the rest by ratios, so none underflows where e^-lam
+    does (lam > 745).  The summed terms shrink, so the sum stops once no
+    element can change, and no value depends on the call size.
+    """
+    with np.errstate(divide="ignore"):  # log 0 = -inf makes every term 0
+        log_lam = np.log(lam)
+    up = lam < hi
+    k = np.where(up, float(lo), hi - 1.0)  # the first term's N
+
+    def pmf(term):  # P(N = k + 1) = P(N = k) lam / (k + 1), P(N = k - 1) = P(N = k) k / lam
+        num, den = np.where(up, lam, k), np.where(up, k + 1.0, lam)
+        num_step, den_step = np.where(up, 0.0, -1.0), np.where(up, 1.0, 0.0)
+        while True:
+            yield term
+            term = term * num / den
+            num, den = num + num_step, den + den_step
+
+    terms = pmf(np.exp(k * log_lam - lam - np.where(up, lgamma(lo + 1), lgamma(hi))))
+    stage = [next(terms) for _ in range(hi - lo)]  # P(N = m) for lo <= m < hi
+    rest = next(terms)  # P(N >= hi) going up, P(N < lo) going down
+    for term in terms:
+        rest = rest + term
+        if not np.any(term > rest * 2.0**-54):  # under half an ulp, as all later terms
+            break
+    sides = [rest]
+    for term in reversed(stage):
+        sides.append(sides[-1] + term)
+    return up, [np.where(up, t, s) for t, s in zip(sides[::-1], sides)]
+
+
 @dataclass(frozen=True)
 class Erlang(JobSize):
-    """Erlang job sizes: sum of `shape` iid exponentials with the given rate."""
+    """Erlang job sizes: sum of `shape` iid exponentials with the given rate.
+
+    With n = shape, mu = n / rate and F_m(x) = P(Poisson(rate x) >= m),
+    F = F_n and, by parts, J = x F_n - mu F_{n+1} and K = x^2/2 F_n
+    - c F_{n+2} with c = mu (n + 1) / (2 rate).  Where the tails are near 1,
+    the same forms in S_m = 1 - F_m give J = x - mu - (x S_n - mu S_{n+1})
+    and K = x^2/2 - c - (x^2/2 S_n - c S_{n+2}), so that no rounding of a
+    tail is scaled by x.
+    """
 
     shape: int
     rate: float
@@ -224,41 +270,28 @@ class Erlang(JobSize):
         if not self.rate > 0.0:
             raise ValueError("rate must be positive")
 
-    def _stage_cdfs(self, x, n):
-        # regularized lower incomplete gamma = Erlang(m, rate) CDF, m = 1..n
-        from scipy import special
-
-        out = np.empty((n,) + np.shape(x))
-        rx = self.rate * x
-        for m in range(1, n + 1):
-            out[m - 1] = special.gammainc(m, rx)
-        return out
-
     def _cdf(self, x):
-        from scipy import special
-
-        return special.gammainc(self.shape, self.rate * x)
+        up, (t,) = _poisson_tails(self.rate * x, self.shape, self.shape)
+        return np.where(up, t, 1.0 - t)
 
     def _J(self, x):
-        # stages summed in a fixed order, so no value depends on the call size
-        return x - sum(self._stage_cdfs(x, self.shape)) / self.rate
+        n, mu = self.shape, self.mean()
+        up, (t_n, t_n1) = _poisson_tails(self.rate * x, n, n + 1)
+        j = x * t_n - mu * t_n1
+        return np.where(up, j, (x - mu) - j)
 
     def _K(self, x):
-        n, r = self.shape, self.rate
-        stages = self._stage_cdfs(x, n + 1)
-        # int_0^x s S_n(s) ds = sum_{k<n} (k+1)/r^2 * F_{k+2}(x), summed as in _J
-        correction = np.zeros_like(x)
-        for k in range(1, n + 1):
-            correction += k * stages[k]
-        return x**2 / 2.0 - correction / r**2
+        n, c = self.shape, self.mean() * (self.shape + 1) / (2.0 * self.rate)
+        up, (t_n, _, t_n2) = _poisson_tails(self.rate * x, n, n + 2)
+        k = x**2 / 2.0 * t_n - c * t_n2
+        return np.where(up, k, (x**2 / 2.0 - c) - k)
 
     def mean(self):
         return self.shape / self.rate
 
-    def _tail_mean(self, a):
-        from scipy import special
-
-        return self.mean() * special.gammaincc(self.shape + 1, self.rate * a)
+    def _tail_mean(self, a):  # mu P(Erlang(n + 1) > a) = mu P(N <= n)
+        up, (t,) = _poisson_tails(self.rate * a, self.shape + 1, self.shape + 1)
+        return self.mean() * np.where(up, 1.0 - t, t)
 
     def sample(self, rng, n):
         # sum of exponentials keeps the draw exact for integer shape

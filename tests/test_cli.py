@@ -25,6 +25,7 @@ from levyq.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_VALIDATION,
     _as_float,
     _as_fraction,
     _density_formats,
@@ -377,6 +378,19 @@ class TestSolveCommand:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("certification error: ")
 
+    def test_snapshot_times_sharing_a_file_name_refused(self, tmp_path, capsys):
+        # density file names keep 6 decimals of the time, so the snapshots at
+        # 0, 1e-7, 2e-7 and 3e-7 would all be written to density_t0.csv
+        cfg = base_config(
+            grid={"delta": "1/10000000", "m": "1/100000"},
+            horizon={"t_end": "3/10000000", "snapshot_times": ["1/10000000", "2/10000000"]},
+            queries=[],
+        )
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert "density_t0.csv" in capsys.readouterr().err
+
     def test_bound_mode_flag(self, tmp_path):
         path = write_config(tmp_path, base_config())
         out_b = tmp_path / "basic"
@@ -639,13 +653,42 @@ def run_python(code: str) -> str:
     return done.stdout
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is only needed for Erlang job sizes, which import it on first use
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy blocked from import,
+    # every command runs on a small config of each job family
+    jobs = {
+        "uniform": {"lo": 1, "hi": 5},
+        "exponential": {"rate": 1},
+        "erlang": {"shape": 3, "rate": 2},
+        "pareto": {"x_min": 1, "alpha": 1.5},
+        "deterministic": {"value": 2},
+        "tabulated": {"xs": [0.5, 1, 2.5], "cdf": [0.2, 0.5, 1]},
+    }
+    models = [SPECNEG_MODEL] + [
+        {"kind": "mg1", "lambda": "1/4", "job": {"family": family, "params": params}}
+        for family, params in jobs.items()
+    ]
+    configs = [
+        write_config(
+            tmp_path,
+            base_config(model=model, queries=[], validation={"n_paths": 50, "seed": 3}),
+            f"{i}.json",
+        )
+        for i, model in enumerate(models)
+    ]
+    runs = [
+        [command, path, "--out", str(tmp_path / f"{i}-{command}")]
+        for i, path in enumerate(configs)
+        for command in ("solve", "validate", "matrix")
+    ]
     code = (
-        "import levyq.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys; sys.modules['scipy'] = None; from levyq.cli import main; "
+        f"print([main(args) for args in {runs!r}])"
     )
-    assert run_python(code).strip() == "[]"
+    codes = json.loads(run_python(code).splitlines()[-1])
+    assert codes[0::3] == [EXIT_OK] * len(configs)  # solve
+    assert set(codes[1::3]) <= {EXIT_OK, EXIT_VALIDATION}  # validate ran its check
+    assert codes[2::3] == [EXIT_OK] * len(configs)  # matrix
 
 
 def test_package_sets_no_allocator_options():

@@ -1,5 +1,8 @@
 """Job-size families: closed forms against independent quadrature oracles."""
 
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -240,6 +243,77 @@ class TestPrefixConsistency:
             for size in (1, 3, 17):
                 parts = [fn(x[i : i + size]) for i in range(0, len(x), size)]
                 assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def erlang_decimal(shape, rate, x):
+    """[F, J, K, tail mean] of Erlang(shape, rate) at the float x, from the
+    Poisson(rate * x) terms summed in 50-digit decimal arithmetic.
+
+    With mu = shape / rate: F = P(N >= n), J = x F - mu P(N >= n + 1),
+    K = x^2/2 F - mu (n + 1) / (2 rate) P(N >= n + 2) and the tail mean is
+    mu P(N <= n).  Every tail is a sum of positive terms, cut 60 standard
+    deviations past the larger of lam and n + 2, where the rest is far below
+    50 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x, r, n = Decimal(x), Decimal(rate), shape
+        lam = r * x
+        pmf, p = [], (-lam).exp()
+        for k in range(max(int(lam), n + 2) + int(60 * (lam + 1).sqrt()) + 200):
+            pmf.append(p)
+            p = p * lam / (k + 1)
+        mu = Decimal(n) / r
+        f = sum(pmf[n:])
+        j = x * f - mu * sum(pmf[n + 1 :])
+        k = x * x / 2 * f - mu * (n + 1) / (2 * r) * sum(pmf[n + 2 :])
+        return [float(v) for v in (f, j, k, mu * sum(pmf[: n + 1]))]
+
+
+def erlang_queries(job, x):
+    return [job.cdf(x), job.prefix_cdf(x), job.prefix_x_cdf(x), job.tail_mean(x)]
+
+
+class TestErlangExact:
+    """Erlang's F, J, K and tail mean against 50-digit sums of Poisson terms,
+    on both sides of every switch between summed and complemented tails."""
+
+    @pytest.mark.parametrize(
+        "shape, rate", [(1, 2.0), (3, 0.7), (6, 2.0), (10, 0.5)], ids=str
+    )
+    def test_small_shapes(self, shape, rate):
+        n = shape
+        rx = [0.0, 1e-6, 1e-3, 0.1, 1.0, n - 0.5, n, n + 0.5, n + 1, n + 1.5, n + 2,
+              n + 2.5, n + 4, 2 * n + 10, 3 * n + 30]
+        x = np.array(rx) / rate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array(erlang_queries(Erlang(shape, rate), x)).T
+        want = np.array([erlang_decimal(shape, rate, v) for v in x])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert not np.signbit(got[0, :3]).any()  # F(0) = J(0) = K(0) = +0.0
+        # the former J = x - sum_m F_m / rate lost every digit here
+        assert Erlang(6, 2.0).prefix_cdf(1e-3) == pytest.approx(1.2679379886e-23, rel=1e-10)
+
+    def test_shape_1000_beyond_exp_underflow(self):
+        # e^-(rate x) underflows from rate x > 745 on
+        rx = np.array([300.0, 600.0, 760.0, 900.0, 999.0, 1000.0, 1001.0, 1002.0,
+                       1003.0, 1100.0, 1300.0])
+        x = rx / 2.0
+        got = np.array(erlang_queries(Erlang(1000, 2.0), x)).T
+        want = np.array([erlang_decimal(1000, 2.0, v) for v in x])
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+    def test_large_shape_needs_no_stage_table(self, traced_peak):
+        # no (shape, points) table: the former stages took ~74 MB here
+        job = Erlang(2000, 2.0)
+        x = np.linspace(0.0, 1500.0, 4609)
+        peak = traced_peak(lambda: job.prefix_x_cdf(x))
+        assert peak < 1 << 20
+        idx = [1000, 1300, 2660, 3066, 4000]  # rate x from 651 to 2603
+        got = np.array(erlang_queries(job, x[idx])).T
+        want = np.array([erlang_decimal(2000, 2.0, v) for v in x[idx]])
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
 
 
 def square_cdf(x):
