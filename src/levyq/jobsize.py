@@ -214,13 +214,12 @@ class Exponential(JobSize):
 def _poisson_tails(lam, lo: int, hi: int):
     """The smaller side of N ~ Poisson(lam) at m = lo..hi, elementwise.
 
-    Returns ``(up, sides)``: where ``up`` (lam < hi) sides[m - lo] is
-    P(N >= m), elsewhere P(N < m); the other side is 1 minus it, at least
-    about 1/2.  The side is summed at hi going up, or at lo going down, and
-    each further stage adds P(N = m), so no term cancels.  One term comes
-    from log space and the rest by ratios, so none underflows where e^-lam
-    does (lam > 745).  The summed terms shrink, so the sum stops once no
-    element can change, and no value depends on the call size.
+    Returns ``(up, sides)``: sides[m - lo] is P(N >= m) where ``up`` (lam <
+    hi), else P(N < m); the other side, 1 minus it, is at least about 1/2.
+    The side is summed at hi going up or at lo going down, each further
+    stage adds P(N = m), and one log-space term gives all others by ratios:
+    nothing cancels or underflows where e^-lam does (lam > 745).  The sum
+    stops once no later term can change an element, whatever the call size.
     """
     with np.errstate(divide="ignore"):  # log 0 = -inf makes every term 0
         log_lam = np.log(lam)
