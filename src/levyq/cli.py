@@ -385,11 +385,11 @@ def _check_density_names(cfg: RunConfig) -> None:
     times = {}
     for step in cfg.snapshot_steps:
         t = step * cfg.grid.delta  # as the solver computes its snapshot times
-        first = times.setdefault(_density_name(t), t)
-        if first != t:
+        name = _density_name(t)
+        if times.setdefault(name, t) != t:
             raise ConfigError(
-                f"snapshot times {first!r} and {t!r} would both be written to "
-                f"{_density_name(t)} (file names keep 6 decimals of the time)"
+                f"snapshot times {times[name]!r} and {t!r} would both be written "
+                f"to {name} (file names keep 6 decimals of the time)"
             )
 
 
