@@ -375,22 +375,8 @@ def _write_density(path: Path, dist: LiftedDistribution, formats: list[str]) -> 
     )
 
 
-def _density_name(t: float) -> str:
-    """A snapshot's density file: its time to 6 decimals, with "_" for "."."""
-    return "density_t" + f"{t:.6f}".rstrip("0").rstrip(".").replace(".", "_") + ".csv"
-
-
-def _check_density_names(cfg: RunConfig) -> None:
-    """Refuse snapshot times whose density files would share one name."""
-    times = {}
-    for step in cfg.snapshot_steps:
-        t = step * cfg.grid.delta  # as the solver computes its snapshot times
-        name = _density_name(t)
-        if times.setdefault(name, t) != t:
-            raise ConfigError(
-                f"snapshot times {times[name]!r} and {t!r} would both be written "
-                f"to {name} (file names keep 6 decimals of the time)"
-            )
+def _time_label(t: float) -> str:
+    return f"{t:.6f}".rstrip("0").rstrip(".").replace(".", "_")
 
 
 def _solve(cfg: RunConfig) -> solver.TransientResult:
@@ -405,13 +391,14 @@ def _solve(cfg: RunConfig) -> solver.TransientResult:
 
 
 def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
-    _check_density_names(cfg)
+    names = [f"density_t{_time_label(k * cfg.grid.delta)}.csv" for k in cfg.snapshot_steps]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"snapshot times share density files (6 decimals): {names}")
     result = _solve(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
     formats = _density_formats(cfg.grid)
-    for t, dist in zip(result.times, result.distributions):
-        name = _density_name(t)
+    for name, dist in zip(names, result.distributions, strict=True):
         files[name] = _write_density(out_dir / name, dist, formats)
     ledger = result.ledger.table(cfg.grid.delta)
     files["ledger.csv"] = _write_csv(

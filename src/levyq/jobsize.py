@@ -212,35 +212,29 @@ class Exponential(JobSize):
 
 
 def _poisson_tails(lam, lo: int, hi: int):
-    """The smaller side of N ~ Poisson(lam) at m = lo..hi, elementwise.
+    """``(up, sides)``: sides[m - lo] is P(N >= m) where up = lam < hi, else
+    P(N < m), for N ~ Poisson(lam), m = lo..hi, elementwise.
 
-    Returns ``(up, sides)``: sides[m - lo] is P(N >= m) where ``up`` (lam <
-    hi), else P(N < m); the other side, 1 minus it, is at least about 1/2.
-    The side is summed at hi going up or at lo going down, each further
-    stage adds P(N = m), and one log-space term gives all others by ratios:
-    nothing cancels or underflows where e^-lam does (lam > 745).  The sum
-    stops once no later term can change an element, whatever the call size.
+    Each side is a sum of positive pmf terms, one from log space and the rest
+    by ratios, so none cancels or underflows (e^-lam does past lam = 745).
+    The sum stops once no later term can change an element, whatever the
+    call size.  The other side, 1 minus this one, is at least about 1/2.
     """
     with np.errstate(divide="ignore"):  # log 0 = -inf makes every term 0
         log_lam = np.log(lam)
     up = lam < hi
-    k = np.where(up, float(lo), hi - 1.0)  # the first term's N
-
-    def pmf(term):  # P(N = k + 1) = P(N = k) lam / (k + 1), P(N = k - 1) = P(N = k) k / lam
-        num, den = np.where(up, lam, k), np.where(up, k + 1.0, lam)
-        num_step, den_step = np.where(up, 0.0, -1.0), np.where(up, 1.0, 0.0)
-        while True:
-            yield term
-            term = term * num / den
-            num, den = num + num_step, den + den_step
-
-    terms = pmf(np.exp(k * log_lam - lam - np.where(up, lgamma(lo + 1), lgamma(hi))))
-    stage = [next(terms) for _ in range(hi - lo)]  # P(N = m) for lo <= m < hi
-    rest = next(terms)  # P(N >= hi) going up, P(N < lo) going down
-    for term in terms:
-        rest = rest + term
-        if not np.any(term > rest * 2.0**-54):  # under half an ulp, as all later terms
-            break
+    k = np.where(up, float(lo), hi - 1.0)  # then k + 1, ... or k - 1, ...
+    term = np.exp(k * log_lam - lam - np.where(up, lgamma(lo + 1), lgamma(hi)))
+    num, den = np.where(up, lam, k), np.where(up, k + 1.0, lam)  # pmf ratio
+    num_step, den_step = np.where(up, 0.0, -1.0), np.where(up, 1.0, 0.0)
+    stage, rest = [], 0.0  # P(N = m) for lo <= m < hi; P(N >= hi) or P(N < lo)
+    while len(stage) < hi - lo or np.any(term > rest * 2.0**-54):
+        if len(stage) < hi - lo:
+            stage.append(term)
+        else:
+            rest = rest + term
+        term = term * num / den
+        num, den = num + num_step, den + den_step
     sides = [rest]
     for term in reversed(stage):
         sides.append(sides[-1] + term)
@@ -251,12 +245,9 @@ def _poisson_tails(lam, lo: int, hi: int):
 class Erlang(JobSize):
     """Erlang job sizes: sum of `shape` iid exponentials with the given rate.
 
-    With n = shape, mu = n / rate and F_m(x) = P(Poisson(rate x) >= m),
-    F = F_n and, by parts, J = x F_n - mu F_{n+1} and K = x^2/2 F_n
-    - c F_{n+2} with c = mu (n + 1) / (2 rate).  Where the tails are near 1,
-    the same forms in S_m = 1 - F_m give J = x - mu - (x S_n - mu S_{n+1})
-    and K = x^2/2 - c - (x^2/2 S_n - c S_{n+2}), so that no rounding of a
-    tail is scaled by x.
+    F = F_n for F_m(x) = P(Poisson(rate x) >= m), n = shape.  By parts, J
+    and K are x F_n - mu F_{n+1} and x^2/2 F_n - c F_{n+2} (mu = n / rate,
+    c = mu (n + 1) / (2 rate)), written in S_m = 1 - F_m where F_m is near 1.
     """
 
     shape: int
