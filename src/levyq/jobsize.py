@@ -225,7 +225,7 @@ def _poisson_tails(lam, lo: int, hi: int):
     up = lam < hi
     k = np.where(up, float(lo), hi - 1.0)  # then k + 1, ... or k - 1, ...
     term = np.exp(k * log_lam - lam - np.where(up, lgamma(lo + 1), lgamma(hi)))
-    num, den = np.where(up, lam, k), np.where(up, k + 1.0, lam)  # pmf ratio
+    num, den = np.where(up, lam, k), np.where(up, k + 1.0, lam)  # p_{k+1}/p_k, p_{k-1}/p_k
     num_step, den_step = np.where(up, 0.0, -1.0), np.where(up, 1.0, 0.0)
     stage, rest = [], 0.0  # P(N = m) for lo <= m < hi; P(N >= hi) or P(N < lo)
     while len(stage) < hi - lo or np.any(term > rest * 2.0**-54):
@@ -235,10 +235,10 @@ def _poisson_tails(lam, lo: int, hi: int):
             rest = rest + term
         term = term * num / den
         num, den = num + num_step, den + den_step
-    sides = [rest]
+    sides = [rest]  # then P(N >= m) for m = hi..lo, or P(N < m) for m = lo..hi
     for term in reversed(stage):
         sides.append(sides[-1] + term)
-    return up, [np.where(up, t, s) for t, s in zip(sides[::-1], sides)]
+    return up, [np.where(up, f, s) for f, s in zip(sides[::-1], sides)]
 
 
 @dataclass(frozen=True)
