@@ -30,8 +30,6 @@ from .kernel import (
     ModelSpec,
     TransitionKernel,
     build_kernel,
-    build_mg1,
-    build_specneg,
     rescale_for_speed,
 )
 from .measure import (
@@ -70,8 +68,6 @@ __all__ = [
     "TransitionKernel",
     "Uniform",
     "build_kernel",
-    "build_mg1",
-    "build_specneg",
     "certified_tail",
     "discretize_initial",
     "empirical_wasserstein",

@@ -265,11 +265,22 @@ class BoundContext:
       the distance between its exact one-jump law and that law's grid
       projection, ``q * (p @ w)``, and the sampling deficit ``q * (p @ s)``
       as slack (see :class:`OneJumpRefiner`).
-    * jump cut: two or more jumps in a step are ignored.  They displace the
-      path by at most their sum, whose mean on that event is
-      x (1 - e^{-x}) E[B].  Spectrally negative jumps are stopped at 0, so
-      the displacement is also at most M + delta, on probability
-      1 - (1 + x) e^{-x}; a law without a mean takes that cap.
+    * jump cut: with two or more jumps in a step the chain keeps the mass
+      in its state, while the true path moves by y - x.  The M/G/1 path
+      gains the sum S of the jumps, loses delta to service and at most
+      idles that back: y - x lies in [S - delta, S].  So |y - x| <= S,
+      except where S < delta / 2, where it is at most delta - S <= S +
+      delta; S < delta / 2 needs a first jump below delta / 2, of
+      probability at most F(delta / 2) whatever the number of jumps.  The
+      spectrally negative path drifts up by delta and loses S, stopped at
+      0: y - x lies in [delta - S, delta], so |y - x| <= S except where
+      S < delta (a first jump below delta, probability at most F(delta)),
+      where it is at most delta <= S + delta.  E[S; N >= 2] is
+      x (1 - e^{-x}) E[B], so the charge is that plus delta P(N >= 2)
+      F(delta / 2) (M/G/1) or delta P(N >= 2) F(delta) (spectrally
+      negative), with P(N >= 2) = 1 - (1 + x) e^{-x}.  Spectrally negative
+      jumps are stopped at 0, so the displacement is also at most M + delta
+      on that event; a law without a mean takes that cap.
     * truncation: mass that should leave [0, M] stays inside.  For the
       M/G/1 queue, a single jump from state i that leaves [0, M] costs at
       most its size: q * E[B; B > M - i delta] per unit of mass at i.  In
@@ -295,20 +306,22 @@ class BoundContext:
         enl = float(np.exp(-lam * d))
         q = lam * d * enl
         mean_b = job.mean()
+        # P(N >= 2) without the cancellation of 1 - (1 + x) e^{-x}
+        two_or_more = float(-np.expm1(-lam * d) - q)
         if spec.kind is ModelKind.MG1:
             if mean_b is None:
                 raise CertificationError(
                     "the M/G/1 Wasserstein bound requires a finite job-size mean"
                 )
-            cut = lam * d * (1.0 - enl) * mean_b
+            cut = lam * d * (1.0 - enl) * mean_b + d * two_or_more * float(job.cdf(d / 2))
             trunc = grid_values(lambda x: job.tail_mean(grid.m - x), d, 0, grid.m_delta)
             trunc *= q
             terms = [("truncation_weighted", 1.0, trunc)]
         else:
-            # P(N >= 2) without the cancellation of 1 - (1 + x) e^{-x}
-            cut = float(-np.expm1(-lam * d) - q) * (grid.m + d)
+            cut = two_or_more * (grid.m + d)
             if mean_b is not None:
-                cut = min(lam * d * (1.0 - enl) * mean_b, cut)
+                drift = d * two_or_more * float(job.cdf(d))
+                cut = min(lam * d * (1.0 - enl) * mean_b + drift, cut)
             top = np.zeros(grid.m_delta)
             top[-1] = 1.0  # p @ top is exactly p[-1]
             overshoot = 2.0 * d * lam * d * enl * float(job.cdf(d))

@@ -20,9 +20,10 @@ charges once per step.
 Conventions: the support is contained in [0, inf).  Each family writes its
 closed forms for float arrays on [0, inf) only; :class:`JobSize` extends
 them to all of R in one place: F, J and K are 0 for x < 0 and the tail mean
-is E[B] there, a NaN argument gives NaN, and a scalar argument gives a
-Python float.  ``inf_support`` and ``sup_support`` default to 0 and inf,
-the conservative ends; a family overrides them where it knows better.
+is E[B] there, x = +inf gives the limits F = 1, J = K = inf and tail mean 0,
+a NaN argument gives NaN, and a scalar argument gives a Python float.
+``inf_support`` and ``sup_support`` default to 0 and inf, the conservative
+ends; a family overrides them where it knows better.
 
 All instances are immutable after construction and all methods are pure, so
 values may be shared freely between threads.
@@ -92,15 +93,15 @@ class JobSize:
 
     def cdf(self, x):
         """F(x), defined on all of R (0 below the support)."""
-        return _on_half_line(self._cdf, x, 0.0)
+        return _on_half_line(self._cdf, x, 0.0, 1.0)
 
     def prefix_cdf(self, x):
         """J(x) = int_0^x F(s) ds, 0 for x <= 0."""
-        return _on_half_line(self._J, x, 0.0)
+        return _on_half_line(self._J, x, 0.0, np.inf)
 
     def prefix_x_cdf(self, x):
         """K(x) = int_0^x s F(s) ds, 0 for x <= 0."""
-        return _on_half_line(self._K, x, 0.0)
+        return _on_half_line(self._K, x, 0.0, np.inf)
 
     def mean(self) -> float | None:
         """E[B], or None when the first moment does not exist."""
@@ -110,7 +111,7 @@ class JobSize:
         """int_(a, inf) x dF(x), E[B] for a <= 0; None iff the mean is undefined."""
         if self.mean() is None:
             return None
-        return _on_half_line(self._tail_mean, a, self._tail_mean(0.0))
+        return _on_half_line(self._tail_mean, a, self._tail_mean(0.0), 0.0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n iid samples (exact, inverse-CDF or compositional)."""

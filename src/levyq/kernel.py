@@ -42,8 +42,6 @@ __all__ = [
     "ModelSpec",
     "TransitionKernel",
     "build_kernel",
-    "build_mg1",
-    "build_specneg",
     "rescale_for_speed",
 ]
 
@@ -202,130 +200,112 @@ class TransitionKernel:
 # ---------------------------------------------------------------------------
 
 
-def _window_integrals(job: JobSize, delta: float, k_min: int, k_max: int):
-    """t_int[k] = int_{k d}^{(k+1) d} (F_B(s + d) - F_B(s)) ds for k_min..k_max.
+def build_kernel(spec: ModelSpec, grid: Grid) -> TransitionKernel:
+    """Kernel of the discretized queue of ``spec`` on ``grid``.
 
-    These are second differences of the prefix integral; tiny negative
-    rounding is clipped (J is convex, so the true values are nonnegative).
+    Generic rows (M/G/1, i >= 2) and columns (spectrally negative, j >= 2)
+    hold e^{-lam d} (no-jump shift + lam * t_int[k]) at the offset k = j - i
+    (M/G/1) or k = i - j (spectrally negative); the shift moves one state
+    down (M/G/1 idles at 0) or up.  M/G/1 state 0 is the generic row at
+    i = 1 (workload exactly 0 shifts its windows one interval up); state 1
+    averages over the uniformly distributed idle time, which turns the
+    window integral into a convolution with a triangle weight.  The
+    spectrally negative column j = 1 collects all one-jump paths ending in
+    [0, d], including those stopped at 0: Pcheck(i, 1) = e^{-lam d} lam
+    (d - int_{(i-1)d}^{id} F_B).  That chain has no state 0: a path stopped
+    at 0 leaves it at once with the positive drift, so its end lies in
+    [0, d] and it is counted in state 1.
+
+    The law is evaluated once per primitive, at k d for k = -1..n+1 (F, J,
+    and K for M/G/1 only); every window is a slice or difference of those
+    tables.
     """
-    t_int = np.diff(grid_values(job.prefix_cdf, delta, k_min, k_max + 2), 2)
-    np.maximum(t_int, 0.0, out=t_int)
-    # F flat across the whole window means the integrand is identically
-    # zero there; zero those entries to kill cancellation dust in the
-    # second differences (keeps the band genuinely banded)
-    f_edges = grid_values(job.cdf, delta, k_min, k_max + 2)
-    t_int[f_edges[2:] == f_edges[:-2]] = 0.0
-    return t_int
-
-
-def build_mg1(spec: ModelSpec, grid: Grid) -> TransitionKernel:
-    """Kernel of the discretized M/G/1 workload process.
-
-    Generic rows (i >= 2): Pcheck(i, j) = e^{-lam d} (1{j = i-1}
-    + lam * t_int[j - i]).  Row 0 is the generic row at i = 1 (workload
-    exactly 0 shifts its windows one interval up); row 1 averages over the
-    uniformly distributed idle time, which turns the window integral into a
-    convolution with a triangle weight.
-    """
-    if spec.kind is not ModelKind.MG1:
-        raise ValueError("spec is not an M/G/1 model")
-    if not grid.zero_state:
-        raise GridError("the M/G/1 chain needs the zero state")
-    lam, d, n = spec.lam, grid.delta, grid.m_delta
+    mg1 = spec.kind is ModelKind.MG1
+    if grid.zero_state != mg1:
+        raise GridError(
+            "the M/G/1 chain needs the zero state" if mg1
+            else "the spectrally negative chain has no zero state"
+        )
+    lam, d, n, job = spec.lam, grid.delta, grid.m_delta, spec.job
     enl = float(np.exp(-lam * d))
 
-    t_int = _window_integrals(spec.job, d, -1, n)
-    row0 = t_int[: n + 1]  # window ((j-1)d, j d) = t_int[j - 1]
-    row0 *= enl * lam
-    row0[0] += enl  # no-jump shift
-    # a generic row i >= 2 has row 0's entries at the offsets k = j - i
-    toeplitz = _trim_band(row0)  # k = -1 .. n - 1
-
-    row1 = _row1_windows(spec.job, d, n)
-    row1 *= enl * (2.0 * lam / d)
-    row1[0] += enl
-
-    diag = np.empty(n + 1)
-    diag[0] = 1.0 - row0.sum()
-    diag[1] = 1.0 - row1.sum()
+    # entry k + 1 of each table is taken at k d
+    F = grid_values(job.cdf, d, -1, n + 1)
+    J = grid_values(job.prefix_cdf, d, -1, n + 1)
+    # F flat across window k's two intervals: its integrand is 0 there
+    flat = F[2:] == F[:-2]
+    t_int = _window_integrals(J, flat)  # k = -1 .. n - 1
+    # M/G/1 row 0 has the window ((j-1)d, jd), t_int[j], at column j = 0..n;
+    # spectrally negative columns j >= 2 reach the offsets k = -1 .. n - 2
+    band = t_int[: n + 1 if mg1 else n]
+    band *= enl * lam
+    band[0] += enl  # no-jump shift
+    toeplitz = _trim_band(band)
     csum = np.cumsum(toeplitz)
-    # row i >= 2 covers offsets k = -1 .. n - i; entries past the band are 0
-    for s in work_slices(n - 1):
-        i = np.arange(2 + s.start, 2 + s.stop)
-        diag[i] = 1.0 - csum[np.minimum(n - i + 1, len(csum) - 1)]
+
+    if mg1:
+        special = _row1_windows(J, grid_values(job.prefix_x_cdf, d, -1, n + 1), flat, d)
+        special *= enl * (2.0 * lam / d)
+        special[0] += enl
+        diag = np.empty(n + 1)
+        diag[0] = 1.0 - band.sum()
+        diag[1] = 1.0 - special.sum()
+        # row i >= 2 covers offsets k = -1 .. n - i; entries past the band are 0
+        for s in work_slices(n - 1):
+            i = np.arange(2 + s.start, 2 + s.stop)
+            diag[i] = 1.0 - csum[np.minimum(n - i + 1, len(csum) - 1)]
+    else:
+        special = enl * lam * (d - np.diff(J[1 : n + 2]))  # J at 0 .. n d
+        np.maximum(special, 0.0, out=special)
+        # offsets k = max(-1, i - n) .. i - 2 exist for columns j in [2, n];
+        # the topmost row has no j = i + 1, its k = -1 mass stays in place
+        # (for n = 1 that leaves csum[0] - toeplitz[0] = 0)
+        moved = csum[np.minimum(np.arange(n), len(csum) - 1)]
+        moved[-1] -= toeplitz[0]
+        diag = 1.0 - special - moved
     _check_diag(diag)
     return TransitionKernel(
         grid=grid,
-        kind=ModelKind.MG1,
+        kind=spec.kind,
         toeplitz=toeplitz,
         diag=diag,
-        row1=row1,
+        row1=special if mg1 else None,
+        col1=None if mg1 else special,
     )
 
 
-def _row1_windows(job: JobSize, d: float, n: int) -> np.ndarray:
-    """Triangle-weighted windows of the M/G/1 row 1.
+def _window_integrals(J: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """t_int[k + 1] = int_{k d}^{(k+1) d} (F_B(s + d) - F_B(s)) ds from J
+    at k d, k = -1..: second differences of J.
+
+    Tiny negative rounding is clipped (J is convex, so the true values are
+    nonnegative), and windows where F is ``flat`` are exactly 0, which kills
+    cancellation dust (keeps the band genuinely banded).
+    """
+    t_int = np.diff(J, 2)
+    np.maximum(t_int, 0.0, out=t_int)
+    t_int[flat] = 0.0
+    return t_int
+
+
+def _row1_windows(J: np.ndarray, K: np.ndarray, flat: np.ndarray, d: float) -> np.ndarray:
+    """Triangle-weighted windows of the M/G/1 row 1 from J and K at k d,
+    k = -1..n+1.
 
     Entry j is int_{(j-1)d}^{jd} (jd - s)(F(s+d) - F(s)) ds, j = 0..n,
-    clipped at 0.
+    clipped at 0 and exactly 0 where F is ``flat``.
     """
-    w = np.empty(n + 1)
-    J = grid_values(job.prefix_cdf, d, -1, n + 1)
-    K = grid_values(job.prefix_x_cdf, d, -1, n + 1)
-    # prefix integrals: J[j + o] and K[j + o] are taken at (j - 1 + o) d
-    for s in work_slices(n + 1):
+    w = np.empty(len(J) - 2)
+    # J[j + o] and K[j + o] are taken at (j - 1 + o) d
+    for s in work_slices(len(w)):
         j0, j1, j2 = (slice(s.start + o, s.stop + o) for o in range(3))
         c = np.arange(s.start, s.stop) * d
         upper = (c + d) * (J[j2] - J[j1]) - (K[j2] - K[j1])
         lower = c * (J[j1] - J[j0]) - (K[j1] - K[j0])
         w[s] = upper - lower
-    f_edges = grid_values(job.cdf, d, -1, n + 1)
-    w[f_edges[2:] == f_edges[:-2]] = 0.0
+    w[flat] = 0.0
     np.maximum(w, 0.0, out=w)
     return w
-
-
-def build_specneg(spec: ModelSpec, grid: Grid) -> TransitionKernel:
-    """Kernel of the discretized spectrally negative queue.
-
-    Columns j >= 2 are Toeplitz in k = i - j; column j = 1 collects all
-    one-jump paths ending in [0, d], including those stopped at 0:
-    Pcheck(i, 1) = e^{-lam d} lam (d - int_{(i-1)d}^{id} F_B).  The chain
-    has no state 0: a path stopped at 0 leaves it at once with the positive
-    drift, so its end lies in [0, d] and it is counted in state 1.
-    """
-    if spec.kind is not ModelKind.SPECTRALLY_NEGATIVE:
-        raise ValueError("spec is not a spectrally negative model")
-    if grid.zero_state:
-        raise GridError("the spectrally negative chain has no zero state")
-    lam, d, n = spec.lam, grid.delta, grid.m_delta
-    enl = float(np.exp(-lam * d))
-
-    t_int = _window_integrals(spec.job, d, -1, max(n - 2, -1))
-    toeplitz = enl * lam * t_int  # k = -1 .. n - 2
-    toeplitz[0] += enl  # upward shift j = i + 1
-    toeplitz = _trim_band(toeplitz)
-
-    ii = np.arange(1, n + 1)
-    J = grid_values(spec.job.prefix_cdf, d, 0, n)
-    col1 = enl * lam * (d - np.diff(J))
-    np.maximum(col1, 0.0, out=col1)
-
-    csum = np.cumsum(toeplitz)
-    # offsets k = max(-1, i - n) .. i - 2 exist for columns j in [2, n];
-    # the topmost row has no j = i + 1, its k = -1 mass stays in place
-    # (for n = 1 that leaves csum[0] - toeplitz[0] = 0)
-    moved = csum[np.minimum(ii - 1, len(csum) - 1)]
-    moved[-1] -= toeplitz[0]
-    diag = 1.0 - col1 - moved
-    _check_diag(diag)
-    return TransitionKernel(
-        grid=grid,
-        kind=ModelKind.SPECTRALLY_NEGATIVE,
-        toeplitz=toeplitz,
-        diag=diag,
-        col1=col1,
-    )
 
 
 def _fft_len(n: int) -> int:
@@ -356,9 +336,3 @@ def _check_diag(diag: np.ndarray) -> None:
             f"row sums exceed 1 by more than rounding allows (min diag {diag.min()!r})"
         )
     np.maximum(diag, 0.0, out=diag)
-
-
-def build_kernel(spec: ModelSpec, grid: Grid) -> TransitionKernel:
-    if spec.kind is ModelKind.MG1:
-        return build_mg1(spec, grid)
-    return build_specneg(spec, grid)

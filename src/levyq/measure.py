@@ -66,16 +66,20 @@ def _is_finite_real(x) -> bool:
         return False
 
 
-def _on_half_line(fn, x, below):
-    """``fn`` at max(x, 0), with ``below`` where x < 0 and NaN where x is NaN.
+def _on_half_line(fn, x, below, above):
+    """``fn`` at max(x, 0), with ``below`` where x < 0, the limit ``above``
+    at +inf and NaN where x is NaN.
 
     The argument convention of every law and measure query: ``fn`` sees a
-    float array on [0, inf) only, and a scalar x gives a Python float.
+    finite float array on [0, inf) only, and a scalar x gives a Python float.
     """
     xa = np.asarray(x, dtype=float)
-    out = np.where(xa < 0.0, below, fn(np.maximum(xa, 0.0)))
-    if np.isnan(xa).any():
-        out = np.where(np.isnan(xa), np.nan, out)
+    finite = np.isfinite(xa)
+    whole = finite.all()
+    inside = np.maximum(xa if whole else np.where(finite, xa, 0.0), 0.0)
+    out = np.where(xa < 0.0, below, fn(inside))
+    if not whole:
+        out = np.where(xa == np.inf, above, np.where(np.isnan(xa), np.nan, out))
     return float(out) if xa.ndim == 0 else out
 
 
@@ -315,7 +319,7 @@ class _StepLinearCdf:
                 self._interp_into(flat[s], side, out[s])
             return out.reshape(np.shape(x))
 
-        return _on_half_line(interp, q, 0.0)
+        return _on_half_line(interp, q, 0.0, float(self.y_right[-1]))
 
     def _interp_into(self, q, side, out):
         k = np.searchsorted(self.xs, q, side=side) - 1

@@ -90,7 +90,11 @@ class TestJumpCut:
         assert vals[1] / vals[2] == pytest.approx(4.0, rel=1e-2, abs=0)
 
     def test_mg1_zero_mean(self):
-        assert basic_row(ModelKind.MG1, 0.5, Deterministic(0.0), 0.1).jump_cut == 0.0
+        # zero jobs move nothing, but the ignored steps still serve delta
+        two_or_more = -np.expm1(-0.05) - 0.05 * np.exp(-0.05)
+        assert basic_row(ModelKind.MG1, 0.5, Deterministic(0.0), 0.1).jump_cut == (
+            pytest.approx(0.1 * two_or_more, rel=1e-14, abs=0)
+        )
 
     def test_mg1_requires_mean(self):
         with pytest.raises(CertificationError):
@@ -115,6 +119,23 @@ class TestJumpCut:
                 for d in (1e-2, 5e-3, 2.5e-3)
             ]
             assert vals[0] / vals[1] == pytest.approx(4.0, rel=2e-2, abs=0)
+
+
+class TestJumpCutDrift:
+    """Jobs far below delta: with two or more jumps the true path moves by
+    about the drift, delta, while the chain keeps the mass in place."""
+
+    @pytest.mark.parametrize("job", [Deterministic(1 / 500), Exponential(500.0)],
+                             ids=["deterministic", "exponential"])
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_small_jobs_within_certificate(self, kind, job):
+        spec = ModelSpec(kind, 50.0, job)  # lam * delta = 1
+        grid = spec.grid_for(1 / 50, 250)  # M = 5
+        mu0 = GeneralMeasure.dirac(1.0)
+        dist, bound = solve(spec, grid, mu0, 25).at_time(0.5)
+        samples = simulate(SimConfig(spec, mu0, 0.5, 20_000, seed=7))
+        est, se = empirical_wasserstein(samples, dist, seed=7)
+        assert est <= bound + 3.0 * se, (est, bound, se)
 
 
 class TestTruncation:
@@ -522,16 +543,17 @@ def reference_components(spec, grid, refiner, p):
         slack += q * float(np.einsum("i,i", p, refiner.s))
     else:
         agg = lam * d**2 * enl
+    two_or_more = float(-np.expm1(-lam * d) - lam * d * enl)
+    # the mean of the ignored jumps, plus delta where the drift can outweigh them
     mean_cut = None if job.mean() is None else lam * d * (1.0 - enl) * job.mean()
     if spec.kind is ModelKind.MG1:
-        cut = mean_cut
+        cut = mean_cut + d * two_or_more * float(job.cdf(d / 2))
         trunc_vec = q * job.tail_mean(grid.m - grid.states() * d)
         trunc = float(np.einsum("i,i", p, trunc_vec))
     else:
-        two_or_more = float(-np.expm1(-lam * d) - lam * d * enl)
         cut = two_or_more * (grid.m + d)
         if mean_cut is not None:
-            cut = min(mean_cut, cut)
+            cut = min(mean_cut + d * two_or_more * float(job.cdf(d)), cut)
         trunc = d * enl * float(p[-1])
         overshoot_rate = 2.0 * d * lam * d * enl * float(job.cdf(d))
         slack += overshoot_rate * float(p[-1])
@@ -553,6 +575,9 @@ class TestStepRule:
             # F(delta) > 0: the top state carries an overshoot charge
             pytest.param(ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Exponential(2.0)),
                          1 / 20, 200, id="specneg-exponential"),
+            # F(delta / 2) > 0: the cut carries the drift term
+            pytest.param(ModelSpec(ModelKind.MG1, 0.5, Exponential(2.0)),
+                         1 / 20, 200, id="mg1-exponential"),
         ],
     )
     def test_matches_reference_exactly(self, spec, delta, m_delta, refined):

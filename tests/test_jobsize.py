@@ -489,21 +489,26 @@ CONVENTION_LAWS = [
 
 class TestArgumentConvention:
     """Every query extends a family's closed forms on [0, inf) the same way:
-    0 (F, J, K) or E[B] (tail mean) below 0, NaN for NaN, and a Python float
-    for a scalar."""
+    0 (F, J, K) or E[B] (tail mean) below 0, the limits F = 1, J = K = inf
+    and tail mean 0 at +inf, NaN for NaN, and a Python float for a scalar,
+    with no warning."""
 
+    LIMIT_AT_INF = {"cdf": 1.0, "prefix_cdf": INF, "prefix_x_cdf": INF, "tail_mean": 0.0}
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("query", ["cdf", "prefix_cdf", "prefix_x_cdf", "tail_mean"])
     @pytest.mark.parametrize("job", CONVENTION_LAWS)
     def test_queries(self, job, query):
         f = getattr(job, query)
         below = f(0.0) if query == "tail_mean" else 0.0
-        for x in (NAN, -INF, -1.0, 0.0, 0.3, 2.0, 1e9):
+        for x in (NAN, -INF, -1.0, 0.0, 0.3, 2.0, 1e9, INF):
             assert type(f(x)) is float
         assert np.isnan(f(NAN))
-        out = f(np.array([NAN, -INF, -1.0, 0.0, 2.0]))
-        assert isinstance(out, np.ndarray) and out.shape == (5,)
+        out = f(np.array([NAN, -INF, -1.0, 0.0, 2.0, INF]))
+        assert isinstance(out, np.ndarray) and out.shape == (6,)
         assert np.isnan(out[0]) and not np.isnan(out[1:]).any()
         assert out[1] == out[2] == f(-1.0) == below
+        assert out[5] == f(INF) == self.LIMIT_AT_INF[query]
         if query == "tail_mean":
             assert below == pytest.approx(job.mean(), rel=1e-15, abs=0)
         elif query != "cdf":

@@ -1,6 +1,8 @@
 """Transition kernels: entries against Riemann-sum oracles, structure against
 an independently coded dense builder, stochasticity and limit behavior."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,6 @@ from levyq import (
     TabulatedCdf,
     Uniform,
     build_kernel,
-    build_mg1,
-    build_specneg,
     solve,
 )
 from levyq import measure
@@ -87,7 +87,7 @@ class TestMg1Entries:
     def test_no_arrival_limit(self):
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))
         grid = spec.grid_for(0.5, 20)
-        kern = build_mg1(spec, grid)
+        kern = build_kernel(spec, grid)
         for i in range(1, 21):
             assert kern.row(i)[i - 1] == pytest.approx(1.0, abs=1e-11)
         assert kern.row(0)[0] == pytest.approx(1.0, abs=1e-11)
@@ -95,13 +95,13 @@ class TestMg1Entries:
     def test_pure_shift_entry_below_support(self):
         # window below the job-size support: only the no-arrival shift remains
         grid = REF_MG1.grid_for(0.5, 100)
-        kern = build_mg1(REF_MG1, grid)
+        kern = build_kernel(REF_MG1, grid)
         assert kern.row(4)[3] == pytest.approx(np.exp(-0.125), abs=1e-12)
         assert riemann_window(REF_MG1.job, 0.5, -0.5, 0.0) == 0.0
 
     def test_one_jump_entry_against_riemann(self):
         grid = REF_MG1.grid_for(0.5, 100)
-        kern = build_mg1(REF_MG1, grid)
+        kern = build_kernel(REF_MG1, grid)
         # start interval 4, landing interval 6: window [1.0, 1.5]
         oracle = riemann_window(REF_MG1.job, 0.5, 1.0, 1.5)
         expected = np.exp(-0.125) * 0.25 * oracle
@@ -109,7 +109,7 @@ class TestMg1Entries:
 
     def test_row1_triangle_against_riemann(self):
         grid = REF_MG1.grid_for(0.5, 100)
-        kern = build_mg1(REF_MG1, grid)
+        kern = build_kernel(REF_MG1, grid)
         for j in [3, 4, 5]:
             oracle = riemann_triangle(REF_MG1.job, 0.5, (j - 1) * 0.5, j * 0.5, j * 0.5)
             expected = np.exp(-0.125) * 2 * 0.25 / 0.5 * oracle
@@ -117,8 +117,8 @@ class TestMg1Entries:
 
     def test_requires_zero_state(self):
         grid = REF_SN.grid_for(0.5, 10)  # no zero state
-        with pytest.raises(GridError):
-            build_mg1(REF_MG1, grid)
+        with pytest.raises(GridError, match="needs the zero state"):
+            build_kernel(REF_MG1, grid)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -177,7 +177,7 @@ class TestSpecnegEntries:
     def test_pure_drift_limit(self):
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1e-12, Pareto(1.0, 1.5))
         grid = spec.grid_for(0.5, 20)
-        kern = build_specneg(spec, grid)
+        kern = build_kernel(spec, grid)
         for i in range(1, 20):
             assert kern.row(i)[i] == pytest.approx(1.0, abs=1e-11)  # state i+1
         assert kern.row(20)[19] == pytest.approx(1.0, abs=1e-11)  # retained at top
@@ -186,7 +186,7 @@ class TestSpecnegEntries:
         # all jump mass at 0: Pcheck row sums are e^{-ld}(1 + ld) off the top
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.7, Deterministic(0.0))
         grid = spec.grid_for(0.25, 30)
-        kern = build_specneg(spec, grid)
+        kern = build_kernel(spec, grid)
         lam_d = 0.7 * 0.25
         expected = np.exp(-lam_d) * (1.0 + lam_d)
         for i in range(1, 30):
@@ -196,7 +196,7 @@ class TestSpecnegEntries:
 
     def test_bottom_column_against_riemann(self):
         grid = REF_SN.grid_for(1 / 100, 5500)
-        kern = build_specneg(REF_SN, grid)
+        kern = build_kernel(REF_SN, grid)
         d = 1 / 100
         s = np.linspace(4.99, 5.0, 200_001)
         mid = (s[:-1] + s[1:]) / 2
@@ -206,8 +206,8 @@ class TestSpecnegEntries:
 
     def test_refuses_zero_state(self):
         grid = REF_MG1.grid_for(0.5, 10)  # with a zero state
-        with pytest.raises(GridError):
-            build_specneg(REF_SN, grid)
+        with pytest.raises(GridError, match="has no zero state"):
+            build_kernel(REF_SN, grid)
 
 
 class TestDenseOracle:
@@ -221,7 +221,7 @@ class TestDenseOracle:
             n = int(rng.integers(5, 40))
             spec = ModelSpec(ModelKind.MG1, lam, job)
             grid = spec.grid_for(d, n)
-            kern = build_mg1(spec, grid)
+            kern = build_kernel(spec, grid)
             oracle = dense_mg1_oracle(spec, grid)
             assert np.max(np.abs(kern.dense() - oracle)) < 1e-12
 
@@ -235,7 +235,7 @@ class TestDenseOracle:
             n = int(rng.integers(5, 40))
             spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, lam, job)
             grid = spec.grid_for(d, n)
-            kern = build_specneg(spec, grid)
+            kern = build_kernel(spec, grid)
             oracle = dense_specneg_oracle(spec, grid)
             assert np.max(np.abs(kern.dense() - oracle)) < 1e-12
 
@@ -244,7 +244,7 @@ class TestApply:
     def test_stationary_at_zero_arrival(self):
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))
         grid = spec.grid_for(0.5, 20)
-        kern = build_mg1(spec, grid)
+        kern = build_kernel(spec, grid)
         p = np.zeros(21)
         p[0] = 1.0
         out = kern.apply(p)
@@ -252,7 +252,7 @@ class TestApply:
 
     def test_one_hot_reproduces_rows(self):
         grid = REF_MG1.grid_for(0.5, 60)
-        kern = build_mg1(REF_MG1, grid)
+        kern = build_kernel(REF_MG1, grid)
         for i in [0, 1, 2, 17, 60]:
             p = np.zeros(61)
             p[i] = 1.0
@@ -261,7 +261,7 @@ class TestApply:
 
     def test_repeated_apply_matches_matrix_power(self):
         grid = REF_MG1.grid_for(0.1, 500)
-        kern = build_mg1(REF_MG1, grid)
+        kern = build_kernel(REF_MG1, grid)
         dense = kern.dense()
         p = np.zeros(501)
         p[10] = 1.0
@@ -274,7 +274,7 @@ class TestApply:
     def test_grid_mismatch(self):
         # a state vector of the 61-interval grid on the 60-interval kernel
         grid = REF_MG1.grid_for(0.5, 60)
-        kern = build_mg1(REF_MG1, grid)
+        kern = build_kernel(REF_MG1, grid)
         with pytest.raises(GridError):
             kern.apply(np.ones(62) / 62)
 
@@ -320,6 +320,48 @@ def test_work_budget_leaves_kernel_bit_identical(monkeypatch, spec, budget):
     ref = arrays()
     monkeypatch.setattr(measure, "WORK_BUDGET", budget)
     assert [a.tobytes() for a in arrays()] == [a.tobytes() for a in ref]
+
+
+@dataclass(frozen=True, eq=False)
+class CountingUniform(Uniform):
+    """Uniform(lo, hi) that records every point each primitive is asked for."""
+
+    seen: dict = field(default_factory=lambda: {"cdf": [], "prefix_cdf": [],
+                                                "prefix_x_cdf": []})
+
+    def cdf(self, x):
+        self.seen["cdf"].append(np.ravel(x))
+        return super().cdf(x)
+
+    def prefix_cdf(self, x):
+        self.seen["prefix_cdf"].append(np.ravel(x))
+        return super().prefix_cdf(x)
+
+    def prefix_x_cdf(self, x):
+        self.seen["prefix_x_cdf"].append(np.ravel(x))
+        return super().prefix_x_cdf(x)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_each_law_primitive_evaluated_once_per_grid_point(kind):
+    job = CountingUniform(0.3, 2.2)
+    spec = ModelSpec(kind, 0.7, job)
+    grid = spec.grid_for(0.1, 40)
+    kern = build_kernel(spec, grid)
+    n, d = grid.m_delta, grid.delta
+    table = np.arange(-1, n + 2) * d  # k d, k = -1..n+1
+    used = ["cdf", "prefix_cdf"] + (["prefix_x_cdf"] if kind is ModelKind.MG1 else [])
+    for name, calls in job.seen.items():
+        points = np.concatenate(calls) if calls else np.empty(0)
+        if name in used:
+            assert np.array_equal(np.sort(points), table), name  # each point once
+        else:
+            assert len(points) == 0, name
+    # the counting law builds the same kernel as the plain one
+    plain = build_kernel(ModelSpec(kind, 0.7, Uniform(0.3, 2.2)), grid)
+    for part in ("toeplitz", "diag", "row1", "col1"):
+        a, b = getattr(kern, part), getattr(plain, part)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
 def test_fft_len_is_smallest_5_smooth():
@@ -399,7 +441,7 @@ class TestStochasticity:
         # rows fully inside the truncation only lose multi-jump mass
         spec = ModelSpec(ModelKind.MG1, 0.4, Uniform(1.0, 3.0))
         grid = spec.grid_for(0.25, 80)  # M = 20
-        kern = build_mg1(spec, grid)
+        kern = build_kernel(spec, grid)
         lam_d = 0.4 * 0.25
         expected = 1.0 - np.exp(-lam_d) * (1.0 + lam_d)
         for i in range(2, 60):  # i*d + sup B + d <= M
@@ -409,8 +451,8 @@ class TestStochasticity:
         spec = ModelSpec(ModelKind.MG1, 0.4, Erlang(4, 1.0))
         g_small = spec.grid_for(0.25, 40)
         g_large = spec.grid_for(0.25, 80)
-        k_small = build_mg1(spec, g_small)
-        k_large = build_mg1(spec, g_large)
+        k_small = build_kernel(spec, g_small)
+        k_large = build_kernel(spec, g_large)
         for i in range(2, 41):
             s_small = 1.0 - k_small.diag[i]
             s_large = 1.0 - k_large.diag[i]

@@ -125,6 +125,8 @@ class TestCdfOf:
         out = m.cdf(np.array([np.nan, -1.0, 25.0]))
         assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == pytest.approx(1.0)
         assert np.isnan(m.cdf(np.nan)) and type(m.cdf(np.nan)) is float
+        # the infinities give the limits, the CDF's value past its support
+        assert m.cdf(-np.inf) == 0.0 and m.cdf(np.inf) == m.cdf(25.0)
 
 
 class TestWasserstein:
