@@ -11,7 +11,8 @@ package reduces to a handful of integrals of the job-size CDF F:
 Every window integral of F that a kernel row or a refined shape needs is a
 difference of J and K.  Every family (uniform, exponential, Erlang, Pareto,
 deterministic, tabulated) implements these in closed form, so every law
-takes one exact kernel and bound path.  A law known only through a CDF
+takes one exact kernel and bound path; Pareto's are one expression each of
+log(x / x_min), exact for every alpha > 0.  A law known only through a CDF
 callable is tabulated first (:meth:`TabulatedCdf.from_cdf`): the step CDF
 below it is an exact law of its own, and its ``w1_bound`` bounds the
 Wasserstein distance between the two laws, which the certified bound
@@ -292,9 +293,18 @@ class Erlang(JobSize):
         return Erlang(self.shape, self.rate / factor)
 
 
+def _exp_integral(c: float, L):
+    """int_0^L e^{ct} dt = expm1(cL) / c, exact to rounding for c near 0 too."""
+    return np.expm1(c * L) / c if c else L
+
+
 @dataclass(frozen=True)
 class Pareto(JobSize):
-    """Pareto job sizes: F(x) = 1 - (x_min / x)^alpha for x >= x_min."""
+    """Pareto job sizes: F(x) = 1 - (x_min / x)^alpha for x >= x_min.
+
+    F, J, K and the tail mean are each one expression of L = log(max(x,
+    x_min) / x_min), from s = x_min e^t: exact for every alpha, 0 below x_min.
+    """
 
     x_min: float
     alpha: float
@@ -310,39 +320,28 @@ class Pareto(JobSize):
     def inf_support(self) -> float:
         return self.x_min
 
+    def _excess(self, x):  # w = (x - x_min)^+ and L = log1p(w / x_min), exact near 0
+        w = np.maximum(x - self.x_min, 0.0)
+        return w, np.log1p(w / self.x_min)
+
     def _cdf(self, x):
-        xm = self.x_min
-        with np.errstate(divide="ignore"):
-            out = np.where(x >= xm, 1.0 - (xm / np.maximum(x, xm)) ** self.alpha, 0.0)
-        return out
+        return -np.expm1(-self.alpha * self._excess(x)[1])
 
     def _J(self, x):
-        xm, al = self.x_min, self.alpha
-        u = np.maximum(x, xm)
-        if al == 1.0:
-            tail = xm * np.log(u / xm)
-        else:
-            tail = xm**al * (u ** (1.0 - al) - xm ** (1.0 - al)) / (1.0 - al)
-        return np.where(x > xm, (u - xm) - tail, 0.0)
+        w, L = self._excess(x)
+        return w - self.x_min * _exp_integral(1.0 - self.alpha, L)
 
-    def _K(self, x):
-        xm, al = self.x_min, self.alpha
-        u = np.maximum(x, xm)
-        if al == 2.0:
-            tail = xm**2 * np.log(u / xm)
-        else:
-            tail = xm**al * (u ** (2.0 - al) - xm ** (2.0 - al)) / (2.0 - al)
-        return np.where(x > xm, (u**2 - xm**2) / 2.0 - tail, 0.0)
+    def _K(self, x):  # (u^2 - x_min^2) / 2 = w (w / 2 + x_min)
+        (w, L), xm = self._excess(x), self.x_min
+        return w * (w / 2.0 + xm) - xm**2 * _exp_integral(2.0 - self.alpha, L)
 
     def mean(self):
         if self.alpha <= 1.0:
             return None
         return self.alpha * self.x_min / (self.alpha - 1.0)
 
-    def _tail_mean(self, a):
-        xm, al = self.x_min, self.alpha
-        u = np.maximum(a, xm)
-        return al * xm**al * u ** (1.0 - al) / (al - 1.0)
+    def _tail_mean(self, a):  # E[B] (x_min / u)^(alpha - 1)
+        return self.mean() * np.exp((1.0 - self.alpha) * self._excess(a)[1])
 
     def sample(self, rng, n):
         # inverse CDF: x = x_min * U^{-1/alpha}, U on (0, 1] to stay finite

@@ -165,6 +165,24 @@ class TestWeightedCdfDiffIntegral:
         assert v == 0.0
 
 
+class TestParetoEveryAlpha:
+    """J and K next to alpha = 1 and alpha = 2, where power-law forms cancel,
+    are as exact as anywhere else."""
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [1 - 1e-12, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9, 1.5, 2 - 1e-12, 2 + 1e-12, 2 - 1e-9, 2 + 1e-9, 3.7],
+    )
+    @pytest.mark.parametrize("x", [1.5, 10.0, 55.0, 500.0])
+    def test_prefix_integrals_against_quadrature(self, alpha, x):
+        job = Pareto(1.0, alpha)
+        cdf = lambda s: 1.0 - s**-alpha
+        j, _ = integrate.quad(cdf, 1.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
+        k, _ = integrate.quad(lambda s: s * cdf(s), 1.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert job.prefix_cdf(x) == pytest.approx(j, rel=1e-10, abs=0.0)
+        assert job.prefix_x_cdf(x) == pytest.approx(k, rel=1e-10, abs=0.0)
+
+
 class TestMeanAndTail:
     def test_means(self):
         assert Uniform(1.0, 5.0).mean() == 3.0

@@ -210,6 +210,28 @@ class TestSpecnegEntries:
             build_kernel(REF_SN, grid)
 
 
+class TestParetoNextToSpecialAlpha:
+    """Next to alpha = 1 (spectrally negative: J's power law degenerates) and
+    alpha = 2 (M/G/1: K's) the kernel builds, with row sums within 1, and is
+    the limit law's up to rounding."""
+
+    @pytest.mark.parametrize(
+        "kind, lam, alpha",
+        [
+            (ModelKind.SPECTRALLY_NEGATIVE, 1 / 3, 1.0),
+            (ModelKind.MG1, 1 / 10, 2.0),
+        ],
+        ids=["specneg-alpha-1", "mg1-alpha-2"],
+    )
+    @pytest.mark.parametrize("step", [-1e-12, 1e-12])
+    def test_matches_limit_kernel(self, kind, lam, alpha, step):
+        def dense(a):
+            spec = ModelSpec(kind, lam, Pareto(1.0, a))
+            return build_kernel(spec, spec.grid_for(1 / 50, 1000)).dense()  # M = 20
+
+        assert np.max(np.abs(dense(alpha + step) - dense(alpha))) < 1e-9
+
+
 class TestDenseOracle:
     def test_mg1_matches_raw_formulas(self):
         rng = np.random.default_rng(0)

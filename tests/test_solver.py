@@ -291,6 +291,22 @@ class TestCertifiedTail:
         assert lo - 4 * se <= mc <= hi + 4 * se
 
 
+class TestLongHorizon:
+    def test_paper_chain_mean_floor(self):
+        # The paper chain's lifted mean settles about 6.2 delta below the
+        # Pollaczek-Khinchine mean lam E[B^2] / (2 (1 - rho)) = 31/6 (the
+        # same multiple of delta at delta = 1/100).  The mean is 1-Lipschitz,
+        # so that gap is a floor under the chain's W1 error at long horizons.
+        # E[W_t] still rises by about 0.1 delta between t = 400 and t = 800,
+        # hence the band's width.
+        d = 1 / 50
+        grid = REF_MG1.grid_for(d, 5000)  # M = 100
+        res = solve(REF_MG1, grid, GeneralMeasure.dirac(1.0), 20_000, bound_mode="basic")
+        assert res.times[-1] == 400.0
+        gap = 31 / 6 - res.distributions[-1].mean()
+        assert 5.5 * d <= gap <= 7.0 * d
+
+
 class TestSpeedRescaling:
     def test_solution_maps_back(self):
         from levyq import rescale_for_speed
