@@ -25,9 +25,11 @@ that covers its blocks and the shifts its shapes read.  That table (its
 points and the primitives' values there) is the only temporary allowed past
 the shared work budget (32 KiB), by its halo of at most two blocks and one
 point; every other temporary of the sweep stays within it.  The spectrally
-negative bottom block is swept once, in the same chunks: a start that one
-jump cannot bring there (above the job support plus two intervals) carries
-exact zeros, not values rebuilt from J that are 0 up to rounding.
+negative bottom block is swept once, in the same chunks: a start i that one
+jump cannot bring there (F is 1 at (i - 1) delta) carries exact zeros, not
+values rebuilt from J that are 0 up to rounding.  Where to sweep is read off
+F at the grid points: outside the blocks where F moves, every shape equals
+its chord.
 """
 
 from __future__ import annotations
@@ -156,11 +158,11 @@ class OneJumpRefiner:
         rebuilt from that block's deviation row and psi at the block's
         edges, psi(-i delta) and psi((1 - i) delta) (the bottom mass), with
         a slope envelope for the factor that adds the block's own slope
-        bound ``c1[k - k_lo]``.  A start i > -k_lo lies above the job
-        support plus two intervals, so one jump cannot bring it to y-block
-        0: its entries stay exactly 0.  Returns the block sums and, per
-        start state i = 1..n, the bottom mass, the sampled bottom value and
-        its Lipschitz constant.
+        bound ``c1[k - k_lo]``.  A start i > -k_lo has F = 1 at (i - 1)
+        delta, so one jump cannot bring it to y-block 0: its entries stay
+        exactly 0.  Returns the block sums and, per start state i = 1..n,
+        the bottom mass, the sampled bottom value and its Lipschitz
+        constant.
         """
         d, L, n = self.grid.delta, self.L, self.grid.m_delta
         J, frac = self.spec.job.prefix_cdf, self._frac
@@ -199,16 +201,33 @@ class OneJumpRefiner:
             out[s] = csum[hi] - csum[lo]
         return out
 
+    def _extent(self) -> tuple[int, int]:
+        """(a, b): the first j with F(j delta) > 0 and the last j with
+        F(j delta) < 1 over j = 0..n+1, or n + 2 and -1 where there is none.
+
+        F is 0 up to (a - 1) delta and 1 from (b + 1) delta on, so a shape
+        that reads F only there equals its chord, and the sweep skips it.
+        """
+        n, F = self.grid.m_delta, self.spec.job.cdf
+        a, b = n + 2, -1
+        for s in work_slices(n + 2):
+            j = np.arange(s.start, s.stop)
+            f = F(j * self.grid.delta)
+            a = min(a, int(j[f > 0.0].min(initial=a)))
+            b = max(b, int(j[f < 1.0].max(initial=b)))
+        return a, b
+
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         spec, grid, L = self.spec, self.grid, self.L
-        job, d, n = spec.job, grid.delta, grid.m_delta
-        F = job.cdf
+        d, n, F = grid.delta, grid.m_delta, spec.job.cdf
         q = d**2 / (4 * L)  # sampling deficit per unit of Lipschitz constant
+        a, b = self._extent()
 
         if spec.kind is ModelKind.MG1:
-            sup = job.sup_support
-            k_hi = n if not np.isfinite(sup) else min(n, int(np.ceil(sup / d)) + 1)
-            k_lo = max(-2, int(np.floor(job.inf_support / d)) - 2)
+            # on block k, phi reads F on [(k + 1) delta, (k + 3) delta] and f1
+            # on [k delta, (k + 2) delta]; both equal their chords where F is
+            # 0 (k <= a - 4) or 1 (k > b) on all of [k delta, (k + 3) delta]
+            k_lo, k_hi = max(-2, a - 3), min(n, b)
             ks = np.arange(k_lo, k_hi + 1)
             c1_gen = (F((ks + 3) * d) - F((ks + 1) * d)) / d
             # a start in interval i >= 2 has the one-jump CDF phi(y - i*delta),
@@ -222,15 +241,16 @@ class OneJumpRefiner:
             w = np.concatenate([w_gen[:1], [w1], w_gen[1:]])
             s = np.concatenate([s_gen[:1], [2.0 * s_gen[0]], s_gen[1:]])
         else:
-            sup = job.sup_support
-            k_lo = -n if not np.isfinite(sup) else max(-n, -(int(np.ceil(sup / d)) + 1))
+            # start i = -k reads F on [(i - 1) delta, (i + 1) delta], where F
+            # is 1 for i > b + 1
+            k_lo = -min(n, b + 1)
             ks = np.arange(k_lo, 1)
             c1_gen = (F((1 - ks) * d) - F((-1 - ks) * d)) / d
-            a, bottom_mass, b_val, b_lip = self._sweep_specneg(k_lo, c1_gen)
+            psi_sums, bottom_mass, b_val, b_lip = self._sweep_specneg(k_lo, c1_gen)
             b_slack = q * b_lip
             cap = d * bottom_mass
             capped = b_val + b_slack >= cap  # the worst case is tighter
-            w = self._window(a, k_lo, 1, 1) + np.where(capped, cap, b_val)
+            w = self._window(psi_sums, k_lo, 1, 1) + np.where(capped, cap, b_val)
             s = q * self._window(c1_gen, k_lo, 1, 1) + np.where(capped, 0.0, b_slack)
         return np.minimum(w, d, out=w), s
 

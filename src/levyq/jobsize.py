@@ -23,8 +23,7 @@ closed forms for float arrays on [0, inf) only; :class:`JobSize` extends
 them to all of R in one place: F, J and K are 0 for x < 0 and the tail mean
 is E[B] there, x = +inf gives the limits F = 1, J = K = inf and tail mean 0,
 a NaN argument gives NaN, and a scalar argument gives a Python float.
-``inf_support`` and ``sup_support`` default to 0 and inf, the conservative
-ends; a family overrides them where it knows better.
+Where a law's mass lies is read off its F, so a family states no support.
 
 All instances are immutable after construction and all methods are pure, so
 values may be shared freely between threads.
@@ -73,8 +72,6 @@ class JobSize:
     """
 
     w1_bound: float = 0.0
-    inf_support: float = 0.0
-    sup_support: float = np.inf
 
     # -- family-specific primitives ------------------------------------------
 
@@ -139,14 +136,6 @@ class Uniform(JobSize):
         _require_finite(self, "lo", "hi")
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def inf_support(self) -> float:
-        return self.lo
-
-    @property
-    def sup_support(self) -> float:
-        return self.hi
 
     def _cdf(self, x):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
@@ -316,10 +305,6 @@ class Pareto(JobSize):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
-    @property
-    def inf_support(self) -> float:
-        return self.x_min
-
     def _excess(self, x):  # w = (x - x_min)^+ and L = log1p(w / x_min), exact near 0
         w = np.maximum(x - self.x_min, 0.0)
         return w, np.log1p(w / self.x_min)
@@ -362,14 +347,6 @@ class Deterministic(JobSize):
         _require_finite(self, "value")
         if not self.value >= 0.0:
             raise ValueError("job size must be nonnegative")
-
-    @property
-    def inf_support(self) -> float:
-        return self.value
-
-    @property
-    def sup_support(self) -> float:
-        return self.value
 
     def _cdf(self, x):
         # right-continuous step at the atom
@@ -482,14 +459,6 @@ class TabulatedCdf(JobSize):
     def _with_w1_bound(self, w1: float) -> "TabulatedCdf":
         object.__setattr__(self, "w1_bound", float(w1))
         return self
-
-    @property
-    def inf_support(self) -> float:
-        return float(self.xs[np.argmax(self._weights > 0)])
-
-    @property
-    def sup_support(self) -> float:
-        return float(self.xs[-1])
 
     def _segment(self, x):
         return np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 1)

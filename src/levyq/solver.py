@@ -163,9 +163,7 @@ def solve(
     np.empty(min(16 * grid.n_states, _FREED_BLOCK_VALUES))
     p, b0 = discretize_initial(mu0, grid)
     ledger = BoundLedger(b0, np.empty((horizon_steps, len(StepComponents._fields))))
-    snaps: dict[int, LiftedDistribution] = {}
-    if 0 in wanted:
-        snaps[0] = lift(grid, p)
+    snaps: dict[int, LiftedDistribution] = {0: lift(grid, p)}
     if horizon_steps == 0:
         return _result(spec, grid, snaps, ledger)
 

@@ -338,19 +338,23 @@ class TestWorkBudget:
         assert traced_peak(lambda: OneJumpRefiner(REF_MG1, grid)) < 1.05 * 2**20
 
 
+def extent(job, grid):
+    """(a, b) from F at the grid points j delta, j = 0..n+1: a is the first j
+    with F > 0 (n + 2 if none), b the last with F < 1 (-1 if none)."""
+    n = grid.m_delta
+    f = job.cdf(np.arange(n + 2) * grid.delta)
+    moved, below_one = np.flatnonzero(f > 0.0), np.flatnonzero(f < 1.0)
+    return (moved[0] if len(moved) else n + 2), (below_one[-1] if len(below_one) else -1)
+
+
 def swept_blocks(spec, grid):
-    """The blocks k whose shape samples the refiner sweeps: the generic
-    one-jump shape is constant off the job support."""
-    job, d, n = spec.job, grid.delta, grid.m_delta
+    """The blocks k whose shape samples the refiner sweeps: the one-jump
+    shapes equal their chords where F is constant (see TestExtent)."""
+    a, b = extent(spec.job, grid)
+    n = grid.m_delta
     if spec.kind is ModelKind.MG1:
-        k_lo = max(-2, int(np.floor(job.inf_support / d)) - 2)
-        k_hi = n if not np.isfinite(job.sup_support) else min(
-            n, int(np.ceil(job.sup_support / d)) + 1
-        )
-        return range(k_lo, k_hi + 1)
-    if not np.isfinite(job.sup_support):
-        return range(-n, 1)
-    return range(max(-n, -(int(np.ceil(job.sup_support / d)) + 1)), 1)
+        return range(max(-2, a - 3), min(n, b) + 1)
+    return range(-min(n, b + 1), 1)
 
 
 def reference_block_sums(fn, ks, d, L=SUBGRID):
@@ -367,6 +371,48 @@ def reference_block_sums(fn, ks, d, L=SUBGRID):
     return np.array(sums)
 
 
+def count_table_points(monkeypatch) -> dict:
+    """Count, per primitive, the points at which J and K are evaluated."""
+    points = {"prefix_cdf": 0, "prefix_x_cdf": 0}
+    for name in points:
+        def counted(job, x, name=name, primitive=getattr(JobSize, name)):
+            points[name] += np.size(x)
+            return primitive(job, x)
+
+        monkeypatch.setattr(JobSize, name, counted)
+    return points
+
+
+def table_budget(spec, grid, chunk: int) -> int:
+    """The most points a refiner build may evaluate per primitive: each
+    chunk's table spans its blocks, a halo of at most two blocks and the last
+    block's end."""
+    blocks = len(swept_blocks(spec, grid))
+    chunks = -(-blocks // chunk)
+    return (blocks + 2 * chunks) * SUBGRID + chunks
+
+
+class BareUniform(JobSize):
+    """Uniform(1, 2) as a family that writes only its closed forms, in
+    Uniform's expressions, and says nothing about where its mass lies."""
+
+    def _cdf(self, x):
+        return np.clip(x - 1.0, 0.0, 1.0)
+
+    def _J(self, x):
+        return (np.clip(x, 1.0, 2.0) - 1.0) ** 2 / 2.0 + np.maximum(x - 2.0, 0.0)
+
+    def _K(self, x):
+        w = np.clip(x, 1.0, 2.0) - 1.0
+        return w**2 / 2.0 + w**3 / 3.0 + np.where(x > 2.0, (x**2 - 4.0) / 2.0, 0.0)
+
+    def _tail_mean(self, a):
+        return (4.0 - np.clip(a, 1.0, 2.0) ** 2) / 2.0
+
+    def mean(self):
+        return 1.5
+
+
 class TestTableSweep:
     """Every shape is read from one table of J (and K) per chunk of blocks."""
 
@@ -378,19 +424,25 @@ class TestTableSweep:
         self, monkeypatch, spec, delta, m_delta
     ):
         grid = spec.grid_for(delta, m_delta)
-        points = {"prefix_cdf": 0, "prefix_x_cdf": 0}
-        for name in points:
-            def counted(job, x, name=name, primitive=getattr(JobSize, name)):
-                points[name] += np.size(x)
-                return primitive(job, x)
-
-            monkeypatch.setattr(JobSize, name, counted)
+        points = count_table_points(monkeypatch)
         refiner = OneJumpRefiner(spec, grid)
-        blocks = len(swept_blocks(spec, grid))
-        chunks = -(-blocks // refiner._chunk)
-        # each chunk's table spans its blocks, a halo of at most two blocks
-        # and the last block's end, once per primitive
-        most = (blocks + 2 * chunks) * SUBGRID + chunks
+        most = table_budget(spec, grid, refiner._chunk)
+        assert 0 < points["prefix_cdf"] <= most
+        assert points["prefix_x_cdf"] <= most
+
+    @pytest.mark.parametrize("kind", [ModelKind.MG1, SN], ids=["mg1", "specneg"])
+    def test_bare_family_is_swept_where_its_cdf_moves(self, monkeypatch, kind):
+        # the sweep reads the law's extent off F, so a family that writes
+        # only its closed forms gets the same charges as Uniform(1, 2), from
+        # as few evaluations, and not from a sweep over the whole grid
+        uniform = ModelSpec(kind, 0.5, Uniform(1.0, 2.0))
+        grid = uniform.grid_for(1 / 50, 300)
+        ref = OneJumpRefiner(uniform, grid)
+        points = count_table_points(monkeypatch)
+        got = OneJumpRefiner(ModelSpec(kind, 0.5, BareUniform()), grid)
+        assert got.w.tobytes() == ref.w.tobytes()
+        assert got.s.tobytes() == ref.s.tobytes()
+        most = table_budget(uniform, grid, got._chunk)
         assert 0 < points["prefix_cdf"] <= most
         assert points["prefix_x_cdf"] <= most
 
@@ -422,8 +474,9 @@ class TestTableSweep:
             want_f1 = reference_block_sums(f1, ks, d)
             np.testing.assert_allclose(got_f1, want_f1, rtol=0, atol=2e-14)
         else:
-            # the blocks the refiner sweeps: on the uniform grid, starts above
-            # the job support read no block, and their bottom values stay 0
+            # the blocks the refiner sweeps: on the uniform grid, starts with
+            # F = 1 at (i - 1) delta read no block, and their bottom values
+            # stay 0
             ks = swept_blocks(spec, grid)
 
             def psi(u):
@@ -446,13 +499,15 @@ class TestTableSweep:
                 )
 
     @pytest.mark.parametrize(
-        "job", [Deterministic(1.23), Deterministic(0.0), Uniform(0.3, 2.7)],
+        "job, top",
+        [(Deterministic(1.23), 1.23), (Deterministic(0.0), 0.0), (Uniform(0.3, 2.7), 2.7)],
         ids=["deterministic", "deterministic-zero", "uniform"],
     )
-    def test_specneg_above_support_starts_carry_exact_zeros(self, job):
-        # a start i >= ceil(sup B / delta) + 2 ends one jump above
-        # i delta - sup B >= 2 delta, so it never reaches y-block 0: its bottom
-        # values are 0 exactly, and no rounding dust makes a charge negative
+    def test_specneg_above_support_starts_carry_exact_zeros(self, job, top):
+        # a start i >= ceil(top / delta) + 2, for the top of the job's
+        # support, ends one jump above i delta - top >= 2 delta, so it never
+        # reaches y-block 0: its bottom values are 0 exactly, and no rounding
+        # dust makes a charge negative
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, job)
         grid = spec.grid_for(1 / 100, 5500)
         refiner = OneJumpRefiner(spec, grid)
@@ -460,14 +515,15 @@ class TestTableSweep:
         assert np.all(refiner.s >= 0.0)
         ks = swept_blocks(spec, grid)
         _, bottom_mass, b_val, b_lip = refiner._sweep_specneg(ks[0], np.zeros(len(ks)))
-        first = int(np.ceil(job.sup_support / grid.delta)) + 2
+        first = int(np.ceil(top / grid.delta)) + 2
         assert first < grid.m_delta
         for values in (bottom_mass, b_val, b_lip):
             assert np.all(values[first - 1 :] == 0.0)
 
     def test_jobs_beyond_the_grid_build(self):
-        # every job leaves [0, M]: no block is swept and nothing is charged
-        # for aggregation (the jump is the truncation term's)
+        # every job leaves [0, M]: the swept blocks read F where it is 0, and
+        # nothing is charged for aggregation (the jump is the truncation
+        # term's)
         spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(10.0, 15.0))
         grid = spec.grid_for(0.5, 10)
         refiner = OneJumpRefiner(spec, grid)
@@ -475,6 +531,73 @@ class TestTableSweep:
         res = solve(spec, grid, GeneralMeasure.dirac(1.0), 4, bound_mode="refined")
         assert np.all(res.ledger.rows[:, 0] == 0.0)
         assert np.isfinite(res.ledger.final)
+
+
+EXTENT_LAWS = [
+    pytest.param(Uniform(1.0, 2.0), id="uniform"),
+    pytest.param(Deterministic(3 / 50), id="deterministic-on-grid"),
+    pytest.param(Deterministic(1.23), id="deterministic-off-grid"),
+    pytest.param(Deterministic(0.0), id="deterministic-zero"),
+    pytest.param(Pareto(1.0, 1.5), id="pareto"),
+    pytest.param(Exponential(8.0), id="exponential"),  # F rounds to 1 below M
+    pytest.param(Erlang(3, 2.0), id="erlang"),
+    pytest.param(
+        TabulatedCdf(np.array([0.0, 0.5, 1.0, 3.0]), np.array([0.0, 0.2, 0.6, 1.0])),
+        id="tabulated-gap",
+    ),
+    pytest.param(Uniform(7.0, 9.0), id="above-m"),
+]
+
+
+@pytest.mark.parametrize("kind", [ModelKind.MG1, SN], ids=["mg1", "specneg"])
+@pytest.mark.parametrize("job", EXTENT_LAWS)
+class TestExtent:
+    """The refiner reads from F at the grid points which blocks to sweep;
+    every block it skips has shapes equal to their chords."""
+
+    DELTA, M_DELTA = 1 / 50, 300  # M = 6
+
+    def test_skipped_blocks_read_constant_f(self, monkeypatch, job, kind):
+        spec = ModelSpec(kind, 0.5, job)
+        grid = spec.grid_for(self.DELTA, self.M_DELTA)
+        d, n, F = grid.delta, grid.m_delta, job.cdf
+        name = "_sweep_mg1" if kind is ModelKind.MG1 else "_sweep_specneg"
+        sweep, calls = getattr(OneJumpRefiner, name), []
+
+        def recorded(refiner, *args):
+            calls.append(args)
+            return sweep(refiner, *args)
+
+        monkeypatch.setattr(OneJumpRefiner, name, recorded)
+        OneJumpRefiner(spec, grid)
+        ((k_lo, arg),) = calls
+        swept = range(k_lo, (arg if kind is ModelKind.MG1 else 0) + 1)
+        assert swept == swept_blocks(spec, grid)
+        if kind is ModelKind.MG1:
+            # block k's phi reads F on [(k + 1) delta, (k + 3) delta], state
+            # 1's f1 on [k delta, (k + 2) delta]
+            for k in sorted(set(range(-2, n + 1)) - set(swept)):
+                assert F((k + 3) * d) == F(k * d), k
+        else:
+            # start i = -k reads F on [(i - 1) delta, (i + 1) delta], and one
+            # jump brings it to the bottom block unless F is 1 at (i - 1) delta
+            for i in range(1 - k_lo, n + 1):
+                assert F((i - 1) * d) == 1.0, i
+
+    def test_skipped_blocks_carry_nothing(self, monkeypatch, job, kind):
+        spec = ModelSpec(kind, 0.5, job)
+        grid = spec.grid_for(self.DELTA, self.M_DELTA)
+        got = OneJumpRefiner(spec, grid)
+        # an extent that spans the grid sweeps every block
+        monkeypatch.setattr(OneJumpRefiner, "_extent", lambda r: (0, r.grid.m_delta + 1))
+        full = OneJumpRefiner(spec, grid)
+        # on a skipped block the full sweep adds only rounding: state 1's f1
+        # scales K differences by 2 / delta^2 = 5 000, and K reaches ~18 here,
+        # so its flat blocks read up to ~2e-11 in w[1], and the bottom pass
+        # rebuilds zeros from J as dust of ~3e-18 in s; a skipped block where
+        # F moved would add a block sum of order 1e-4 or a slope bound to s
+        np.testing.assert_allclose(got.w, full.w, rtol=0, atol=5e-11)
+        np.testing.assert_allclose(got.s, full.s, rtol=1e-12, atol=1e-17)
 
 
 class TestStepBound:
