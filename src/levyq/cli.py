@@ -3,6 +3,8 @@
 The config format accepts numbers either as JSON numbers or as decimal /
 rational strings ("0.002", "1/500"); grid arithmetic is validated with exact
 rationals so that near-multiples are rejected instead of silently rounded.
+Only a JSON float, itself a rounded decimal, may miss a multiple of
+grid.delta, by at most 1e-9 of the step count.
 Outputs are plain CSV files (17 significant digits, round-trippable) plus a
 JSON run manifest echoing the full configuration and the SHA-256 digest of
 every written file; re-running a manifest reproduces the outputs bit for
@@ -188,15 +190,14 @@ class RunConfig:
             raise ConfigError("grid.delta and grid.m must be positive")
         self.delta_frac = delta_frac
         self.delta = float(delta_frac)
-        self.grid = self.spec.grid_for(self.delta, self._steps_of(m_frac, "grid.m"))
+        self.grid = Grid(self.delta, self._steps_of(grid.get("m"), "grid.m"))
 
         self.initial = parse_initial(
             _as_object(raw.get("initial", {}), "initial", ("dirac", "atoms", "uniform_pieces"))
         )
 
         horizon = _as_object(raw.get("horizon"), "horizon", ("t_end", "snapshot_times"))
-        t_end = _as_fraction(horizon.get("t_end"), "horizon.t_end")
-        self.horizon_steps = self._steps_of(t_end, "horizon.t_end")
+        self.horizon_steps = self._steps_of(horizon.get("t_end"), "horizon.t_end")
         snapshot_set = {0, self.horizon_steps}
         for t in _as_list(horizon.get("snapshot_times", []), "horizon.snapshot_times"):
             snapshot_set.add(self._time_step(t, "horizon.snapshot_times"))
@@ -247,18 +248,19 @@ class RunConfig:
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError(f"output must be a directory path string, got {self.output!r}")
 
-    def _steps_of(self, t: Fraction, what: str) -> int:
-        ratio = t / self.delta_frac
+    def _steps_of(self, value, what: str) -> int:
+        ratio = _as_fraction(value, what) / self.delta_frac
         steps = round(ratio)
-        if abs(ratio - steps) > Fraction(1, 10**9) * max(1, steps):
-            raise ConfigError(f"{what} = {t} is not a multiple of grid.delta")
+        tol = Fraction(1, 10**9) * max(1, steps) if isinstance(value, float) else 0
+        if abs(ratio - steps) > tol:
+            raise ConfigError(f"{what} = {value} is not a multiple of grid.delta")
         if steps < 0:
             raise ConfigError(f"{what} must be >= 0")
         return int(steps)
 
     def _time_step(self, value, what: str) -> int:
         """Grid step of a snapshot or query time, which must not pass t_end."""
-        step = self._steps_of(_as_fraction(value, what), what)
+        step = self._steps_of(value, what)
         if step > self.horizon_steps:
             raise ConfigError(f"{what} = {value} is past horizon.t_end")
         return step
@@ -462,7 +464,7 @@ def run_matrix(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     kern = build_kernel(cfg.spec, cfg.grid)
     dense = kern.dense()
-    states = cfg.grid.states()
+    states = kern.states()
     labels = (f"{int(i)}," for i in states)
     digest = _write_csv(
         out_dir / "matrix.csv",

@@ -72,10 +72,6 @@ class ModelSpec:
                 f"arrival rate must be a positive finite number, got {self.lam!r}"
             )
 
-    def grid_for(self, delta: float, m_delta: int) -> Grid:
-        """Grid with the zero-state convention matching this model."""
-        return Grid(delta, m_delta, zero_state=self.kind is ModelKind.MG1)
-
 
 def rescale_for_speed(spec: ModelSpec, r: float) -> tuple[ModelSpec, float]:
     """Normalize a model with service/drift speed r != 1 to unit speed.
@@ -100,6 +96,9 @@ class TransitionKernel:
     row and the spectrally negative column j = 1 are stored densely; M/G/1
     state 0 reads the band.  ``diag`` holds D(i, i) >= 0 per state.  Every
     entry is a closed-form integral of the job-size CDF, exact up to rounding.
+
+    The state layout is the model's, not the grid's (see :meth:`states`): a
+    state vector has one entry per entry of ``diag``.
 
     At construction the band's real FFT is cached: ``nfft`` is the smallest
     5-smooth length >= len(body) + len(band) - 1, where the body is p[2:]
@@ -130,8 +129,8 @@ class TransitionKernel:
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """One chain step: p -> p P, exploiting the Toeplitz band."""
-        if p.shape != (self.grid.n_states,):
-            raise GridError(f"state vector has shape {p.shape}, grid has {self.grid.n_states}")
+        if p.shape != self.diag.shape:
+            raise GridError(f"state vector has shape {p.shape}, chain has {len(self.diag)} states")
         if self.kind is ModelKind.MG1:
             out = self._apply_mg1(p)
         else:
@@ -190,9 +189,14 @@ class TransitionKernel:
         r[a] += self.diag[a]
         return r
 
+    def states(self) -> np.ndarray:
+        """Chain state indices: 0..m_delta (M/G/1) or 1..m_delta (spectrally
+        negative), one per entry of ``diag``."""
+        top = self.grid.m_delta
+        return np.arange(top + 1 - len(self.diag), top + 1)
+
     def dense(self) -> np.ndarray:
-        states = self.grid.states()
-        return np.stack([self.row(int(i)) for i in states])
+        return np.stack([self.row(int(i)) for i in self.states()])
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +225,6 @@ def build_kernel(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     tables.
     """
     mg1 = spec.kind is ModelKind.MG1
-    if grid.zero_state != mg1:
-        raise GridError(
-            "the M/G/1 chain needs the zero state" if mg1
-            else "the spectrally negative chain has no zero state"
-        )
     lam, d, n, job = spec.lam, grid.delta, grid.m_delta, spec.job
     enl = float(np.exp(-lam * d))
 

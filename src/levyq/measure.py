@@ -115,14 +115,13 @@ def _merged_breakpoints(*parts: np.ndarray) -> np.ndarray:
 class Grid:
     """Discretization geometry: step delta, truncation at m = m_delta * delta.
 
-    ``zero_state`` records whether the chain keeps a distinguished state for
-    workload exactly 0: the M/G/1 chain does, the spectrally negative chain
-    does not.
+    The grid is geometry only.  Which chain states live on it is a fact of the
+    model (the M/G/1 chain keeps a state for workload exactly 0, the
+    spectrally negative chain does not); see ``TransitionKernel.states``.
     """
 
     delta: float
     m_delta: int
-    zero_state: bool = True
 
     def __post_init__(self):
         if not (_is_finite_real(self.delta) and self.delta > 0.0):
@@ -134,18 +133,9 @@ class Grid:
     def m(self) -> float:
         return self.m_delta * self.delta
 
-    @property
-    def n_states(self) -> int:
-        return self.m_delta + 1 if self.zero_state else self.m_delta
-
     def edges(self) -> np.ndarray:
         """Grid points 0, delta, ..., m (length m_delta + 1)."""
         return np.arange(self.m_delta + 1) * self.delta
-
-    def states(self) -> np.ndarray:
-        """Chain state indices (0..m_delta with a zero state, else 1..m_delta)."""
-        start = 0 if self.zero_state else 1
-        return np.arange(start, self.m_delta + 1)
 
 
 @dataclass(eq=False)
@@ -162,8 +152,6 @@ class LiftedDistribution:
             raise GridError("interval_mass must have one entry per grid interval")
         if self.atom0 < -1e-12 or np.any(w < -1e-12):
             raise ValueError("negative mass")
-        if not self.grid.zero_state and self.atom0 != 0.0:
-            raise GridError("grid without zero state cannot carry an atom at 0")
         total = self.atom0 + w.sum()
         if not abs(total - 1.0) <= _MASS_TOL:
             raise ValueError(f"total mass is {total!r}, expected 1")

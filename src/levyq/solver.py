@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import BoundContext, BoundLedger, StepComponents
 from .errors import CertificationError, GridError, SupportError
-from .kernel import ModelSpec, build_kernel
+from .kernel import ModelKind, ModelSpec, build_kernel
 from .measure import (
     _MASS_TOL,
     GeneralMeasure,
@@ -81,11 +81,12 @@ class TransientResult:
 def discretize_initial(mu0: GeneralMeasure, grid: Grid) -> tuple[np.ndarray, float]:
     """Project the initial law onto the grid and certify the projection error.
 
-    State 0 receives the mass at exactly 0 and state i >= 1 the mass of
-    ((i-1)*delta, i*delta], so every interval's probability is preserved and
-    the exact Wasserstein distance to the lift (returned as b0) is at most
-    delta.  Laws not supported on [0, M] are rejected rather than clipped:
-    clipping would invalidate the certificate.
+    For either model, entry 0 receives the mass at exactly 0 and entry
+    i >= 1 the mass of ((i-1)*delta, i*delta] (see :func:`solve`), so every
+    interval's probability is preserved and the exact Wasserstein distance to
+    the lift (returned as b0) is at most delta.  Laws not supported on [0, M]
+    are rejected rather than clipped: clipping would invalidate the
+    certificate.
     """
     d, m = grid.delta, grid.m
     if mu0.support_max > m * (1.0 + 1e-12):
@@ -93,35 +94,27 @@ def discretize_initial(mu0: GeneralMeasure, grid: Grid) -> tuple[np.ndarray, flo
             f"initial law reaches {mu0.support_max}, beyond the truncation at {m}; "
             "increase truncation"
         )
-    atom0 = mu0.mass_at_zero()
-    if atom0 > 0.0 and not grid.zero_state:
-        raise GridError(
-            "initial mass at exactly 0 needs a chain with a zero state"
-        )
-    p = _interval_masses(mu0, grid, atom0)
+    p = _interval_masses(mu0, grid)
     b0 = wasserstein(mu0, lift(grid, p))
     return p, b0
 
 
-def _interval_masses(mu0: GeneralMeasure, grid: Grid, atom0: float) -> np.ndarray:
+def _interval_masses(mu0: GeneralMeasure, grid: Grid) -> np.ndarray:
     """Chain-state probabilities of mu0: its atom at 0, then its interval masses."""
     cdf_at_edges = mu0.cdf(grid.edges())
-    p = np.empty(grid.n_states)
-    interval = p[1:] if grid.zero_state else p
-    np.subtract(cdf_at_edges[1:], cdf_at_edges[:-1], out=interval)
+    p = np.empty(grid.m_delta + 1)
+    np.subtract(cdf_at_edges[1:], cdf_at_edges[:-1], out=p[1:])
     # mass below the first edge that is not the atom belongs to interval 1
-    if grid.zero_state:
-        p[0] = atom0
-        p[1] += cdf_at_edges[0] - atom0
-    else:
-        p[0] += cdf_at_edges[0]
+    p[0] = atom0 = mu0.mass_at_zero()
+    p[1] += cdf_at_edges[0] - atom0
     p[-1] += max(0.0, 1.0 - cdf_at_edges[-1])  # rounding at the top edge
     return p
 
 
 def lift(grid: Grid, p: np.ndarray) -> LiftedDistribution:
-    """Reinterpret chain-state probabilities as a measure on [0, M]."""
-    if grid.zero_state:
+    """Reinterpret chain-state probabilities as a measure on [0, M]; with one
+    entry more than the grid has intervals, the first is the atom at 0."""
+    if len(p) == grid.m_delta + 1:
         return LiftedDistribution(grid, float(p[0]), p[1:].copy())
     return LiftedDistribution(grid, 0.0, p.copy())
 
@@ -155,13 +148,17 @@ def solve(
 
     # Freeing an mmapped block raises glibc's dynamic mmap threshold to its
     # size and its trim threshold to twice that, so later arrays below it
-    # live on the heap, whose freed pages are reused.  16 * n_states values
-    # cover a step's largest buffer with a wide margin: the FFT buffers hold
-    # about nfft values, and nfft, the 5-smooth length of two grids' worth
-    # of states at most, is <= ~2.5 * n_states.  The block is never written,
-    # so it costs no resident memory.
-    np.empty(min(16 * grid.n_states, _FREED_BLOCK_VALUES))
+    # live on the heap, whose freed pages are reused.  16 * (m_delta + 1)
+    # values cover a step's largest buffer with a wide margin: the FFT
+    # buffers hold about nfft values, and nfft, the 5-smooth length of two
+    # grids' worth of states at most, is <= ~2.5 * (m_delta + 1).  The block
+    # is never written, so it costs no resident memory.
+    np.empty(min(16 * (grid.m_delta + 1), _FREED_BLOCK_VALUES))
     p, b0 = discretize_initial(mu0, grid)
+    if spec.kind is not ModelKind.MG1:
+        if p[0] > 0.0:
+            raise GridError("the spectrally negative chain has no zero state for mass at 0")
+        p = p[1:]
     ledger = BoundLedger(b0, np.empty((horizon_steps, len(StepComponents._fields))))
     snaps: dict[int, LiftedDistribution] = {0: lift(grid, p)}
     if horizon_steps == 0:

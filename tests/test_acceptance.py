@@ -14,6 +14,7 @@ from levyq import (
     Deterministic,
     Erlang,
     GeneralMeasure,
+    Grid,
     ModelKind,
     ModelSpec,
     Pareto,
@@ -42,7 +43,7 @@ def report(number, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def mg1_uniform_run():
     """Finest-resolution transient run: delta = 1/500, M = 50, t = 30."""
-    grid = REF_MG1.grid_for(1 / 500, 25000)
+    grid = Grid(1 / 500, 25000)
     t0 = time.perf_counter()
     res = solve(
         REF_MG1,
@@ -57,7 +58,7 @@ def mg1_uniform_run():
 
 @pytest.fixture(scope="module")
 def erlang_run():
-    grid = HEAVY_ERLANG.grid_for(1 / 100, 2000)
+    grid = Grid(1 / 100, 2000)
     t0 = time.perf_counter()
     res = solve(
         HEAVY_ERLANG,
@@ -72,7 +73,7 @@ def erlang_run():
 
 @pytest.fixture(scope="module")
 def pareto_run():
-    grid = REF_SN.grid_for(1 / 100, 5500)
+    grid = Grid(1 / 100, 5500)
     t0 = time.perf_counter()
     res = solve(
         REF_SN,
@@ -113,7 +114,7 @@ def test_02_bound_trajectory(mg1_uniform_run):
 
 
 def test_03_coarse_grid_speed():
-    grid = REF_MG1.grid_for(1 / 10, 500)
+    grid = Grid(1 / 10, 500)
     t0 = time.perf_counter()
     res = solve(
         REF_MG1,
@@ -147,7 +148,7 @@ def test_04_heavy_load_run(erlang_run):
 def test_05_order_delta_convergence():
     totals = []
     for d_inv in (50, 100, 200):
-        grid = REF_MG1.grid_for(1 / d_inv, 10 * d_inv)  # M = 10 suffices to t=1
+        grid = Grid(1 / d_inv, 10 * d_inv)  # M = 10 suffices to t=1
         res = solve(
             REF_MG1,
             grid,
@@ -203,7 +204,7 @@ def _random_small_spec(rng):
     if kind is ModelKind.SPECTRALLY_NEGATIVE:
         rng.random()  # unused draw, kept so every other sampled config stays the same
     spec = ModelSpec(kind, float(rng.uniform(0.05, 3)), job)
-    grid = spec.grid_for(float(rng.uniform(0.05, 0.6)), int(rng.integers(5, 201)))
+    grid = Grid(float(rng.uniform(0.05, 0.6)), int(rng.integers(5, 201)))
     return spec, grid
 
 
@@ -214,7 +215,7 @@ def test_07_dense_oracle_equivalence():
         spec, grid = _random_small_spec(rng)
         kern = build_kernel(spec, grid)
         dense = kern.dense()
-        p = rng.random(grid.n_states)
+        p = rng.random(len(kern.states()))
         p /= p.sum()
         out_struct = kern.apply(p)
         out_dense = p @ dense

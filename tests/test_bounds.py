@@ -11,6 +11,7 @@ from levyq import (
     Erlang,
     Exponential,
     GeneralMeasure,
+    Grid,
     JobSize,
     ModelKind,
     ModelSpec,
@@ -19,6 +20,7 @@ from levyq import (
     SimConfig,
     TabulatedCdf,
     Uniform,
+    build_kernel,
     empirical_wasserstein,
     simulate,
     solve,
@@ -32,22 +34,27 @@ REF_MG1 = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
 SN = ModelKind.SPECTRALLY_NEGATIVE
 
 
+def chain_states(spec, grid):
+    """The chain's state indices on ``grid``, as the kernel lays them out."""
+    return build_kernel(spec, grid).states()
+
+
 def basic_context(kind, lam, job, delta, m_delta):
-    """The basic-mode charges of one model and grid, and the grid."""
+    """The basic-mode charges of one model and grid, and the chain's states."""
     spec = ModelSpec(kind, lam, job)
-    grid = spec.grid_for(delta, m_delta)
-    return BoundContext(spec, grid, refined=False), grid
+    grid = Grid(delta, m_delta)
+    return BoundContext(spec, grid, refined=False), chain_states(spec, grid)
 
 
 def basic_row(kind, lam, job, delta, m_delta=10):
     """The constant charges of a basic-mode step: aggregation, cut, slack."""
-    return basic_context(kind, lam, job, delta, m_delta)[0].row
+    return BoundContext(ModelSpec(kind, lam, job), Grid(delta, m_delta), refined=False).row
 
 
-def truncation_at(ctx, grid, i):
+def truncation_at(ctx, states, i):
     """State i's truncation charge per unit mass: a step's charge from a
     point mass at i (an einsum with a unit vector is exact)."""
-    return ctx.components((grid.states() == i).astype(float)).truncation_weighted
+    return ctx.components((states == i).astype(float)).truncation_weighted
 
 
 class TestJumpAggregationBasic:
@@ -130,7 +137,7 @@ class TestJumpCutDrift:
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
     def test_small_jobs_within_certificate(self, kind, job):
         spec = ModelSpec(kind, 50.0, job)  # lam * delta = 1
-        grid = spec.grid_for(1 / 50, 250)  # M = 5
+        grid = Grid(1 / 50, 250)  # M = 5
         mu0 = GeneralMeasure.dirac(1.0)
         dist, bound = solve(spec, grid, mu0, 25).at_time(0.5)
         samples = simulate(SimConfig(spec, mu0, 0.5, 20_000, seed=7))
@@ -140,32 +147,32 @@ class TestJumpCutDrift:
 
 class TestTruncation:
     def test_mg1_zero_beyond_support(self):
-        ctx, grid = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)  # M = 50
+        ctx, states = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)  # M = 50
         for i in range(0, 80):  # M - i*d >= 10 > sup support
-            assert truncation_at(ctx, grid, i) == 0.0
+            assert truncation_at(ctx, states, i) == 0.0
 
     def test_mg1_top_state_full_mean(self):
-        ctx, grid = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)
+        ctx, states = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)
         expected = 0.25 * 0.5 * np.exp(-0.125) * 3.0
-        assert truncation_at(ctx, grid, 100) == pytest.approx(expected, rel=1e-13, abs=0)
+        assert truncation_at(ctx, states, 100) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_mg1_uniform_tail_value(self):
         # M - i*d = 3: tail integral of x over (3, 5] at density 1/4 is 2
-        ctx, grid = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)
-        v = truncation_at(ctx, grid, 94)  # 50 - 47 = 3
+        ctx, states = basic_context(ModelKind.MG1, 0.25, Uniform(1.0, 5.0), 0.5, 100)
+        v = truncation_at(ctx, states, 94)  # 50 - 47 = 3
         assert v == pytest.approx(0.25 * 0.5 * np.exp(-0.125) * 2.0, rel=1e-12, abs=0)
 
     def test_specneg_only_top_interval(self):
-        ctx, grid = basic_context(SN, 0.5, Pareto(1.0, 1.5), 0.1, 50)
+        ctx, states = basic_context(SN, 0.5, Pareto(1.0, 1.5), 0.1, 50)
         for i in range(1, 50):
-            assert truncation_at(ctx, grid, i) == 0.0
-        top = truncation_at(ctx, grid, 50)
+            assert truncation_at(ctx, states, i) == 0.0
+        top = truncation_at(ctx, states, 50)
         assert top == pytest.approx(0.1 * np.exp(-0.05), rel=1e-13, abs=0)
         assert top <= 0.1
 
     def test_specneg_zero_rate_limit(self):
-        ctx, grid = basic_context(SN, 1e-14, Pareto(1.0, 1.5), 0.1, 50)
-        assert truncation_at(ctx, grid, 50) == pytest.approx(0.1, rel=1e-12, abs=0)
+        ctx, states = basic_context(SN, 1e-14, Pareto(1.0, 1.5), 0.1, 50)
+        assert truncation_at(ctx, states, 50) == pytest.approx(0.1, rel=1e-12, abs=0)
 
 
 class TestMonotoneInRate:
@@ -174,10 +181,10 @@ class TestMonotoneInRate:
         lams = np.linspace(1e-3, 1.0 / d, 60)
         agg, cut, cut_sn, trunc = [], [], [], []
         for lam in lams:
-            ctx, grid = basic_context(ModelKind.MG1, lam, Uniform(1.0, 5.0), d, 2000)
+            ctx, states = basic_context(ModelKind.MG1, lam, Uniform(1.0, 5.0), d, 2000)
             agg.append(ctx.row.jump_aggregation)
             cut.append(ctx.row.jump_cut)
-            trunc.append(truncation_at(ctx, grid, 2000))
+            trunc.append(truncation_at(ctx, states, 2000))
             cut_sn.append(basic_row(SN, lam, Pareto(1.0, 1.5), d, 2000).jump_cut)  # M = 20
         for seq in (agg, cut, cut_sn, trunc):
             assert np.all(np.diff(seq) >= -1e-15)
@@ -235,11 +242,12 @@ class TestRefined:
     def test_certified_against_subgrid_oracle(self):
         rng = np.random.default_rng(11)
         for spec, args in self.CASES:
-            grid = spec.grid_for(*args)
+            grid = Grid(*args)
             refiner = OneJumpRefiner(spec, grid)
             scale = spec.lam * grid.delta * np.exp(-spec.lam * grid.delta)
+            n_states = len(chain_states(spec, grid))
             for _ in range(3):
-                p = rng.random(grid.n_states)
+                p = rng.random(n_states)
                 p /= p.sum()
                 value, slack = refined_charge(refiner, p)
                 oracle = oracle_mixture_wd(spec, grid, p)
@@ -247,8 +255,8 @@ class TestRefined:
                 assert value + slack >= scale * oracle - 1e-13
             # a start in a single interval is charged its own distance: the
             # value tracks the truth up to the slack, and covers it with it
-            for i in range(grid.n_states):
-                p = np.zeros(grid.n_states)
+            for i in range(n_states):
+                p = np.zeros(n_states)
                 p[i] = 1.0
                 value, slack = refined_charge(refiner, p)
                 oracle = oracle_mixture_wd(spec, grid, p)
@@ -257,7 +265,7 @@ class TestRefined:
 
     def test_point_mass_initial_distribution(self):
         # one-hot from a point mass at 1, coarse grid for oracle speed
-        grid = REF_MG1.grid_for(0.1, 200)
+        grid = Grid(0.1, 200)
         p = np.zeros(201)
         p[10] = 1.0
         value, slack = refined_charge(OneJumpRefiner(REF_MG1, grid), p)
@@ -270,7 +278,7 @@ class TestRefined:
         # job size a multiple of delta: the one-jump law is exactly uniform
         # on single intervals, so the refined term is 0 for interior states
         spec = ModelSpec(ModelKind.MG1, 0.25, Deterministic(2.0))
-        grid = spec.grid_for(0.5, 30)
+        grid = Grid(0.5, 30)
         p = np.zeros(31)
         p[10] = 1.0
         value, _ = refined_charge(OneJumpRefiner(spec, grid), p)
@@ -279,11 +287,11 @@ class TestRefined:
     def test_refined_below_basic_plus_slack(self):
         rng = np.random.default_rng(12)
         for spec, args in self.CASES:
-            grid = spec.grid_for(*args)
+            grid = Grid(*args)
             basic = BoundContext(spec, grid, refined=False).row.jump_aggregation
             refiner = OneJumpRefiner(spec, grid)
             for _ in range(3):
-                p = rng.random(grid.n_states)
+                p = rng.random(len(chain_states(spec, grid)))
                 p /= p.sum()
                 value, _ = refined_charge(refiner, p)
                 assert value <= basic + 1e-15
@@ -291,7 +299,7 @@ class TestRefined:
     def test_refined_solve_on_tabulated_callable(self):
         job = TabulatedCdf.from_cdf(Uniform(1.0, 5.0).cdf, 5.0, 401)
         spec = ModelSpec(ModelKind.MG1, 0.25, job)
-        grid = spec.grid_for(0.5, 20)
+        grid = Grid(0.5, 20)
         res = solve(spec, grid, GeneralMeasure.dirac(1.0), 20, bound_mode="refined")
         charge = 0.25 * 0.5 * job.w1_bound
         assert charge > 0.0
@@ -322,7 +330,7 @@ class TestWorkBudget:
     @pytest.mark.parametrize("spec, delta, m_delta", GRIDS)
     def test_chunk_size_leaves_values_bit_identical(self, monkeypatch, spec, delta, m_delta):
         # each row sum runs over one block, so chunking cannot reorder it
-        grid = spec.grid_for(delta, m_delta)
+        grid = Grid(delta, m_delta)
         ref = OneJumpRefiner(spec, grid)
         for blocks in (1, 7, m_delta + 10):  # the last holds every block at once
             monkeypatch.setattr(bounds, "WORK_BUDGET", blocks * SUBGRID)
@@ -334,7 +342,7 @@ class TestWorkBudget:
     def test_fine_grid_build_stays_within_budget(self, traced_peak):
         # 25 001 states: 0.8 MiB traced, of which w and s are 0.4 MiB; one
         # temporary of a 256-block chunk alone would take 0.5 MiB
-        grid = REF_MG1.grid_for(1 / 500, 25_000)
+        grid = Grid(1 / 500, 25_000)
         assert traced_peak(lambda: OneJumpRefiner(REF_MG1, grid)) < 1.05 * 2**20
 
 
@@ -423,7 +431,7 @@ class TestTableSweep:
     def test_primitives_evaluated_once_per_table_point(
         self, monkeypatch, spec, delta, m_delta
     ):
-        grid = spec.grid_for(delta, m_delta)
+        grid = Grid(delta, m_delta)
         points = count_table_points(monkeypatch)
         refiner = OneJumpRefiner(spec, grid)
         most = table_budget(spec, grid, refiner._chunk)
@@ -436,7 +444,7 @@ class TestTableSweep:
         # only its closed forms gets the same charges as Uniform(1, 2), from
         # as few evaluations, and not from a sweep over the whole grid
         uniform = ModelSpec(kind, 0.5, Uniform(1.0, 2.0))
-        grid = uniform.grid_for(1 / 50, 300)
+        grid = Grid(1 / 50, 300)
         ref = OneJumpRefiner(uniform, grid)
         points = count_table_points(monkeypatch)
         got = OneJumpRefiner(ModelSpec(kind, 0.5, BareUniform()), grid)
@@ -451,7 +459,7 @@ class TestTableSweep:
                                              "specneg-pareto", "specneg-uniform"]
     )
     def test_block_sums_match_pointwise_shapes(self, spec, args):
-        grid = spec.grid_for(*args)
+        grid = Grid(*args)
         refiner = OneJumpRefiner(spec, grid)
         J, K = spec.job.prefix_cdf, spec.job.prefix_x_cdf
         d, n, L = grid.delta, grid.m_delta, SUBGRID
@@ -509,7 +517,7 @@ class TestTableSweep:
         # reaches y-block 0: its bottom values are 0 exactly, and no rounding
         # dust makes a charge negative
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, job)
-        grid = spec.grid_for(1 / 100, 5500)
+        grid = Grid(1 / 100, 5500)
         refiner = OneJumpRefiner(spec, grid)
         assert np.all(refiner.w >= 0.0)
         assert np.all(refiner.s >= 0.0)
@@ -525,7 +533,7 @@ class TestTableSweep:
         # nothing is charged for aggregation (the jump is the truncation
         # term's)
         spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(10.0, 15.0))
-        grid = spec.grid_for(0.5, 10)
+        grid = Grid(0.5, 10)
         refiner = OneJumpRefiner(spec, grid)
         assert np.all(refiner.w == 0.0)
         res = solve(spec, grid, GeneralMeasure.dirac(1.0), 4, bound_mode="refined")
@@ -559,7 +567,7 @@ class TestExtent:
 
     def test_skipped_blocks_read_constant_f(self, monkeypatch, job, kind):
         spec = ModelSpec(kind, 0.5, job)
-        grid = spec.grid_for(self.DELTA, self.M_DELTA)
+        grid = Grid(self.DELTA, self.M_DELTA)
         d, n, F = grid.delta, grid.m_delta, job.cdf
         name = "_sweep_mg1" if kind is ModelKind.MG1 else "_sweep_specneg"
         sweep, calls = getattr(OneJumpRefiner, name), []
@@ -586,7 +594,7 @@ class TestExtent:
 
     def test_skipped_blocks_carry_nothing(self, monkeypatch, job, kind):
         spec = ModelSpec(kind, 0.5, job)
-        grid = spec.grid_for(self.DELTA, self.M_DELTA)
+        grid = Grid(self.DELTA, self.M_DELTA)
         got = OneJumpRefiner(spec, grid)
         # an extent that spans the grid sweeps every block
         monkeypatch.setattr(OneJumpRefiner, "_extent", lambda r: (0, r.grid.m_delta + 1))
@@ -603,14 +611,14 @@ class TestExtent:
 class TestStepBound:
     def test_zero_rate_limit_mg1(self):
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))
-        grid = spec.grid_for(0.5, 100)
+        grid = Grid(0.5, 100)
         p = np.ones(101) / 101
         comp = BoundContext(spec, grid, refined=False).components(p)
         assert sum(comp) < 1e-11
 
     def test_interior_mass_has_no_truncation_term(self):
         spec = ModelSpec(ModelKind.MG1, 0.4, Uniform(1.0, 3.0))
-        grid = spec.grid_for(0.25, 80)
+        grid = Grid(0.25, 80)
         p = np.zeros(81)
         p[10] = 1.0
         comp = BoundContext(spec, grid, refined=False).components(p)
@@ -623,7 +631,7 @@ class TestStepBound:
 
     def test_specneg_top_state_truncation(self):
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Pareto(1.0, 1.5))
-        grid = spec.grid_for(0.1, 50)
+        grid = Grid(0.1, 50)
         p = np.zeros(50)
         p[-1] = 1.0
         comp = BoundContext(spec, grid, refined=False).components(p)
@@ -633,13 +641,13 @@ class TestStepBound:
 
     def test_mean_required_for_mg1(self):
         spec = ModelSpec(ModelKind.MG1, 0.5, Pareto(1.0, 0.9))
-        grid = spec.grid_for(0.25, 20)
+        grid = Grid(0.25, 20)
         with pytest.raises(CertificationError):
             BoundContext(spec, grid, refined=False).components(np.ones(21) / 21)
 
     def test_specneg_heavy_tail_allowed(self):
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.5, Pareto(1.0, 0.9))
-        grid = spec.grid_for(0.25, 20)
+        grid = Grid(0.25, 20)
         ctx = BoundContext(spec, grid, refined=False)
         comp = ctx.components(np.ones(20) / 20)
         assert sum(comp) > 0.0
@@ -671,7 +679,7 @@ def reference_components(spec, grid, refiner, p):
     mean_cut = None if job.mean() is None else lam * d * (1.0 - enl) * job.mean()
     if spec.kind is ModelKind.MG1:
         cut = mean_cut + d * two_or_more * float(job.cdf(d / 2))
-        trunc_vec = q * job.tail_mean(grid.m - grid.states() * d)
+        trunc_vec = q * job.tail_mean(grid.m - chain_states(spec, grid) * d)
         trunc = float(np.einsum("i,i", p, trunc_vec))
     else:
         cut = two_or_more * (grid.m + d)
@@ -704,7 +712,7 @@ class TestStepRule:
         ],
     )
     def test_matches_reference_exactly(self, spec, delta, m_delta, refined):
-        grid = spec.grid_for(delta, m_delta)
+        grid = Grid(delta, m_delta)
         refiner = OneJumpRefiner(spec, grid) if refined else None
         rng = np.random.default_rng(11)
         # charges lam * delta * w1 near the other slack charges
@@ -714,7 +722,7 @@ class TestStepRule:
             assert ctx.row[3] > 0.0
             for top_weight in (0.0, 1.0, 1e3):
                 for _ in range(8):
-                    p = rng.random(grid.n_states)
+                    p = rng.random(len(chain_states(spec, grid)))
                     p[-1] *= 1.0 + top_weight
                     p /= p.sum()
                     got = ctx.components(p)
@@ -753,7 +761,7 @@ class TestTabulationCharge:
         # M/G/1 with F(x) = (x/5)^2, lam = 1/4, delta = 1/50, M = 50, t = 2
         job = TabulatedCdf.from_cdf(square_cdf, 5.0, 50_000)
         spec = ModelSpec(ModelKind.MG1, 0.25, job)
-        grid = spec.grid_for(1 / 50, 2500)
+        grid = Grid(1 / 50, 2500)
         mu0 = GeneralMeasure.dirac(1.0)
         res = solve(spec, grid, mu0, 100, bound_mode="refined")
         dist, bound = res.at_time(2.0)
@@ -773,8 +781,8 @@ class TestScalingLaws:
         prev = None
         for m_delta, d in [(50 * 4, 1 / 50), (100 * 4, 1 / 100), (200 * 4, 1 / 200),
                            (400 * 4, 1 / 400)]:
-            grid = REF_MG1.grid_for(d, m_delta)  # M = 4 fixed
-            p = np.zeros(grid.n_states)
+            grid = Grid(d, m_delta)  # M = 4 fixed
+            p = np.zeros(len(chain_states(REF_MG1, grid)))
             p[1] = 1.0
             ctx = BoundContext(REF_MG1, grid, refined=False)
             comp = ctx.components(p)
@@ -789,7 +797,7 @@ class TestScalingLaws:
         mu0 = GeneralMeasure.dirac(1.0)
         totals = []
         for d_inv in (50, 100, 200):
-            grid = REF_MG1.grid_for(1 / d_inv, 10 * d_inv)  # M = 10
+            grid = Grid(1 / d_inv, 10 * d_inv)  # M = 10
             res = solve(REF_MG1, grid, mu0, d_inv, bound_mode="refined")
             # the final bound without its truncation charges, summed as the
             # ledger sums its steps

@@ -93,6 +93,30 @@ class TestConfigParsing:
         with pytest.raises(Exception, match="multiple"):
             load_config(write_config(tmp_path, cfg))
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"grid": {"delta": "1/500", "m": "50.00000001"}}, "grid.m"),
+            (
+                {
+                    "grid": {"delta": "1/100", "m": 20},
+                    "horizon": {"t_end": "10.00000001", "snapshot_times": []},
+                },
+                "horizon.t_end",
+            ),
+        ],
+        ids=["grid.m", "t_end"],
+    )
+    def test_near_multiple_strings_rejected(self, tmp_path, capsys, overrides, field):
+        # an exact decimal a hair off a multiple once ran at the multiple while
+        # the manifest recorded the value asked for
+        cfg = base_config(**overrides)
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "not a multiple" in err
+        assert not out.exists()
+
     def test_near_multiple_floats_accepted(self, tmp_path):
         cfg = base_config(grid={"delta": 0.1, "m": 15.000000000001})
         parsed = load_config(write_config(tmp_path, cfg))
@@ -147,6 +171,14 @@ class TestConfigParsing:
         args = [command, write_config(tmp_path, cfg), "--out", str(out)]
         assert main(args) == EXIT_CONFIG
         assert "absorbing_zero" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_specneg_atom_at_zero_refused(self, tmp_path, capsys):
+        # the spectrally negative chain has no state for workload exactly 0
+        cfg = base_config(model=SPECNEG_MODEL, initial={"dirac": 0})
+        out = tmp_path / "out"
+        assert main(["solve", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "no zero state" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -503,7 +535,7 @@ class TestCsvWriter:
         # the writer slices the masses block by block; the file must be the
         # one formatted from the whole (mass, density) table
         spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
-        grid = spec.grid_for(0.01, self.M_DELTA)
+        grid = Grid(0.01, self.M_DELTA)
         res = solve(spec, grid, GeneralMeasure.dirac(1.0), 20, snapshot_steps=[20])
         dist = res.distributions[-1]
         table = np.column_stack((dist.interval_mass, dist.densities()))
@@ -566,6 +598,13 @@ class TestMatrixCommand:
         parsed = load_config(path)
         kern = levyq.build_kernel(parsed.spec, parsed.grid)
         assert np.max(np.abs(dense_csv - kern.dense())) < 1e-12
+        # the labels are the model's states: 0..n for M/G/1, 1..n without state 0
+        first = 0 if model is None else 1
+        states = [str(i) for i in range(first, parsed.grid.m_delta + 1)]
+        lines = (out / "matrix.csv").read_text().splitlines()
+        assert lines[0].split(",") == ["state", *states]
+        assert [line.split(",", 1)[0] for line in lines[1:]] == states
+        assert np.max(np.abs(dense_csv.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_large_grid_refused(self, tmp_path):
         cfg = base_config(grid={"delta": "1/500", "m": 50})
@@ -732,9 +771,9 @@ def test_fine_grid_solve_maps_few_fresh_pages(tmp_path, entry):
         setup, run = "from levyq.cli import main", f"code = main({args!r})"
     else:
         setup = (
-            "from levyq import GeneralMeasure, ModelKind, ModelSpec, Uniform, solve; "
+            "from levyq import GeneralMeasure, Grid, ModelKind, ModelSpec, Uniform, solve; "
             "spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0)); "
-            "grid = spec.grid_for(1 / 500, 25_000)"
+            "grid = Grid(1 / 500, 25_000)"
         )
         run = "solve(spec, grid, GeneralMeasure.dirac(1.0), 100); code = 0"
     code = (

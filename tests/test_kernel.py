@@ -10,6 +10,7 @@ from levyq import (
     Deterministic,
     Erlang,
     GeneralMeasure,
+    Grid,
     GridError,
     ModelKind,
     ModelSpec,
@@ -86,7 +87,7 @@ REF_SN = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1 / 3, Pareto(1.0, 1.5))
 class TestMg1Entries:
     def test_no_arrival_limit(self):
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))
-        grid = spec.grid_for(0.5, 20)
+        grid = Grid(0.5, 20)
         kern = build_kernel(spec, grid)
         for i in range(1, 21):
             assert kern.row(i)[i - 1] == pytest.approx(1.0, abs=1e-11)
@@ -94,13 +95,13 @@ class TestMg1Entries:
 
     def test_pure_shift_entry_below_support(self):
         # window below the job-size support: only the no-arrival shift remains
-        grid = REF_MG1.grid_for(0.5, 100)
+        grid = Grid(0.5, 100)
         kern = build_kernel(REF_MG1, grid)
         assert kern.row(4)[3] == pytest.approx(np.exp(-0.125), abs=1e-12)
         assert riemann_window(REF_MG1.job, 0.5, -0.5, 0.0) == 0.0
 
     def test_one_jump_entry_against_riemann(self):
-        grid = REF_MG1.grid_for(0.5, 100)
+        grid = Grid(0.5, 100)
         kern = build_kernel(REF_MG1, grid)
         # start interval 4, landing interval 6: window [1.0, 1.5]
         oracle = riemann_window(REF_MG1.job, 0.5, 1.0, 1.5)
@@ -108,17 +109,12 @@ class TestMg1Entries:
         assert kern.row(4)[6] == pytest.approx(expected, rel=1e-6)
 
     def test_row1_triangle_against_riemann(self):
-        grid = REF_MG1.grid_for(0.5, 100)
+        grid = Grid(0.5, 100)
         kern = build_kernel(REF_MG1, grid)
         for j in [3, 4, 5]:
             oracle = riemann_triangle(REF_MG1.job, 0.5, (j - 1) * 0.5, j * 0.5, j * 0.5)
             expected = np.exp(-0.125) * 2 * 0.25 / 0.5 * oracle
             assert kern.row(1)[j] == pytest.approx(expected, rel=1e-5, abs=1e-12)
-
-    def test_requires_zero_state(self):
-        grid = REF_SN.grid_for(0.5, 10)  # no zero state
-        with pytest.raises(GridError, match="needs the zero state"):
-            build_kernel(REF_MG1, grid)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -156,15 +152,15 @@ def test_python_and_numpy_numbers_accepted(value):
 
 
 def test_kind_given_by_value_is_the_enum():
-    # kept as a string, "mg1" would give a grid without the zero state and
-    # pass every "is ModelKind.MG1" test as spectrally negative
+    # kept as a string, "mg1" would fail every "is ModelKind.MG1" test and
+    # run as the spectrally negative chain, without the zero state
     spec = ModelSpec("mg1", 0.25, Uniform(1.0, 5.0))
     assert spec.kind is ModelKind.MG1
-    assert spec.grid_for(0.5, 10).zero_state
+    assert build_kernel(spec, Grid(0.5, 10)).states()[0] == 0
     assert ModelSpec("spectrally_negative", 0.5, Pareto(1.0, 1.5)).kind is (
         ModelKind.SPECTRALLY_NEGATIVE
     )
-    res = solve(spec, spec.grid_for(0.5, 10), GeneralMeasure.dirac(1.0), 2)
+    res = solve(spec, Grid(0.5, 10), GeneralMeasure.dirac(1.0), 2)
     assert len(res.ledger.rows) == 2
 
 
@@ -176,7 +172,7 @@ def test_unknown_kind_refused():
 class TestSpecnegEntries:
     def test_pure_drift_limit(self):
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 1e-12, Pareto(1.0, 1.5))
-        grid = spec.grid_for(0.5, 20)
+        grid = Grid(0.5, 20)
         kern = build_kernel(spec, grid)
         for i in range(1, 20):
             assert kern.row(i)[i] == pytest.approx(1.0, abs=1e-11)  # state i+1
@@ -185,7 +181,7 @@ class TestSpecnegEntries:
     def test_zero_jump_sizes_row_sum(self):
         # all jump mass at 0: Pcheck row sums are e^{-ld}(1 + ld) off the top
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, 0.7, Deterministic(0.0))
-        grid = spec.grid_for(0.25, 30)
+        grid = Grid(0.25, 30)
         kern = build_kernel(spec, grid)
         lam_d = 0.7 * 0.25
         expected = np.exp(-lam_d) * (1.0 + lam_d)
@@ -195,7 +191,7 @@ class TestSpecnegEntries:
             assert checked == pytest.approx(expected, abs=1e-12)
 
     def test_bottom_column_against_riemann(self):
-        grid = REF_SN.grid_for(1 / 100, 5500)
+        grid = Grid(1 / 100, 5500)
         kern = build_kernel(REF_SN, grid)
         d = 1 / 100
         s = np.linspace(4.99, 5.0, 200_001)
@@ -203,11 +199,6 @@ class TestSpecnegEntries:
         integral = float(np.sum(REF_SN.job.cdf(mid)) * 0.01 / 200_000)
         expected = np.exp(-REF_SN.lam * d) * REF_SN.lam * (d - integral)
         assert kern.col1[499] == pytest.approx(expected, rel=1e-8)
-
-    def test_refuses_zero_state(self):
-        grid = REF_MG1.grid_for(0.5, 10)  # with a zero state
-        with pytest.raises(GridError, match="has no zero state"):
-            build_kernel(REF_SN, grid)
 
 
 class TestParetoNextToSpecialAlpha:
@@ -227,7 +218,7 @@ class TestParetoNextToSpecialAlpha:
     def test_matches_limit_kernel(self, kind, lam, alpha, step):
         def dense(a):
             spec = ModelSpec(kind, lam, Pareto(1.0, a))
-            return build_kernel(spec, spec.grid_for(1 / 50, 1000)).dense()  # M = 20
+            return build_kernel(spec, Grid(1 / 50, 1000)).dense()  # M = 20
 
         assert np.max(np.abs(dense(alpha + step) - dense(alpha))) < 1e-9
 
@@ -242,7 +233,7 @@ class TestDenseOracle:
             d = float(rng.uniform(0.1, 0.8))
             n = int(rng.integers(5, 40))
             spec = ModelSpec(ModelKind.MG1, lam, job)
-            grid = spec.grid_for(d, n)
+            grid = Grid(d, n)
             kern = build_kernel(spec, grid)
             oracle = dense_mg1_oracle(spec, grid)
             assert np.max(np.abs(kern.dense() - oracle)) < 1e-12
@@ -256,7 +247,7 @@ class TestDenseOracle:
             d = float(rng.uniform(0.1, 0.8))
             n = int(rng.integers(5, 40))
             spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, lam, job)
-            grid = spec.grid_for(d, n)
+            grid = Grid(d, n)
             kern = build_kernel(spec, grid)
             oracle = dense_specneg_oracle(spec, grid)
             assert np.max(np.abs(kern.dense() - oracle)) < 1e-12
@@ -265,7 +256,7 @@ class TestDenseOracle:
 class TestApply:
     def test_stationary_at_zero_arrival(self):
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))
-        grid = spec.grid_for(0.5, 20)
+        grid = Grid(0.5, 20)
         kern = build_kernel(spec, grid)
         p = np.zeros(21)
         p[0] = 1.0
@@ -273,7 +264,7 @@ class TestApply:
         assert out[0] == pytest.approx(1.0, abs=1e-11)
 
     def test_one_hot_reproduces_rows(self):
-        grid = REF_MG1.grid_for(0.5, 60)
+        grid = Grid(0.5, 60)
         kern = build_kernel(REF_MG1, grid)
         for i in [0, 1, 2, 17, 60]:
             p = np.zeros(61)
@@ -282,7 +273,7 @@ class TestApply:
             assert np.max(np.abs(out - kern.row(i))) < 1e-14
 
     def test_repeated_apply_matches_matrix_power(self):
-        grid = REF_MG1.grid_for(0.1, 500)
+        grid = Grid(0.1, 500)
         kern = build_kernel(REF_MG1, grid)
         dense = kern.dense()
         p = np.zeros(501)
@@ -295,7 +286,7 @@ class TestApply:
 
     def test_grid_mismatch(self):
         # a state vector of the 61-interval grid on the 60-interval kernel
-        grid = REF_MG1.grid_for(0.5, 60)
+        grid = Grid(0.5, 60)
         kern = build_kernel(REF_MG1, grid)
         with pytest.raises(GridError):
             kern.apply(np.ones(62) / 62)
@@ -314,11 +305,28 @@ class TestApply:
     )
     def test_edge_sizes_match_dense(self, kind, job, delta, m_delta):
         spec = ModelSpec(kind, 0.5, job)
-        grid = spec.grid_for(delta, m_delta)
+        grid = Grid(delta, m_delta)
         kern = build_kernel(spec, grid)
-        p = np.random.default_rng(m_delta).dirichlet(np.ones(len(grid.states())))
+        p = np.random.default_rng(m_delta).dirichlet(np.ones(len(kern.states())))
         out = kern.apply(p)
         assert np.max(np.abs(out - p @ kern.dense())) < 1e-14
+
+
+class TestStates:
+    @pytest.mark.parametrize(
+        "kind, first",
+        [(ModelKind.MG1, 0), (ModelKind.SPECTRALLY_NEGATIVE, 1)],
+        ids=["mg1", "specneg"],
+    )
+    def test_layout_is_the_models(self, kind, first):
+        # one grid, two layouts: M/G/1 keeps state 0, the other chain does not
+        grid = Grid(0.5, 100)
+        kern = build_kernel(ModelSpec(kind, 0.25, Uniform(1.0, 5.0)), grid)
+        np.testing.assert_array_equal(kern.states(), np.arange(first, 101))
+        assert kern.dense().shape == (101 - first, 101 - first)
+        n = len(kern.states())
+        with pytest.raises(GridError, match=f"chain has {n} states"):
+            kern.apply(np.ones(n + 1) / (n + 1))
 
 
 @pytest.mark.parametrize("budget", [1, 7, 10**9])
@@ -332,7 +340,7 @@ class TestApply:
 )
 def test_work_budget_leaves_kernel_bit_identical(monkeypatch, spec, budget):
     # grid values are sampled in work slices of elementwise job-size functions
-    grid = spec.grid_for(0.01, 700)
+    grid = Grid(0.01, 700)
     parts = ("toeplitz", "diag", "row1", "col1")
 
     def arrays():
@@ -368,7 +376,7 @@ class CountingUniform(Uniform):
 def test_each_law_primitive_evaluated_once_per_grid_point(kind):
     job = CountingUniform(0.3, 2.2)
     spec = ModelSpec(kind, 0.7, job)
-    grid = spec.grid_for(0.1, 40)
+    grid = Grid(0.1, 40)
     kern = build_kernel(spec, grid)
     n, d = grid.m_delta, grid.delta
     table = np.arange(-1, n + 2) * d  # k d, k = -1..n+1
@@ -412,7 +420,7 @@ class TestStochasticity:
         if kind is ModelKind.SPECTRALLY_NEGATIVE:
             rng.random()  # unused draw, kept so every other sampled config stays the same
         spec = ModelSpec(kind, float(rng.uniform(0.05, 3)), job)
-        grid = spec.grid_for(float(rng.uniform(0.05, 0.8)), int(rng.integers(3, 60)))
+        grid = Grid(float(rng.uniform(0.05, 0.8)), int(rng.integers(3, 60)))
         return spec, grid
 
     def test_rows_stochastic_and_diag_nonnegative(self):
@@ -439,7 +447,7 @@ class TestStochasticity:
         # reference: the diagonal correction written one state at a time
         rng = np.random.default_rng(44)
         specs = [self._random_spec_grid(rng) for _ in range(100)]
-        specs += [(REF_SN, REF_SN.grid_for(0.5, m)) for m in (1, 2, 3)]
+        specs += [(REF_SN, Grid(0.5, m)) for m in (1, 2, 3)]
         for spec, grid in specs:
             kern = build_kernel(spec, grid)
             n, csum = grid.m_delta, np.cumsum(kern.toeplitz)
@@ -462,7 +470,7 @@ class TestStochasticity:
     def test_mg1_interior_diag_value(self):
         # rows fully inside the truncation only lose multi-jump mass
         spec = ModelSpec(ModelKind.MG1, 0.4, Uniform(1.0, 3.0))
-        grid = spec.grid_for(0.25, 80)  # M = 20
+        grid = Grid(0.25, 80)  # M = 20
         kern = build_kernel(spec, grid)
         lam_d = 0.4 * 0.25
         expected = 1.0 - np.exp(-lam_d) * (1.0 + lam_d)
@@ -471,8 +479,8 @@ class TestStochasticity:
 
     def test_rowsum_monotone_in_truncation(self):
         spec = ModelSpec(ModelKind.MG1, 0.4, Erlang(4, 1.0))
-        g_small = spec.grid_for(0.25, 40)
-        g_large = spec.grid_for(0.25, 80)
+        g_small = Grid(0.25, 40)
+        g_large = Grid(0.25, 80)
         k_small = build_kernel(spec, g_small)
         k_large = build_kernel(spec, g_large)
         for i in range(2, 41):
@@ -489,7 +497,7 @@ class TestTabulationCharge:
     @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
     def test_basic_ledger_carries_charge(self, kind):
         spec = ModelSpec(kind, 0.5, self.TABULATED)
-        grid = spec.grid_for(0.5, 12)
+        grid = Grid(0.5, 12)
         res = solve(spec, grid, GeneralMeasure.dirac(1.0), 20, bound_mode="basic")
         charge = 0.5 * 0.5 * self.TABULATED.w1_bound
         assert charge > 0.0

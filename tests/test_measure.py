@@ -67,13 +67,7 @@ class TestGrid:
     def test_geometry(self):
         g = Grid(0.5, 100)
         assert g.m == 50.0
-        assert g.n_states == 101
         assert len(g.edges()) == 101
-
-    def test_no_zero_state(self):
-        g = Grid(0.5, 100, zero_state=False)
-        assert g.n_states == 100
-        assert g.states()[0] == 1
 
     def test_invalid(self):
         with pytest.raises(GridError):
@@ -87,7 +81,7 @@ class TestGrid:
         # numpy integers stay accepted
         with pytest.raises(GridError, match="integer"):
             Grid(0.1, m_delta)
-        assert Grid(0.1, np.int64(5)).n_states == 6
+        assert Grid(0.1, np.int64(5)).m_delta == 5
 
 
 class TestCdfOf:
@@ -120,7 +114,7 @@ class TestCdfOf:
             m = GeneralMeasure(atoms=[(1.0, 0.4)], pieces=[(2.0, 3.0, 0.6)])
         else:
             spec = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
-            res = solve(spec, spec.grid_for(0.1, 200), GeneralMeasure.dirac(1.0), 20)
+            res = solve(spec, Grid(0.1, 200), GeneralMeasure.dirac(1.0), 20)
             m = res.distributions[-1]
         out = m.cdf(np.array([np.nan, -1.0, 25.0]))
         assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == pytest.approx(1.0)

@@ -97,7 +97,7 @@ class TestSimulate:
         from levyq import solve
 
         mu0 = GeneralMeasure.dirac(1.0)
-        grid = REF_MG1.grid_for(1 / 100, 1200)
+        grid = Grid(1 / 100, 1200)
         res = solve(REF_MG1, grid, mu0, 100)
         dist, bound = res.at_time(1.0)
         n = 100_000
@@ -517,7 +517,7 @@ class TestOracleMemory:
         # np.unique's dedupe traced 4.0 MiB; keeping the per-sample index
         # and every segment through the resamples traced 3.0 MiB
         samples = simulate(SimConfig(REF_SN, GeneralMeasure.dirac(5.0), 0.5, 100_000, 42))
-        grid = REF_SN.grid_for(1 / 100, 5500)
+        grid = Grid(1 / 100, 5500)
         m = LiftedDistribution(grid, 0.0, np.full(5500, 1 / 5500))
         peak = traced_peak(lambda: empirical_wasserstein(samples, m, n_boot=5))
         assert peak <= 2.5 * 2**20

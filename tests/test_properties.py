@@ -97,7 +97,7 @@ def test_wasserstein_translation(a, b, c):
 def test_initial_projection_error_within_one_cell(mu0, m_per_unit, delta):
     spec = ModelSpec(ModelKind.MG1, 0.5, Uniform(1.0, 2.0))
     m_delta = int(np.ceil(10.0 / delta)) + 1
-    grid = spec.grid_for(delta, m_delta)
+    grid = Grid(delta, m_delta)
     p, b0 = discretize_initial(mu0, grid)
     assert 0.0 <= b0 <= delta + 1e-12
     assert abs(p.sum() - 1.0) < 1e-9
@@ -110,7 +110,7 @@ def test_initial_projection_error_within_one_cell(mu0, m_per_unit, delta):
 @settings(max_examples=200)
 def test_jump_aggregation_dominated_by_width(lam, delta):
     spec = ModelSpec(ModelKind.MG1, lam, Uniform(1.0, 5.0))
-    row = BoundContext(spec, spec.grid_for(delta, 1), refined=False).row
+    row = BoundContext(spec, Grid(delta, 1), refined=False).row
     assert 0.0 <= row.jump_aggregation <= lam * delta**2
 
 
@@ -119,7 +119,7 @@ def test_jump_aggregation_dominated_by_width(lam, delta):
 def test_specneg_cut_branches_consistent(lam, delta, m):
     def cut(job):  # M = m up to half an interval
         spec = ModelSpec(ModelKind.SPECTRALLY_NEGATIVE, lam, job)
-        grid = spec.grid_for(delta, max(1, round(m / delta)))
+        grid = Grid(delta, max(1, round(m / delta)))
         return BoundContext(spec, grid, refined=False).row.jump_cut
 
     with_mean = cut(Pareto(1.0, 1.5))  # E[B] = 3
