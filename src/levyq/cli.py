@@ -45,7 +45,7 @@ _FAMILIES = {
     "pareto": (jobsize.Pareto, ("x_min", "alpha")),
     "deterministic": (jobsize.Deterministic, ("value",)),
     "tabulated": (jobsize.TabulatedCdf, ("xs", "cdf")),
-}  # family: (class, its constructor arguments in order)
+}  # family: (constructor, its arguments in order)
 
 
 _CONFIG_KEYS = (
@@ -425,6 +425,8 @@ def run_solve(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 def run_validate(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     if not cfg.validation_enabled:
         raise ConfigError("validation.enabled is false; nothing to validate")
+    if cfg.horizon_steps == 0:  # only t = 0, which validate skips
+        raise ConfigError("horizon.t_end is 0; nothing to validate")
     result = _solve(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -10,9 +10,10 @@ package reduces to a handful of integrals of the job-size CDF F:
 
 Every window integral of F that a kernel row or a refined shape needs is a
 difference of J and K.  Every family (uniform, exponential, Erlang, Pareto,
-deterministic, tabulated) implements these in closed form, so every law
-takes one exact kernel and bound path; Pareto's are one expression each of
-log(x / x_min), exact for every alpha > 0.  A law known only through a CDF
+tabulated) implements these in closed form, so every law takes one exact
+kernel and bound path; Pareto's are one expression each of log(x / x_min),
+exact for every alpha > 0.  A deterministic job size is the one-knot
+tabulated law (:func:`Deterministic`).  A law known only through a CDF
 callable is tabulated first (:meth:`TabulatedCdf.from_cdf`): the step CDF
 below it is an exact law of its own, and its ``w1_bound`` bounds the
 Wasserstein distance between the two laws, which the certified bound
@@ -32,7 +33,7 @@ values may be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma
+from math import factorial, lgamma
 
 import numpy as np
 
@@ -167,6 +168,25 @@ class Uniform(JobSize):
         return Uniform(self.lo * factor, self.hi * factor)
 
 
+# Taylor coefficients of g1(u) = sum_{k>=2} (-u)^k / k! from u^2 and of
+# g2(u) = sum_{k>=3} (-1)^(k+1) (k-1) u^k / k! from u^3, to 1e-17 relative at u = 1
+_G1_TAYLOR = [(-1.0) ** k / factorial(k) for k in range(2, 20)]
+_G2_TAYLOR = [(-1.0) ** (k + 1) * (k - 1) / factorial(k) for k in range(3, 21)]
+
+
+def _taylor_below_1(u, closed, coefs, lowest):
+    """``closed`` with its entries at u < 1 replaced by the series
+    sum_k coefs[k - lowest] u^k, where the closed form cancels."""
+    out = np.asarray(closed)
+    small = u < 1.0
+    if small.any():
+        us, acc = u[small], 0.0
+        for c in reversed(coefs):  # Horner
+            acc = acc * us + c
+        out[small] = acc * us**lowest
+    return out
+
+
 @dataclass(frozen=True)
 class Exponential(JobSize):
     """Exponential job sizes with the given rate (mean 1/rate)."""
@@ -181,13 +201,14 @@ class Exponential(JobSize):
     def _cdf(self, x):
         return -np.expm1(-self.rate * x)
 
-    def _J(self, x):
-        return x + np.expm1(-self.rate * x) / self.rate
+    def _J(self, x):  # g1(u) / r, g1(u) = u + expm1(-u)
+        u = self.rate * x
+        return _taylor_below_1(u, u + np.expm1(-u), _G1_TAYLOR, 2) / self.rate
 
-    def _K(self, x):
-        r = self.rate
-        # int_0^x s(1 - e^{-rs}) ds = x^2/2 - (1 - (1 + rx)e^{-rx}) / r^2
-        return x**2 / 2.0 - (1.0 - (1.0 + r * x) * np.exp(-r * x)) / r**2
+    def _K(self, x):  # g2(u) / r^2, g2(u) = u^2/2 - 1 + (1 + u) e^{-u}
+        u = self.rate * x
+        g2 = u**2 / 2.0 - 1.0 + (1.0 + u) * np.exp(-u)
+        return _taylor_below_1(u, g2, _G2_TAYLOR, 3) / self.rate**2
 
     def mean(self):
         return 1.0 / self.rate
@@ -337,40 +358,6 @@ class Pareto(JobSize):
         return Pareto(self.x_min * factor, self.alpha)
 
 
-@dataclass(frozen=True)
-class Deterministic(JobSize):
-    """Every job has exactly the given size (c >= 0)."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_finite(self, "value")
-        if not self.value >= 0.0:
-            raise ValueError("job size must be nonnegative")
-
-    def _cdf(self, x):
-        # right-continuous step at the atom
-        return (x >= self.value).astype(float)
-
-    def _J(self, x):
-        return np.maximum(x - self.value, 0.0)
-
-    def _K(self, x):
-        return np.where(x > self.value, (x**2 - self.value**2) / 2.0, 0.0)
-
-    def mean(self):
-        return self.value
-
-    def _tail_mean(self, a):
-        return np.where(a < self.value, self.value, 0.0)
-
-    def sample(self, rng, n):
-        return np.full(n, self.value)
-
-    def scaled(self, factor):
-        return Deterministic(self.value * factor)
-
-
 @dataclass(frozen=True, eq=False)
 class TabulatedCdf(JobSize):
     """Job sizes given by a tabulated right-continuous step CDF.
@@ -464,8 +451,7 @@ class TabulatedCdf(JobSize):
         return np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, len(self.xs) - 1)
 
     def _cdf(self, x):
-        k = np.searchsorted(self.xs, x, side="right") - 1
-        return np.where(k < 0, 0.0, self.cdf_values[np.maximum(k, 0)])
+        return np.where(x < self.xs[0], 0.0, self.cdf_values[self._segment(x)])
 
     def _J(self, x):
         k = self._segment(x)
@@ -496,3 +482,11 @@ class TabulatedCdf(JobSize):
         # W1 scales with the sizes: W1(factor B, factor B') = factor W1(B, B')
         scaled = TabulatedCdf(self.xs * factor, self.cdf_values)
         return scaled._with_w1_bound(self.w1_bound * factor)
+
+
+def Deterministic(value) -> TabulatedCdf:
+    """Every job has exactly the given size (value >= 0): the one-knot
+    tabulated law, F = 1 from ``value`` on."""
+    if not (_is_finite_real(value) and value >= 0.0):
+        raise ValueError(f"value must be a finite number >= 0, got {value!r}")
+    return TabulatedCdf([value], [1.0])

@@ -234,6 +234,8 @@ def build_kernel(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     # F flat across window k's two intervals: its integrand is 0 there
     flat = F[2:] == F[:-2]
     t_int = _window_integrals(J, flat)  # k = -1 .. n - 1
+    if mg1:  # row 1 reads t_int before the band scales it in place
+        special = _row1_windows(J, job, t_int, d)
     # M/G/1 row 0 has the window ((j-1)d, jd), t_int[j], at column j = 0..n;
     # spectrally negative columns j >= 2 reach the offsets k = -1 .. n - 2
     band = t_int[: n + 1 if mg1 else n]
@@ -243,7 +245,6 @@ def build_kernel(spec: ModelSpec, grid: Grid) -> TransitionKernel:
     csum = np.cumsum(toeplitz)
 
     if mg1:
-        special = _row1_windows(J, grid_values(job.prefix_x_cdf, d, -1, n + 1), flat, d)
         special *= enl * (2.0 * lam / d)
         special[0] += enl
         diag = np.empty(n + 1)
@@ -287,23 +288,25 @@ def _window_integrals(J: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return t_int
 
 
-def _row1_windows(J: np.ndarray, K: np.ndarray, flat: np.ndarray, d: float) -> np.ndarray:
+def _row1_windows(J: np.ndarray, job: JobSize, t_int: np.ndarray, d: float) -> np.ndarray:
     """Triangle-weighted windows of the M/G/1 row 1 from J and K at k d,
-    k = -1..n+1.
+    k = -1..n+1, and the generic windows ``t_int``.
 
-    Entry j is int_{(j-1)d}^{jd} (jd - s)(F(s+d) - F(s)) ds, j = 0..n,
-    clipped at 0 and exactly 0 where F is ``flat``.
+    Entry j is int_{(j-1)d}^{jd} (jd - s)(F(s+d) - F(s)) ds, j = 0..n.  The
+    weight jd - s is at most d, so each entry is clipped to [0, d t_int[j]]:
+    far out, K is large and its differences carry rounding many times the
+    true window, while t_int's J differences round much less (and are exactly
+    0 where F is flat).
     """
     w = np.empty(len(J) - 2)
+    K = grid_values(job.prefix_x_cdf, d, -1, len(w))  # after w, so K frees at the heap top
     # J[j + o] and K[j + o] are taken at (j - 1 + o) d
     for s in work_slices(len(w)):
         j0, j1, j2 = (slice(s.start + o, s.stop + o) for o in range(3))
         c = np.arange(s.start, s.stop) * d
         upper = (c + d) * (J[j2] - J[j1]) - (K[j2] - K[j1])
         lower = c * (J[j1] - J[j0]) - (K[j1] - K[j0])
-        w[s] = upper - lower
-    w[flat] = 0.0
-    np.maximum(w, 0.0, out=w)
+        w[s] = np.clip(upper - lower, 0.0, d * t_int[s])
     return w
 
 

@@ -316,6 +316,19 @@ class TestConfigParsing:
         # solve does not read the field
         assert main(["solve", path, "--out", str(out)]) == EXIT_OK
 
+    def test_validate_refuses_zero_horizon(self, tmp_path, capsys):
+        # t = 0 is never validated, so a zero horizon would validate nothing
+        cfg = base_config(
+            validation={"enabled": True, "n_paths": 50, "seed": 3},
+            horizon={"t_end": 0, "snapshot_times": []},
+            queries=[],
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["validate", path, "--out", str(out)]) == EXIT_CONFIG
+        assert "horizon.t_end" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_family(self, tmp_path):
         cfg = base_config()
         cfg["model"]["job"] = {"family": "zeta", "params": {}}

@@ -42,8 +42,6 @@ def _kink_points(job):
     """CDF jumps and kinks, where quad's error estimate is unreliable."""
     if isinstance(job, TabulatedCdf):
         return list(job.xs)
-    if isinstance(job, Deterministic):
-        return [job.value]
     if isinstance(job, Uniform):
         return [job.lo, job.hi]
     if isinstance(job, Pareto):
@@ -181,6 +179,24 @@ class TestParetoEveryAlpha:
         k, _ = integrate.quad(lambda s: s * cdf(s), 1.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
         assert job.prefix_cdf(x) == pytest.approx(j, rel=1e-10, abs=0.0)
         assert job.prefix_x_cdf(x) == pytest.approx(k, rel=1e-10, abs=0.0)
+
+
+class TestExponentialSmallArguments:
+    """J and K at small rate * x, where their closed forms cancel, are as
+    exact as anywhere else, and the series meets the closed form at
+    rate * x = 1."""
+
+    @pytest.mark.parametrize("rate", [1 / 3, 1.0, 2.5, 500.0])
+    @pytest.mark.parametrize(
+        "x", [1e-8, 1e-6, 1 / 12800, 1e-3, 0.1, 1 - 1e-9, 1.0, 1 + 1e-9, 3.0, 10.0]
+    )
+    def test_prefix_integrals_against_quadrature(self, rate, x):
+        job = Exponential(rate)
+        cdf = lambda s: -np.expm1(-rate * s)
+        j, _ = integrate.quad(cdf, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
+        k, _ = integrate.quad(lambda s: s * cdf(s), 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert job.prefix_cdf(x) == pytest.approx(j, rel=1e-12, abs=0.0)
+        assert job.prefix_x_cdf(x) == pytest.approx(k, rel=1e-12, abs=0.0)
 
 
 class TestMeanAndTail:

@@ -9,6 +9,7 @@ import pytest
 from levyq import (
     Deterministic,
     Erlang,
+    Exponential,
     GeneralMeasure,
     Grid,
     GridError,
@@ -432,6 +433,18 @@ class TestStochasticity:
             assert np.all(dense >= -1e-15)
             assert np.max(np.abs(dense.sum(axis=1) - 1.0)) < 1e-12
             assert np.all(kern.diag >= 0.0)
+
+    @pytest.mark.parametrize(
+        "job", [Exponential(1 / 3), Erlang(2, 2 / 3), Pareto(1.0, 2.5)],
+        ids=["exponential", "erlang", "pareto"],
+    )
+    def test_fine_mg1_grid_with_mass_beyond_m(self, job):
+        # at delta = 1/500, M = 50, row 1's K differences round at ~1e-13 per
+        # window and once summed past 1 by ~1e-7
+        kern = build_kernel(ModelSpec(ModelKind.MG1, 0.25, job), Grid(1 / 500, 25_000))
+        assert np.all(kern.diag >= 0.0)
+        for i in [0, 1, 2, 3, *range(500, 25_001, 500)]:
+            assert abs(kern.row(i).sum() - 1.0) < 1e-12, i
 
     def test_substochastic_before_correction(self):
         rng = np.random.default_rng(43)
