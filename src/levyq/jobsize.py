@@ -9,11 +9,12 @@ package reduces to a handful of integrals of the job-size CDF F:
 * ``mean`` / ``tail_mean(a)``   -- E[B] and int_(a, inf) x dF(x)
 
 Every window integral of F that a kernel row or a refined shape needs is a
-difference of J and K.  Every family (uniform, exponential, Erlang, Pareto,
-tabulated) implements these in closed form, so every law takes one exact
-kernel and bound path; Pareto's are one expression each of log(x / x_min),
-exact for every alpha > 0.  A deterministic job size is the one-knot
-tabulated law (:func:`Deterministic`).  A law known only through a CDF
+difference of J and K.  Every family (uniform, Erlang, Pareto, tabulated)
+implements these in closed form, so every law takes one exact kernel and
+bound path; Pareto's are one expression each of log(x / x_min), exact for
+every alpha > 0.  An exponential job size is the one-stage Erlang law
+(:func:`Exponential`) and a deterministic one the one-knot tabulated law
+(:func:`Deterministic`).  A law known only through a CDF
 callable is tabulated first (:meth:`TabulatedCdf.from_cdf`): the step CDF
 below it is an exact law of its own, and its ``w1_bound`` bounds the
 Wasserstein distance between the two laws, which the certified bound
@@ -33,7 +34,7 @@ values may be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, lgamma
+from math import lgamma
 
 import numpy as np
 
@@ -168,61 +169,6 @@ class Uniform(JobSize):
         return Uniform(self.lo * factor, self.hi * factor)
 
 
-# Taylor coefficients of g1(u) = sum_{k>=2} (-u)^k / k! from u^2 and of
-# g2(u) = sum_{k>=3} (-1)^(k+1) (k-1) u^k / k! from u^3, to 1e-17 relative at u = 1
-_G1_TAYLOR = [(-1.0) ** k / factorial(k) for k in range(2, 20)]
-_G2_TAYLOR = [(-1.0) ** (k + 1) * (k - 1) / factorial(k) for k in range(3, 21)]
-
-
-def _taylor_below_1(u, closed, coefs, lowest):
-    """``closed`` with its entries at u < 1 replaced by the series
-    sum_k coefs[k - lowest] u^k, where the closed form cancels."""
-    out = np.asarray(closed)
-    small = u < 1.0
-    if small.any():
-        us, acc = u[small], 0.0
-        for c in reversed(coefs):  # Horner
-            acc = acc * us + c
-        out[small] = acc * us**lowest
-    return out
-
-
-@dataclass(frozen=True)
-class Exponential(JobSize):
-    """Exponential job sizes with the given rate (mean 1/rate)."""
-
-    rate: float
-
-    def __post_init__(self):
-        _require_finite(self, "rate")
-        if not self.rate > 0.0:
-            raise ValueError("rate must be positive")
-
-    def _cdf(self, x):
-        return -np.expm1(-self.rate * x)
-
-    def _J(self, x):  # g1(u) / r, g1(u) = u + expm1(-u)
-        u = self.rate * x
-        return _taylor_below_1(u, u + np.expm1(-u), _G1_TAYLOR, 2) / self.rate
-
-    def _K(self, x):  # g2(u) / r^2, g2(u) = u^2/2 - 1 + (1 + u) e^{-u}
-        u = self.rate * x
-        g2 = u**2 / 2.0 - 1.0 + (1.0 + u) * np.exp(-u)
-        return _taylor_below_1(u, g2, _G2_TAYLOR, 3) / self.rate**2
-
-    def mean(self):
-        return 1.0 / self.rate
-
-    def _tail_mean(self, a):
-        return (a + 1.0 / self.rate) * np.exp(-self.rate * a)
-
-    def sample(self, rng, n):
-        return rng.exponential(1.0 / self.rate, n)
-
-    def scaled(self, factor):
-        return Exponential(self.rate / factor)
-
-
 def _poisson_tails(lam, lo: int, hi: int):
     """``(up, sides)``: sides[m - lo] is P(N >= m) where up = lam < hi, else
     P(N < m), for N ~ Poisson(lam), m = lo..hi, elementwise.
@@ -301,6 +247,12 @@ class Erlang(JobSize):
 
     def scaled(self, factor):
         return Erlang(self.shape, self.rate / factor)
+
+
+def Exponential(rate) -> Erlang:
+    """Exponential job sizes with the given rate (mean 1/rate): the
+    one-stage Erlang law, whose Poisson-tail forms cancel nowhere."""
+    return Erlang(1, rate)
 
 
 def _exp_integral(c: float, L):
@@ -398,6 +350,9 @@ class TabulatedCdf(JobSize):
         object.__setattr__(self, "_kk", kk)
         w = np.diff(np.concatenate([[0.0], fs]))
         object.__setattr__(self, "_weights", w)
+        xw = xs * w  # int_(a, inf) x dF at a in [xs[i - 1], xs[i]) is suffix[i]
+        suffix = np.concatenate([np.cumsum(xw[::-1])[::-1], [0.0]])
+        object.__setattr__(self, "_suffix", suffix)
 
     @classmethod
     def from_cdf(cls, fn, support_hi: float, n_knots: int) -> "TabulatedCdf":
@@ -469,10 +424,7 @@ class TabulatedCdf(JobSize):
         return float(np.einsum("i,i", self.xs, self._weights))
 
     def _tail_mean(self, a):
-        xw = self.xs * self._weights
-        suffix = np.concatenate([np.cumsum(xw[::-1])[::-1], [0.0]])
-        idx = np.searchsorted(self.xs, a, side="right")
-        return suffix[idx]
+        return self._suffix[np.searchsorted(self.xs, a, side="right")]
 
     def sample(self, rng, n):
         idx = rng.choice(len(self.xs), size=n, p=self._weights / self._weights.sum())

@@ -183,8 +183,7 @@ class TestParetoEveryAlpha:
 
 class TestExponentialSmallArguments:
     """J and K at small rate * x, where their closed forms cancel, are as
-    exact as anywhere else, and the series meets the closed form at
-    rate * x = 1."""
+    exact as anywhere else."""
 
     @pytest.mark.parametrize("rate", [1 / 3, 1.0, 2.5, 500.0])
     @pytest.mark.parametrize(
@@ -197,6 +196,38 @@ class TestExponentialSmallArguments:
         k, _ = integrate.quad(lambda s: s * cdf(s), 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
         assert job.prefix_cdf(x) == pytest.approx(j, rel=1e-12, abs=0.0)
         assert job.prefix_x_cdf(x) == pytest.approx(k, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("rate", [1 / 3, 1.0, 500.0])
+class TestExponentialIsOneStageErlang:
+    def test_same_law(self, rate):
+        assert Exponential(rate) == Erlang(1, rate)
+
+    def test_samples_match_numpy_exponential(self, rate):
+        # the oracle's draws for an exponential config stay numpy's own
+        key = np.array([7, 2**32], dtype=np.uint64)
+        rng, ref = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        got = Exponential(rate).sample(rng, 1000)
+        assert np.array_equal(got, ref.exponential(1.0 / rate, 1000))
+
+    def test_large_arguments_against_closed_forms(self, rate):
+        # rate * x in [1, 200], where the exponential closed forms are exact
+        # in float64; 2 and 3 are where J's and K's Poisson sums turn round
+        u = np.concatenate([np.geomspace(1.0, 200.0, 41), [2 - 1e-9, 2.0, 3 - 1e-9, 3.0]])
+        x = u / rate
+        u, job = rate * x, Exponential(rate)
+        e = np.exp(-u)
+        np.testing.assert_allclose(job.cdf(x), -np.expm1(-u), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(
+            job.prefix_cdf(x), x - (1.0 - e) / rate, rtol=1e-14, atol=0.0
+        )
+        np.testing.assert_allclose(
+            job.prefix_x_cdf(x), x**2 / 2.0 - (1.0 - (1.0 + u) * e) / rate**2,
+            rtol=1e-14, atol=0.0,
+        )
+        np.testing.assert_allclose(
+            job.tail_mean(x), (x + 1.0 / rate) * e, rtol=1e-13, atol=0.0
+        )
 
 
 class TestMeanAndTail:
