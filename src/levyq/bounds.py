@@ -18,18 +18,14 @@ is approximate (sub-grid sampling of the refined term, the tabulation of a
 CDF callable) the approximation error is tracked separately as "slack" and
 added to the certified total, never silently dropped.
 
-The refiner samples its shapes in chunks of ``WORK_BUDGET // SUBGRID``
-blocks, so a run does not map and trim large arrays chunk after chunk.  Each
-chunk evaluates the law's primitives once, on one table of sub-grid points
-that covers its blocks and the shifts its shapes read.  That table (its
-points and the primitives' values there) is the only temporary allowed past
-the shared work budget (32 KiB), by its halo of at most two blocks and one
-point; every other temporary of the sweep stays within it.  The spectrally
-negative bottom block is swept once, in the same chunks: a start i that one
-jump cannot bring there (F is 1 at (i - 1) delta) carries exact zeros, not
-values rebuilt from J that are 0 up to rounding.  Where to sweep is read off
-F at the grid points: outside the blocks where F moves, every shape equals
-its chord.
+The refiner sweeps one shape for both models, g(v) = (J(v + delta) -
+J(v)) / delta, in chunks of ``WORK_BUDGET // SUBGRID`` blocks.  Each chunk
+evaluates the law's primitives once, on one table of sub-grid points over
+its blocks and a halo of one block and one point; that table is the only
+temporary allowed past the shared work budget (32 KiB).  Where to sweep is
+read off F at the grid points: where F is 0 or 1, g equals its chord, and
+a start that reads only such blocks carries exact zeros, not values
+rebuilt from J that are 0 up to rounding.
 """
 
 from __future__ import annotations
@@ -61,23 +57,17 @@ class OneJumpRefiner:
     """Distance between the exact one-jump law and its grid projection.
 
     Conditioned on exactly one jump in a step, the end-of-step CDF for a
-    start uniform in interval i is an explicit window integral of the
-    job-size CDF; for interior intervals it is a fixed shape translated
-    along the grid.  The M/G/1 state 1 has its own near-empty-queue shape
-    (state 0 shares the interior one), and on the bottom interval of the
-    spectrally negative model the shape carries a late-jump factor.  Each
-    shape's deviation from its per-interval chord is sampled on ``SUBGRID``
-    points per interval, with a rigorous Lipschitz envelope (from CDF
-    monotonicity alone) on the sampling error.
-
-    Every shape is a difference of the law's primitives J and K at shifts
-    of whole intervals, so the sweep tabulates them once per chunk of
-    blocks, at the sub-grid points x_j = j * delta / SUBGRID, and reads each
-    shape's samples and its chord's block edges (every ``SUBGRID``-th entry)
-    as slices of that table.  The M/G/1 shapes are swept together, and the
-    spectrally negative bottom values are read off the same deviation rows
-    in the same pass.  The table is the only temporary of the sweep past
-    ``WORK_BUDGET``, by its halo of at most two blocks and one point.
+    start uniform in an interior interval is one shape, the window average
+    g(v) = (J(v + delta) - J(v)) / delta of the job-size CDF, read shifted
+    by the M/G/1 queue (phi(u) = g(u + delta)) and reflected by the
+    spectrally negative model (psi(u) = 1 - g(-u)).  The M/G/1 state 1 has
+    its own near-empty-queue shape f1, and the spectrally negative bottom
+    interval carries a late-jump factor.  Each shape's deviation from its
+    per-interval chord is sampled on ``SUBGRID`` points per interval, with
+    a rigorous Lipschitz envelope (from CDF monotonicity alone) on the
+    sampling error.  The sweep reads g's samples, f1's and the bottom
+    values off one table of J (and K) per chunk of blocks, at the sub-grid
+    points x_j = j * delta / SUBGRID; the table's halo is one block.
 
     Built once per run: a value vector ``w`` and a slack vector ``s`` over
     start states.  ``w[i]`` is the sampled distance for a one-jump start in
@@ -97,16 +87,12 @@ class OneJumpRefiner:
 
     # -- construction ------------------------------------------------------
 
-    def _chunks(self, k_lo: int, k_hi: int) -> list[tuple[int, int]]:
-        """Blocks k_lo..k_hi as (first, last) runs of at most ``_chunk``."""
+    def _chunks(self, c_lo: int, c_hi: int) -> list[tuple[int, int]]:
+        """Blocks c_lo..c_hi as (first, last) runs of at most ``_chunk``."""
         return [
-            (lo, min(lo + self._chunk, k_hi + 1) - 1)
-            for lo in range(k_lo, k_hi + 1, self._chunk)
+            (lo, min(lo + self._chunk, c_hi + 1) - 1)
+            for lo in range(c_lo, c_hi + 1, self._chunk)
         ]
-
-    def _points(self, j_lo: int, j_hi: int) -> np.ndarray:
-        """The sub-grid points x_j = j * delta / L for j = j_lo..j_hi."""
-        return np.arange(j_lo, j_hi + 1) * (self.grid.delta / self.L)
 
     def _deviation(self, g: np.ndarray) -> np.ndarray:
         """Samples of a shape over whole blocks (L per block and the last
@@ -124,78 +110,65 @@ class OneJumpRefiner:
         chunking does not change the result)."""
         return self.grid.delta / self.L * np.abs(dev).sum(axis=1)
 
-    def _sweep_mg1(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block sums of |shape - chord| on blocks k_lo..k_hi for the
-        interior shape phi(u) = (J(u + 2 delta) - J(u + delta)) / delta and
-        for state 1's shape f1(y) = 2 / delta^2 * ((y + delta)
-        (J(y + delta) - J(y)) - (K(y + delta) - K(y))).
+    def _sweep(self, c_lo: int, c_hi: int) -> tuple[np.ndarray, ...]:
+        """Per-block sums D of |g - chord| on g-blocks c_lo..c_hi, then the
+        model's own values.
 
-        A chunk's samples sit at x_j, j = lo*L..(hi+1)*L; the table of J
-        runs two blocks past them and that of K one block.
+        M/G/1: the block sums of state 1's shape f1(y) = 2 / delta^2
+        ((y + delta) (J(y + delta) - J(y)) - (K(y + delta) - K(y))) on
+        y-block c, which reads the same differences of J as g.
+
+        Spectrally negative: per start state i = 1..n, the bottom mass, the
+        sampled bottom value and its Lipschitz constant less the block's
+        slope bound.  On y-block 0 a start i = c + 1 has the one-jump CDF
+        (y / delta) (1 - g(i delta - y)), projected to (y / delta) times its
+        bottom mass 1 - g(c delta); at v = (c + h) delta = i delta - y the
+        two differ by (1 - h) (g(c delta) - g(v)), read off g's row c.  A
+        start whose block c = i - 1 is not swept keeps exact zeros.
+
+        A chunk's samples sit at x_j, j = lo*L..(hi+1)*L, and its tables of
+        J and K run one block past them.
         """
-        d, L = self.grid.delta, self.L
+        d, L, n, frac = self.grid.delta, self.L, self.grid.m_delta, self._frac
         J, K = self.spec.job.prefix_cdf, self.spec.job.prefix_x_cdf
-        phi_sums = np.empty(max(0, k_hi - k_lo + 1))
-        f1_sums = np.empty_like(phi_sums)
-        for lo, hi in self._chunks(k_lo, k_hi):
+        mg1 = self.spec.kind is ModelKind.MG1
+        D = np.empty(max(0, c_hi - c_lo + 1))
+        if mg1:
+            f1_sums = np.empty_like(D)
+        else:
+            bottom_mass, b_val, b_lip = np.zeros((3, n))
+        for lo, hi in self._chunks(c_lo, c_hi):
             m = (hi - lo + 1) * L + 1  # samples in the chunk
-            x = self._points(lo * L, (hi + 3) * L)
-            jt, kt = J(x), K(x[: m + L])
-            at_y, at_y1, at_y2 = jt[:m], jt[L : m + L], jt[2 * L :]  # J(y + k delta)
-            phi = (at_y2 - at_y1) / d
-            f1 = (2.0 / d**2) * (x[L : m + L] * (at_y1 - at_y) - (kt[L:] - kt[:m]))
-            blocks = slice(lo - k_lo, hi - k_lo + 1)
-            phi_sums[blocks] = self._block_sums(self._deviation(phi))
-            f1_sums[blocks] = self._block_sums(self._deviation(f1))
-        return phi_sums, f1_sums
+            x = np.arange(lo * L, (hi + 2) * L + 1) * (d / L)
+            jt = J(x)
+            dj = jt[L:] - jt[:m]  # J(v + delta) - J(v) at the samples v
+            g = dj / d
+            dev = self._deviation(g)
+            blocks = slice(lo - c_lo, hi - c_lo + 1)
+            D[blocks] = self._block_sums(dev)
+            if mg1:
+                kt = K(x)
+                f1 = (2.0 / d**2) * (x[L:] * dj - (kt[L:] - kt[:m]))
+                f1_sums[blocks] = self._block_sums(self._deviation(f1))
+                continue
+            k = max(lo, 0) - lo  # row of the chunk's first block c >= 0
+            if k <= hi - lo:
+                starts, edges = slice(lo + k, hi + 1), g[k * L :: L]  # i - 1 = c
+                rise = g[:-1].reshape(-1, L)[k:] - edges[:-1, None]
+                bottom_mass[starts] = 1.0 - edges[:-1]
+                b_val[starts] = d / L * ((1.0 - frac) * np.abs(rise)).sum(axis=1)
+                b_lip[starts] = (2.0 * np.abs(np.diff(edges)) + np.abs(dev[k:]).max(axis=1)) / d
+        return (D, f1_sums) if mg1 else (D, bottom_mass, b_val, b_lip)
 
-    def _sweep_specneg(self, k_lo: int, c1: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-block sums of |psi - chord| on blocks k_lo..0 for
-        psi(u) = 1 - (J(delta - u) - J(-u)) / delta, and the bottom values.
-
-        On y-block 0 a start in interval i >= 1 has the one-jump CDF of the
-        generic block k = -i times the late-jump factor y / delta.  It is
-        rebuilt from that block's deviation row and psi at the block's
-        edges, psi(-i delta) and psi((1 - i) delta) (the bottom mass), with
-        a slope envelope for the factor that adds the block's own slope
-        bound ``c1[k - k_lo]``.  A start i > -k_lo has F = 1 at (i - 1)
-        delta, so one jump cannot bring it to y-block 0: its entries stay
-        exactly 0.  Returns the block sums and, per start state i = 1..n,
-        the bottom mass, the sampled bottom value and its Lipschitz
-        constant.
-        """
-        d, L, n = self.grid.delta, self.L, self.grid.m_delta
-        J, frac = self.spec.job.prefix_cdf, self._frac
-        bottom_mass, b_val, b_lip = np.zeros(n), np.zeros(n), np.zeros(n)
-        sums = np.empty(1 - k_lo)
-        for lo, hi in self._chunks(k_lo, 0):
-            m = (hi - lo + 1) * L + 1
-            # u = x_j for j = lo*L..(hi+1)*L reads J at x_{-j} and x_{L-j}:
-            # one table over x_{-(hi+1)L}..x_{(1-lo)L}, one block past them
-            jt = J(self._points(-(hi + 1) * L, (1 - lo) * L))[::-1]
-            psi = 1.0 - (jt[:m] - jt[L:]) / d
-            dev = self._deviation(psi)
-            sums[lo - k_lo : hi - k_lo + 1] = self._block_sums(dev)
-            neg = min(hi, -1) - lo + 1  # blocks k < 0 hold the starts i = -k
-            if neg > 0:
-                j = -np.arange(lo, lo + neg) - 1
-                dev, edges = dev[:neg], psi[: neg * L + 1 : L]  # ascending edges
-                gap = edges[:-1] - edges[1:]
-                bottom_mass[j] = edges[1:]
-                dev_bottom = frac * (dev + gap[:, None] * (1.0 - frac))
-                b_val[j] = d / L * np.abs(dev_bottom).sum(axis=1)
-                b_lip[j] = (2.0 * np.abs(gap) + np.abs(dev).max(axis=1)) / d
-                b_lip[j] += c1[lo - k_lo : lo - k_lo + neg]
-        return sums, bottom_mass, b_val, b_lip
-
-    def _window(self, per_block: np.ndarray, k_lo: int, base: int, first: int):
-        """For start states i = base..n: the sum of per_block over the blocks
-        k whose target y-block i + k lies in first..n-1."""
+    def _window(self, per_block: np.ndarray, k_lo: int, first: int) -> np.ndarray:
+        """For start states i = 1..n: the sum of per_block over the offsets
+        k = k_lo, k_lo + 1, ... whose target y-block i + k lies in
+        first..n-1."""
         n = self.grid.m_delta
         csum = np.concatenate([[0.0], np.cumsum(per_block)])
-        out = np.empty(n + 1 - base)
-        for s in work_slices(len(out)):
-            i = np.arange(base + s.start, base + s.stop)
+        out = np.empty(n)
+        for s in work_slices(n):
+            i = np.arange(1 + s.start, 1 + s.stop)
             lo = np.clip(first - i - k_lo, 0, len(per_block))
             hi = np.clip(n - i - k_lo, lo, len(per_block))
             out[s] = csum[hi] - csum[lo]
@@ -218,40 +191,43 @@ class OneJumpRefiner:
         return a, b
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
-        spec, grid, L = self.spec, self.grid, self.L
-        d, n, F = grid.delta, grid.m_delta, spec.job.cdf
+        grid, L, job = self.grid, self.L, self.spec.job
+        d, n = grid.delta, grid.m_delta
         q = d**2 / (4 * L)  # sampling deficit per unit of Lipschitz constant
         a, b = self._extent()
-
-        if spec.kind is ModelKind.MG1:
-            # on block k, phi reads F on [(k + 1) delta, (k + 3) delta] and f1
-            # on [k delta, (k + 2) delta]; both equal their chords where F is
-            # 0 (k <= a - 4) or 1 (k > b) on all of [k delta, (k + 3) delta]
-            k_lo, k_hi = max(-2, a - 3), min(n, b)
-            ks = np.arange(k_lo, k_hi + 1)
-            c1_gen = (F((ks + 3) * d) - F((ks + 1) * d)) / d
-            # a start in interval i >= 2 has the one-jump CDF phi(y - i*delta),
-            # and a start at 0 has phi(y - delta), as if it were in interval 1.
-            # State 1 has its own shape f1; like phi(y - delta) it is 0 on
-            # y-blocks below k_lo + 1, and its slope envelope is twice state 0's.
-            phi_sums, f1_sums = self._sweep_mg1(k_lo, k_hi)
-            w_gen = self._window(phi_sums, k_lo, 1, 0)
-            s_gen = q * self._window(c1_gen, k_lo, 1, 0)
-            w1 = f1_sums[max(0, k_lo + 1) - k_lo : min(n - 1, k_hi) - k_lo + 1].sum()
+        # g on block c reads F on [c delta, (c + 2) delta) and equals its
+        # chord where F is 0 (c <= a - 3) or 1 (c > b) there; no start reads
+        # a block below -1 (J is 0 on it) or above n - 1
+        c_lo, c_hi = max(-1, a - 2), min(n - 1, b)
+        cs = np.arange(c_lo, c_hi + 1)
+        # g's slope F(v + delta) - F(v) over delta on block c: F's left limit,
+        # since v + delta < (c + 2) delta inside the block
+        c1 = (job.cdf_left((cs + 2) * d) - job.cdf(cs * d)) / d
+        if self.spec.kind is ModelKind.MG1:
+            # a start in interval i >= 1 has the one-jump CDF g(y - (i - 1)
+            # delta): block c at y-block c + i - 1, and a start at 0 reads as
+            # one in interval 1.  State 1's f1 reads block c at y-block c; it
+            # lies in [F(c delta), F((c + 2) delta-)] there, so its deviation
+            # integrates to at most delta^2 c1[c], and its slope envelope is
+            # twice state 0's.
+            D, f1 = self._sweep(c_lo, c_hi)
+            w_gen = self._window(D, c_lo - 1, 0)
+            s_gen = q * self._window(c1, c_lo - 1, 0)
+            w1 = np.minimum(f1, d**2 * c1)[max(0, c_lo) - c_lo :].sum()
             w = np.concatenate([w_gen[:1], [w1], w_gen[1:]])
             s = np.concatenate([s_gen[:1], [2.0 * s_gen[0]], s_gen[1:]])
         else:
-            # start i = -k reads F on [(i - 1) delta, (i + 1) delta], where F
-            # is 1 for i > b + 1
-            k_lo = -min(n, b + 1)
-            ks = np.arange(k_lo, 1)
-            c1_gen = (F((1 - ks) * d) - F((-1 - ks) * d)) / d
-            psi_sums, bottom_mass, b_val, b_lip = self._sweep_specneg(k_lo, c1_gen)
+            # a start in interval i has the one-jump CDF 1 - g(i delta - y)
+            # above y-block 0: block c at y-block i - 1 - c, so the window
+            # reads the blocks in reverse, at offsets -1 - c
+            D, bottom_mass, b_val, b_lip = self._sweep(c_lo, c_hi)
+            first = max(0, c_lo)
+            b_lip[first : c_hi + 1] += c1[first - c_lo :]
             b_slack = q * b_lip
             cap = d * bottom_mass
             capped = b_val + b_slack >= cap  # the worst case is tighter
-            w = self._window(psi_sums, k_lo, 1, 1) + np.where(capped, cap, b_val)
-            s = q * self._window(c1_gen, k_lo, 1, 1) + np.where(capped, 0.0, b_slack)
+            w = self._window(D[::-1], -1 - c_hi, 1) + np.where(capped, cap, b_val)
+            s = q * self._window(c1[::-1], -1 - c_hi, 1) + np.where(capped, 0.0, b_slack)
         return np.minimum(w, d, out=w), s
 
 

@@ -66,7 +66,9 @@ class JobSize:
     Subclasses provide closed forms on [0, inf) for the CDF ``_cdf``, the
     prefix integrals ``_J`` (of F) and ``_K`` (of s*F) and ``_tail_mean``;
     the queries below extend them to every argument and are exact up to
-    floating-point rounding.
+    floating-point rounding.  A law with atoms also writes F's left limit
+    ``_cdf_left``; its default, F itself, is exact for every other law and
+    never below F(x-).
 
     ``w1_bound`` bounds the Wasserstein distance from the law the caller
     meant to this one.  It is 0 for every law given exactly; only
@@ -79,6 +81,9 @@ class JobSize:
 
     def _cdf(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _cdf_left(self, x: np.ndarray) -> np.ndarray:
+        return self._cdf(x)
 
     def _J(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -94,6 +99,10 @@ class JobSize:
     def cdf(self, x):
         """F(x), defined on all of R (0 below the support)."""
         return _on_half_line(self._cdf, x, 0.0, 1.0)
+
+    def cdf_left(self, x):
+        """F(x-) = P(B < x), defined on all of R (0 at and below 0)."""
+        return _on_half_line(self._cdf_left, x, 0.0, 1.0)
 
     def prefix_cdf(self, x):
         """J(x) = int_0^x F(s) ds, 0 for x <= 0."""
@@ -407,6 +416,10 @@ class TabulatedCdf(JobSize):
 
     def _cdf(self, x):
         return np.where(x < self.xs[0], 0.0, self.cdf_values[self._segment(x)])
+
+    def _cdf_left(self, x):  # the value at the last knot below x
+        k = np.searchsorted(self.xs, x, side="left") - 1
+        return np.where(k < 0, 0.0, self.cdf_values[k])
 
     def _J(self, x):
         k = self._segment(x)

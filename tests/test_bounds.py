@@ -284,6 +284,32 @@ class TestRefined:
         value, _ = refined_charge(OneJumpRefiner(spec, grid), p)
         assert value == pytest.approx(0.0, abs=1e-15)
 
+    def test_state_one_block_sums_within_f_rise(self):
+        # f1 on block c lies in [F(c delta), F((c + 2) delta-)], so each of
+        # its block sums is at most delta^2 c1[c].  Uncapped, the rounding of
+        # the K differences that f1 scales by 2 / delta^2 reads w[1] = 1.70e-6
+        # at M = 50, against w[2] = 2.2e-7
+        spec = ModelSpec(ModelKind.MG1, 0.25, Exponential(1 / 3))
+        refiner = OneJumpRefiner(spec, Grid(1 / 500, 25_000))
+        assert refiner.w[1] < 1e-6
+
+    def test_slope_bound_reads_left_limits(self):
+        # an atom on the grid point (c + 2) delta does not steepen g on block
+        # c, where v + delta stays below it, so the slope bound reads F's left
+        # limit there: here F at the float below x
+        job, d, n = Deterministic(3 / 50), 1 / 50, 300
+        refiner = OneJumpRefiner(ModelSpec(ModelKind.MG1, 0.5, job), Grid(d, n))
+        F = job.cdf
+        c1 = {c: (F(np.nextafter((c + 2) * d, -np.inf)) - F(c * d)) / d for c in range(-1, n)}
+        q = d**2 / (4 * SUBGRID)
+
+        def s_gen(i):  # a start in interval i >= 1 reads block c at y-block c + i - 1
+            return q * sum(c1[c] for c in range(-1, n) if 0 <= c + i - 1 < n)
+
+        # state 0 reads as state 1 on g, and state 1's f1 has twice the slope
+        want = [s_gen(1), 2.0 * s_gen(1)] + [s_gen(i) for i in range(2, n + 1)]
+        np.testing.assert_allclose(refiner.s, want, rtol=1e-12, atol=0)
+
     def test_refined_below_basic_plus_slack(self):
         rng = np.random.default_rng(12)
         for spec, args in self.CASES:
@@ -356,13 +382,11 @@ def extent(job, grid):
 
 
 def swept_blocks(spec, grid):
-    """The blocks k whose shape samples the refiner sweeps: the one-jump
-    shapes equal their chords where F is constant (see TestExtent)."""
+    """The blocks c of g(v) = (J(v + delta) - J(v)) / delta that the refiner
+    sweeps, for both models: g equals its chord where F is constant (see
+    TestExtent), and the starts read blocks -1..n-1 only."""
     a, b = extent(spec.job, grid)
-    n = grid.m_delta
-    if spec.kind is ModelKind.MG1:
-        return range(max(-2, a - 3), min(n, b) + 1)
-    return range(-min(n, b + 1), 1)
+    return range(max(-1, a - 2), min(grid.m_delta - 1, b) + 1)
 
 
 def reference_block_sums(fn, ks, d, L=SUBGRID):
@@ -393,11 +417,11 @@ def count_table_points(monkeypatch) -> dict:
 
 def table_budget(spec, grid, chunk: int) -> int:
     """The most points a refiner build may evaluate per primitive: each
-    chunk's table spans its blocks, a halo of at most two blocks and the last
-    block's end."""
+    chunk's table spans its blocks, a halo of one block and the last block's
+    end."""
     blocks = len(swept_blocks(spec, grid))
     chunks = -(-blocks // chunk)
-    return (blocks + 2 * chunks) * SUBGRID + chunks
+    return (blocks + chunks) * SUBGRID + chunks
 
 
 class BareUniform(JobSize):
@@ -464,7 +488,7 @@ class TestTableSweep:
         J, K = spec.job.prefix_cdf, spec.job.prefix_x_cdf
         d, n, L = grid.delta, grid.m_delta, SUBGRID
         if spec.kind is ModelKind.MG1:
-            ks = range(-2, n + 1)  # every block the sweep may visit
+            ks = range(-2, n + 1)  # phi's blocks over every block the sweep may visit
 
             def phi(u):
                 return (J(u + 2 * d) - J(u + d)) / d
@@ -472,26 +496,29 @@ class TestTableSweep:
             def f1(y):
                 return (2.0 / d**2) * ((y + d) * (J(y + d) - J(y)) - (K(y + d) - K(y)))
 
-            got_phi, got_f1 = refiner._sweep_mg1(ks[0], ks[-1])
+            # phi(u) = g(u + delta): phi's block k is g's block k + 1, and
+            # f1's y-block k reads g's block k
+            got_g, got_f1 = refiner._sweep(ks[0], ks[-1] + 1)
             want_phi = reference_block_sums(phi, ks, d)
-            np.testing.assert_allclose(got_phi, want_phi, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got_g[1:], want_phi, rtol=0, atol=1e-14)
             # f1 amplifies differences of K by 2 / delta^2 (50 here), and on the
             # Erlang grid K reaches ~12, so moving a sample argument by one ulp
             # moves a block sum by up to 1.1e-14 (either side is as close to a
             # high-precision evaluation as the other)
             want_f1 = reference_block_sums(f1, ks, d)
-            np.testing.assert_allclose(got_f1, want_f1, rtol=0, atol=2e-14)
+            np.testing.assert_allclose(got_f1[:-1], want_f1, rtol=0, atol=2e-14)
         else:
-            # the blocks the refiner sweeps: on the uniform grid, starts with
-            # F = 1 at (i - 1) delta read no block, and their bottom values
-            # stay 0
-            ks = swept_blocks(spec, grid)
+            # every block a start reads: the bottom of start i is g's block
+            # c = i - 1
+            cs = range(-1, n)
 
             def psi(u):
                 return 1.0 - (J(d - u) - J(-u)) / d
 
-            got, bottom_mass, b_val, _ = refiner._sweep_specneg(ks[0], np.zeros(len(ks)))
-            want = reference_block_sums(psi, ks, d)
+            # psi(u) = 1 - g(-u): psi's block k = -1 - c is g's block c
+            # reflected, with the same deviation up to sign
+            got, bottom_mass, b_val, _ = refiner._sweep(cs[0], cs[-1])
+            want = reference_block_sums(psi, [-1 - c for c in cs], d)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
             # the bottom pass: start i reads generic block -i and psi at its edges
             # (off the support that block's deviation is 0 up to rounding)
@@ -521,12 +548,28 @@ class TestTableSweep:
         refiner = OneJumpRefiner(spec, grid)
         assert np.all(refiner.w >= 0.0)
         assert np.all(refiner.s >= 0.0)
-        ks = swept_blocks(spec, grid)
-        _, bottom_mass, b_val, b_lip = refiner._sweep_specneg(ks[0], np.zeros(len(ks)))
+        cs = swept_blocks(spec, grid)
+        _, bottom_mass, b_val, b_lip = refiner._sweep(cs[0], cs[-1])
         first = int(np.ceil(top / grid.delta)) + 2
         assert first < grid.m_delta
         for values in (bottom_mass, b_val, b_lip):
             assert np.all(values[first - 1 :] == 0.0)
+
+    @pytest.mark.parametrize(
+        "job", [Deterministic(1.23), Uniform(0.3, 2.7)], ids=["deterministic", "uniform"]
+    )
+    def test_specneg_below_support_starts_charge_exact_zeros(self, job):
+        # F is 0 up to (a - 1) delta, so one jump takes a start i <= a - 2 to
+        # 0, and the rest of the step spreads it uniformly on y-block 0: its
+        # one-jump law is its own projection, and the sweep skips its block
+        spec = ModelSpec(SN, 0.5, job)
+        grid = Grid(1 / 100, 5500)
+        refiner = OneJumpRefiner(spec, grid)
+        a, _ = extent(job, grid)
+        assert a > 2
+        assert swept_blocks(spec, grid)[0] == a - 2
+        assert np.all(refiner.w[: a - 2] == 0.0)
+        assert np.all(refiner.s[: a - 2] == 0.0)
 
     def test_jobs_beyond_the_grid_build(self):
         # every job leaves [0, M]: the swept blocks read F where it is 0, and
@@ -569,28 +612,22 @@ class TestExtent:
         spec = ModelSpec(kind, 0.5, job)
         grid = Grid(self.DELTA, self.M_DELTA)
         d, n, F = grid.delta, grid.m_delta, job.cdf
-        name = "_sweep_mg1" if kind is ModelKind.MG1 else "_sweep_specneg"
-        sweep, calls = getattr(OneJumpRefiner, name), []
+        sweep, calls = OneJumpRefiner._sweep, []
 
         def recorded(refiner, *args):
             calls.append(args)
             return sweep(refiner, *args)
 
-        monkeypatch.setattr(OneJumpRefiner, name, recorded)
+        monkeypatch.setattr(OneJumpRefiner, "_sweep", recorded)
         OneJumpRefiner(spec, grid)
-        ((k_lo, arg),) = calls
-        swept = range(k_lo, (arg if kind is ModelKind.MG1 else 0) + 1)
+        ((c_lo, c_hi),) = calls
+        swept = range(c_lo, c_hi + 1)
         assert swept == swept_blocks(spec, grid)
-        if kind is ModelKind.MG1:
-            # block k's phi reads F on [(k + 1) delta, (k + 3) delta], state
-            # 1's f1 on [k delta, (k + 2) delta]
-            for k in sorted(set(range(-2, n + 1)) - set(swept)):
-                assert F((k + 3) * d) == F(k * d), k
-        else:
-            # start i = -k reads F on [(i - 1) delta, (i + 1) delta], and one
-            # jump brings it to the bottom block unless F is 1 at (i - 1) delta
-            for i in range(1 - k_lo, n + 1):
-                assert F((i - 1) * d) == 1.0, i
+        # both models read g's blocks -1..n-1: block c (g, M/G/1 state 1's
+        # f1 and the spectrally negative bottom of start c + 1) reads F on
+        # [c delta, (c + 2) delta], and a skipped block has F 0 or 1 there
+        for c in sorted(set(range(-1, n)) - set(swept)):
+            assert F(c * d) in (0.0, 1.0) and F((c + 2) * d) == F(c * d), c
 
     def test_skipped_blocks_carry_nothing(self, monkeypatch, job, kind):
         spec = ModelSpec(kind, 0.5, job)

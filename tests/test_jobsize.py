@@ -73,6 +73,17 @@ class TestCdf:
         assert job.cdf(2.0) == 1.0
         assert job.cdf(np.nextafter(2.0, 0.0)) == 0.0
 
+    def test_left_limit(self):
+        # F(x-) is F at the float below x on the atomic laws (an atom at 0
+        # too), and F itself on the others
+        xs = np.array([-1.0, 0.0, 0.3, 0.5, 1.0, 2.0, 2.5, 3.0])
+        at_zero = TabulatedCdf(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
+        for job in ALL_FAMILIES + [at_zero]:
+            atomic = isinstance(job, TabulatedCdf)
+            want = job.cdf(np.nextafter(xs, -np.inf) if atomic else xs)
+            np.testing.assert_array_equal(job.cdf_left(xs), want)
+        assert at_zero.cdf_left(0.0) == 0.0 and at_zero.cdf(0.0) == 0.5
+
 
 class TestCdfIntegral:
     def test_uniform_below_support_is_zero(self):
@@ -554,14 +565,16 @@ CONVENTION_LAWS = [
 
 class TestArgumentConvention:
     """Every query extends a family's closed forms on [0, inf) the same way:
-    0 (F, J, K) or E[B] (tail mean) below 0, the limits F = 1, J = K = inf
-    and tail mean 0 at +inf, NaN for NaN, and a Python float for a scalar,
-    with no warning."""
+    0 (F, F(x-), J, K) or E[B] (tail mean) below 0, the limits F = F(x-) = 1,
+    J = K = inf and tail mean 0 at +inf, NaN for NaN, and a Python float for
+    a scalar, with no warning."""
 
-    LIMIT_AT_INF = {"cdf": 1.0, "prefix_cdf": INF, "prefix_x_cdf": INF, "tail_mean": 0.0}
+    LIMIT_AT_INF = {
+        "cdf": 1.0, "cdf_left": 1.0, "prefix_cdf": INF, "prefix_x_cdf": INF, "tail_mean": 0.0
+    }
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("query", ["cdf", "prefix_cdf", "prefix_x_cdf", "tail_mean"])
+    @pytest.mark.parametrize("query", list(LIMIT_AT_INF))
     @pytest.mark.parametrize("job", CONVENTION_LAWS)
     def test_queries(self, job, query):
         f = getattr(job, query)
@@ -576,7 +589,7 @@ class TestArgumentConvention:
         assert out[5] == f(INF) == self.LIMIT_AT_INF[query]
         if query == "tail_mean":
             assert below == pytest.approx(job.mean(), rel=1e-15, abs=0)
-        elif query != "cdf":
+        elif query.startswith("prefix"):
             assert not np.signbit(f(0.0))  # J(0) = K(0) = +0.0
 
     @pytest.mark.parametrize("job", CONVENTION_LAWS)
