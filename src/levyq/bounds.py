@@ -251,37 +251,45 @@ _COLUMN = {name: c for c, name in enumerate(StepComponents._fields)}
 class BoundContext:
     """Each step's charges, chosen once per run; every charge is written here.
 
-    With x = lam * delta, a step holds no jump with probability e^{-x}, one
-    jump with q = x e^{-x} and two or more with 1 - (1 + x) e^{-x}.
+    With r = lam * delta, a step holds no jump with probability e^{-r}, one
+    jump with q = r e^{-r} and two or more with 1 - (1 + r) e^{-r}.
 
     * jump aggregation: conditioned on one jump, the true law is replaced by
       a piecewise-uniform one with the same interval masses.  The basic
       bound moves the one-jump mass by at most one interval width:
-      lam * delta^2 * e^{-x}.  The refined bound charges each start state
+      lam * delta^2 * e^{-r}.  The refined bound charges each start state
       the distance between its exact one-jump law and that law's grid
       projection, ``q * (p @ w)``, and the sampling deficit ``q * (p @ s)``
       as slack (see :class:`OneJumpRefiner`).
-    * jump cut: with two or more jumps in a step the chain keeps the mass
-      in its state, while the true path moves by y - x.  The M/G/1 path
-      gains the sum S of the jumps, loses delta to service and at most
-      idles that back: y - x lies in [S - delta, S].  So |y - x| <= S,
-      except where S < delta / 2, where it is at most delta - S <= S +
-      delta; S < delta / 2 needs a first jump below delta / 2, of
-      probability at most F(delta / 2) whatever the number of jumps.  The
+    * jump cut: with N >= 2 jumps in a step, totalling S, the chain keeps
+      the mass in its state, while the true path moves from x to y.  By
+      Wald, E[S; N >= 2] = E[N; N >= 2] E[B] with E[N; N >= 2] = r (1 -
+      e^{-r}), and S < a needs a first jump below a, of probability at
+      most F(a) whatever the number of jumps.  The M/G/1 path gains S,
+      loses delta to service and at most idles that back: y - x lies in
+      [S - delta, S] whatever x is.  So |y - x| <= S, except where S <
+      delta / 2, where it is at most delta - S <= S + delta, and every
+      state pays E[N; N >= 2] E[B] + delta P(N >= 2) F(delta / 2).  The
       spectrally negative path drifts up by delta and loses S, stopped at
-      0: y - x lies in [delta - S, delta], so |y - x| <= S except where
-      S < delta (a first jump below delta, probability at most F(delta)),
-      where it is at most delta <= S + delta.  E[S; N >= 2] is
-      x (1 - e^{-x}) E[B], so the charge is that plus delta P(N >= 2)
-      F(delta / 2) (M/G/1) or delta P(N >= 2) F(delta) (spectrally
-      negative), with P(N >= 2) = 1 - (1 + x) e^{-x}.  Spectrally negative
-      jumps are stopped at 0, so the displacement is also at most M + delta
-      on that event; a law without a mean takes that cap.
+      0: y lies in [max(0, x + delta - S), x + delta], so |y - x| is at
+      most max(delta, min(x, S - delta)).  The bottom state (x <= delta)
+      therefore pays delta P(N >= 2).  Above it x > delta, so |y - x| <=
+      min(x, S) + delta 1{S < delta}; min(x, .) is subadditive, so min(x,
+      S) <= sum_k min(x, B_k), and by Wald E[min(x, S); N >= 2] <=
+      min(E[N; N >= 2] (x - J(x)), P(N >= 2) x), where x - J(x) =
+      E[min(B, x)].  That grows with x, so state i (x <= i delta) pays it
+      at x = i delta, plus delta P(N >= 2) F(delta).  The charge is finite
+      for every law, with a mean or without; it is never above P(N >= 2)
+      (M + delta), nor, for a law with a mean, above E[N; N >= 2] E[B] +
+      delta P(N >= 2) F(delta) (E[B] >= delta (1 - F(delta)) covers the
+      bottom state).  x - J(x) is one float difference below M, so its
+      rounding, at most about ulp(M) per state, is not charged here; it
+      belongs with the other floating-point effects of the chain.
     * truncation: mass that should leave [0, M] stays inside.  For the
       M/G/1 queue, a single jump from state i that leaves [0, M] costs at
       most its size: q * E[B; B > M - i delta] per unit of mass at i.  In
       the spectrally negative model only the top interval crosses M, by at
-      most delta when no jump comes: delta e^{-x} per unit of its mass.  A
+      most delta when no jump comes: delta e^{-r} per unit of its mass.  A
       single jump from it smaller than delta may end above M as well, at a
       distance up to 2 delta instead of the delta the aggregation charge
       pays for; that costs 2 delta q F(delta), charged as slack.
@@ -301,27 +309,32 @@ class BoundContext:
         lam, d, job = spec.lam, grid.delta, spec.job
         enl = float(np.exp(-lam * d))
         q = lam * d * enl
-        mean_b = job.mean()
-        # P(N >= 2) without the cancellation of 1 - (1 + x) e^{-x}
+        jumps = lam * d * (1.0 - enl)  # E[N; N >= 2]
+        # P(N >= 2) without the cancellation of 1 - (1 + r) e^{-r}
         two_or_more = float(-np.expm1(-lam * d) - q)
         if spec.kind is ModelKind.MG1:
+            mean_b = job.mean()
             if mean_b is None:
                 raise CertificationError(
                     "the M/G/1 Wasserstein bound requires a finite job-size mean"
                 )
-            cut = lam * d * (1.0 - enl) * mean_b + d * two_or_more * float(job.cdf(d / 2))
+            cut = jumps * mean_b + d * two_or_more * float(job.cdf(d / 2))
             trunc = grid_values(lambda x: job.tail_mean(grid.m - x), d, 0, grid.m_delta)
             trunc *= q
             terms = [("truncation_weighted", 1.0, trunc)]
         else:
-            cut = two_or_more * (grid.m + d)
-            if mean_b is not None:
-                drift = d * two_or_more * float(job.cdf(d))
-                cut = min(lam * d * (1.0 - enl) * mean_b + drift, cut)
+            cut = 0.0  # charged per state
+            reach = grid_values(
+                lambda x: np.minimum(jumps * (x - job.prefix_cdf(x)), two_or_more * x),
+                d, 1, grid.m_delta,
+            )
+            reach += d * two_or_more * float(job.cdf(d))
+            reach[0] = d * two_or_more  # the bottom state moves by at most delta
             top = np.zeros(grid.m_delta)
             top[-1] = 1.0  # p @ top is exactly p[-1]
             overshoot = 2.0 * d * lam * d * enl * float(job.cdf(d))
-            terms = [("truncation_weighted", d * enl, top), ("slack", overshoot, top)]
+            terms = [("jump_cut", 1.0, reach), ("truncation_weighted", d * enl, top),
+                     ("slack", overshoot, top)]
         self.refiner = r = OneJumpRefiner(spec, grid) if refined else None
         if refined:  # the refined slack is added before the model's charges
             terms = [("jump_aggregation", q, r.w), ("slack", q, r.s)] + terms

@@ -25,7 +25,7 @@ from levyq import (
     simulate,
     solve,
 )
-from levyq import bounds
+from levyq import bounds, oracle
 from levyq.bounds import SUBGRID, BoundContext, StepComponents
 
 REF_MG1 = ModelSpec(ModelKind.MG1, 0.25, Uniform(1.0, 5.0))
@@ -49,6 +49,12 @@ def basic_context(kind, lam, job, delta, m_delta):
 def basic_row(kind, lam, job, delta, m_delta=10):
     """The constant charges of a basic-mode step: aggregation, cut, slack."""
     return BoundContext(ModelSpec(kind, lam, job), Grid(delta, m_delta), refined=False).row
+
+
+def cut_at(ctx, states, i):
+    """State i's jump-cut charge per unit mass, read as truncation_at reads
+    its truncation charge."""
+    return ctx.components((states == i).astype(float)).jump_cut
 
 
 def truncation_at(ctx, states, i):
@@ -107,25 +113,74 @@ class TestJumpCut:
         with pytest.raises(CertificationError):
             basic_row(ModelKind.MG1, 0.5, Pareto(1.0, 0.9), 0.1)
 
+    # lam = 1/3, delta = 1/100, M = 55: r = lam * delta = 1/300, and at 40
+    # digits E[N; N >= 2] = r (1 - e^{-r}) and P(N >= 2) = 1 - (1 + r) e^{-r}
+    # are 1.109261315158892826599090672759e-5 and
+    # 5.543225294934074729929591672267e-6.  Pareto(1, alpha) has E[min(B,
+    # x)] = 1 + (x^{1 - alpha} - 1) / (1 - alpha) for x >= 1, and F(delta) = 0
+
     def test_specneg_frozen_branches(self):
-        # lam = 1/3, delta = 1/100, M = 55, E[B] = 3: first branch is smaller
-        value = basic_row(SN, 1 / 3, Pareto(1.0, 1.5), 1 / 100, 5500).jump_cut
-        branch1 = 3.327783945476678479797272018278e-5
-        branch2 = 3.049328234743234508934268378913e-4
-        assert value == pytest.approx(branch1, rel=1e-13, abs=0)
-        assert value < branch2
+        # alpha = 1.5: E[min(B, x)] = 3 - 2 / sqrt(x) takes the Wald branch;
+        # below x_min, E[min(B, x)] = x and the cap P(N >= 2) x is smaller
+        ctx, states = basic_context(SN, 1 / 3, Pareto(1.0, 1.5), 1 / 100, 5500)
+        at_5, top = cut_at(ctx, states, 500), cut_at(ctx, states, 5500)
+        assert at_5 == pytest.approx(2.335630463274237562887294326244e-5, rel=1e-13, abs=0)
+        assert top == pytest.approx(3.028638415030310248760220671373e-5, rel=1e-13, abs=0)
+        at_half = cut_at(ctx, states, 50)
+        assert at_half == pytest.approx(2.771612647467037364964795836133e-6, rel=1e-13, abs=0)
+        # both below the constant E[N; N >= 2] E[B]
+        assert top < 3.327783945476678479797272018278e-5
 
     def test_specneg_without_mean_takes_capped_branch(self):
-        capped = basic_row(SN, 1 / 3, Pareto(1.0, 0.9), 1 / 100, 5500).jump_cut
-        assert capped == pytest.approx(3.049328234743234508934268378913e-4, rel=1e-12, abs=0)
+        # alpha = 0.9: at x = 5 the cap P(N >= 2) x is smaller, at x = 55
+        # E[N; N >= 2] (1 + (55^0.1 - 1) / 0.1) is
+        ctx, states = basic_context(SN, 1 / 3, Pareto(1.0, 0.9), 1 / 100, 5500)
+        at_5, top = cut_at(ctx, states, 500), cut_at(ctx, states, 5500)
+        assert at_5 == pytest.approx(2.771612647467037364964795836133e-5, rel=1e-13, abs=0)
+        assert top == pytest.approx(6.577022001745683230089048214125e-5, rel=1e-12, abs=0)
+        # and below P(N >= 2) (M + delta), the displacement's cap
+        assert top < 3.049328234743234508934268378914e-4
+
+    def test_specneg_bottom_state_moves_by_delta(self):
+        ctx, states = basic_context(SN, 1 / 3, Pareto(1.0, 0.9), 1 / 100, 5500)
+        p_two = 5.543225294934074729929591672267e-6
+        assert cut_at(ctx, states, 1) == pytest.approx(p_two / 100, rel=1e-13, abs=0)
 
     def test_specneg_quadratic_scaling(self):
         for job in (Pareto(1.0, 1.5), Pareto(1.0, 0.9)):  # E[B] = 3, no mean
-            vals = [
-                basic_row(SN, 0.25, job, d, round(10.0 / d)).jump_cut  # M = 10
-                for d in (1e-2, 5e-3, 2.5e-3)
-            ]
-            assert vals[0] / vals[1] == pytest.approx(4.0, rel=2e-2, abs=0)
+            for x in (5.0, 10.0):  # a state inside, and the top (M = 10)
+                vals = []
+                for d in (1e-2, 5e-3, 2.5e-3):
+                    ctx, states = basic_context(SN, 0.25, job, d, round(10.0 / d))
+                    vals.append(cut_at(ctx, states, round(x / d)))
+                assert vals[0] / vals[1] == pytest.approx(4.0, rel=2e-2, abs=0)
+                assert vals[1] / vals[2] == pytest.approx(4.0, rel=2e-2, abs=0)
+
+    @pytest.mark.parametrize("job", [
+        Uniform(0.5, 3.0), Erlang(2, 1.0), Pareto(1.0, 1.5), Pareto(1.0, 0.9),
+        Deterministic(0.3), TabulatedCdf([0.0, 0.5, 1.0, 3.0], [0.0, 0.2, 0.6, 1.0]),
+        Exponential(500.0),
+    ], ids=["uniform", "erlang", "pareto-1.5", "pareto-0.9", "deterministic",
+            "tabulated-gap", "exponential-small"])
+    @pytest.mark.parametrize("lam, delta, m_delta", [
+        (1 / 3, 1 / 20, 200), (2.0, 1 / 50, 500), (50.0, 0.3, 30),
+    ])
+    def test_specneg_no_state_pays_more_than_the_constant(self, job, lam, delta, m_delta):
+        # the state-free bound min(E[N; N >= 2] E[B] + delta P(N >= 2)
+        # F(delta), P(N >= 2) (M + delta)), the first only for a law with a
+        # mean.  Each state's x - J(x) may round up by about ulp(M), times
+        # E[N; N >= 2]
+        ctx, states = basic_context(SN, lam, job, delta, m_delta)
+        r = lam * delta
+        jumps, p_two = r * -np.expm1(-r), -np.expm1(-r) - r * np.exp(-r)
+        m = m_delta * delta
+        state_free = p_two * (m + delta)
+        if job.mean() is not None:
+            state_free = min(jumps * job.mean() + delta * p_two * float(job.cdf(delta)),
+                             state_free)
+        charges = np.array([cut_at(ctx, states, i) for i in states])
+        assert np.all(charges <= state_free + 2.0 * jumps * np.spacing(m))
+        assert np.all(charges > 0.0)
 
 
 class TestJumpCutDrift:
@@ -141,6 +196,27 @@ class TestJumpCutDrift:
         mu0 = GeneralMeasure.dirac(1.0)
         dist, bound = solve(spec, grid, mu0, 25).at_time(0.5)
         samples = simulate(SimConfig(spec, mu0, 0.5, 20_000, seed=7))
+        est, se = empirical_wasserstein(samples, dist, seed=7)
+        assert est <= bound + 3.0 * se, (est, bound, se)
+
+
+class TestSpecnegCutWithinCertificate:
+    """The per-state cut where it is smallest: a path stopped at 0 falls by
+    at most its height, so starts near 0 pay far less than E[B] per jump.
+    No allowance for the empirical W1's bias: 400 000 paths keep it small."""
+
+    @pytest.mark.parametrize("job, lam, delta, m_delta, x0", [
+        # bound 0.129 at t = 2; E[N; N >= 2] E[B] per step would give 0.692
+        pytest.param(Uniform(0.5, 3.0), 2.0, 1 / 20, 200, 0.5, id="uniform"),
+        # no mean: bound 0.0154 at t = 2; P(N >= 2) (M + delta) per step
+        # would give 0.0543
+        pytest.param(Pareto(1.0, 0.9), 1 / 3, 1 / 50, 1000, 2.0, id="pareto-0.9"),
+    ])
+    def test_exact_samples_within_certificate(self, job, lam, delta, m_delta, x0):
+        spec = ModelSpec(SN, lam, job)
+        mu0 = GeneralMeasure.dirac(x0)
+        dist, bound = solve(spec, Grid(delta, m_delta), mu0, round(2.0 / delta)).at_time(2.0)
+        samples = simulate(SimConfig(spec, mu0, 2.0, 400_000, seed=7))
         est, se = empirical_wasserstein(samples, dist, seed=7)
         assert est <= bound + 3.0 * se, (est, bound, se)
 
@@ -185,9 +261,11 @@ class TestMonotoneInRate:
             agg.append(ctx.row.jump_aggregation)
             cut.append(ctx.row.jump_cut)
             trunc.append(truncation_at(ctx, states, 2000))
-            cut_sn.append(basic_row(SN, lam, Pareto(1.0, 1.5), d, 2000).jump_cut)  # M = 20
-        for seq in (agg, cut, cut_sn, trunc):
+            sn, sn_states = basic_context(SN, lam, Pareto(1.0, 1.5), d, 2000)  # M = 20
+            cut_sn.append([cut_at(sn, sn_states, 500), cut_at(sn, sn_states, 2000)])
+        for seq in (agg, cut, trunc, *np.transpose(cut_sn)):
             assert np.all(np.diff(seq) >= -1e-15)
+        assert min(map(min, cut_sn)) > 0.0
 
 
 def oracle_mixture_wd(spec, grid, p, fine=256):
@@ -712,16 +790,21 @@ def reference_components(spec, grid, refiner, p):
     else:
         agg = lam * d**2 * enl
     two_or_more = float(-np.expm1(-lam * d) - lam * d * enl)
-    # the mean of the ignored jumps, plus delta where the drift can outweigh them
-    mean_cut = None if job.mean() is None else lam * d * (1.0 - enl) * job.mean()
+    jumps = lam * d * (1.0 - enl)  # the mean number of ignored jumps
     if spec.kind is ModelKind.MG1:
-        cut = mean_cut + d * two_or_more * float(job.cdf(d / 2))
+        # their mean size, plus delta where the service outweighs them
+        cut = jumps * job.mean() + d * two_or_more * float(job.cdf(d / 2))
         trunc_vec = q * job.tail_mean(grid.m - chain_states(spec, grid) * d)
         trunc = float(np.einsum("i,i", p, trunc_vec))
     else:
-        cut = two_or_more * (grid.m + d)
-        if mean_cut is not None:
-            cut = min(mean_cut + d * two_or_more * float(job.cdf(d)), cut)
+        # from x <= i delta a path falls by at most x: E[min(B, x)] = x - J(x)
+        # per jump, or x once, plus delta where the drift outweighs the jumps;
+        # the bottom state moves by at most delta
+        x = chain_states(spec, grid) * d
+        reach = np.minimum(jumps * (x - job.prefix_cdf(x)), two_or_more * x)
+        reach = reach + d * two_or_more * float(job.cdf(d))
+        reach[0] = d * two_or_more
+        cut = float(np.einsum("i,i", p, reach))
         trunc = d * enl * float(p[-1])
         overshoot_rate = 2.0 * d * lam * d * enl * float(job.cdf(d))
         slack += overshoot_rate * float(p[-1])
@@ -779,18 +862,6 @@ def square_cdf(x):
     return min(max(x / 5.0, 0.0), 1.0) ** 2
 
 
-def lifted_j1(dist):
-    """Upper sum of J1(F) = int sqrt(F (1 - F)) for a lifted law's CDF.
-
-    F is linear on each interval and sqrt(u (1 - u)) is concave, so by
-    Jensen each interval contributes at most its width times the value at
-    the interval's mean F.
-    """
-    edges = dist.atom0 + np.concatenate([[0.0], np.cumsum(dist.interval_mass)])
-    mean_f = np.clip((edges[:-1] + edges[1:]) / 2.0, 0.0, 1.0)
-    return dist.grid.delta * float(np.sqrt(mean_f * (1.0 - mean_f)).sum())
-
-
 class TestTabulationCharge:
     """A tabulated CDF callable certifies the callable's own law."""
 
@@ -807,7 +878,7 @@ class TestTabulationCharge:
         samples = simulate(SimConfig(exact, mu0, 2.0, n, seed=17))
         est, se = empirical_wasserstein(samples, dist, seed=17)
         # E W1(F_n, F) <= J1(F) / sqrt(n) (Bobkov & Ledoux): the empirical bias
-        allowance = 3.0 * se + lifted_j1(dist) / np.sqrt(n)
+        allowance = 3.0 * se + oracle.bias_allowance(dist, n)
         assert est <= bound + allowance, (est, bound, se)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from levyq import (
+    BoundLedger,
     ConfigError,
     GeneralMeasure,
     Grid,
@@ -29,6 +30,7 @@ from levyq.cli import (
     _as_float,
     _as_fraction,
     _density_formats,
+    _solve,
     _write_density,
     load_config,
     main,
@@ -487,10 +489,15 @@ class TestCsvText:
     def test_validation_output(self, tmp_path):
         out = tmp_path / "out"
         main(["validate", write_config(tmp_path, self.CONFIG), "--out", str(out)])
+        # bias_allowance: 1/2 * sum sqrt(F (1 - F)) over the four pieces at
+        # their mean F, over sqrt(10); at t = 1/2, F runs 0, 0.8825, 0.9793,
+        # 0.9862, 1 and the sum is 0.9630
         assert (out / "validation.csv").read_text() == (
-            "time,n_paths,empirical_wd,std_error,certified_bound,status\n"
-            "0.5,10,0.85978275182590869,0.47298567099132194,0.62559473223859507,pass\n"
-            "1,10,0.090502520521613214,0.078653900269182161,0.98601181052036035,pass\n"
+            "time,n_paths,empirical_wd,std_error,certified_bound,status,bias_allowance\n"
+            "0.5,10,0.85978275182590869,0.47298567099132194,0.62559473223859507,pass,"
+            "0.1522709487421342\n"
+            "1,10,0.090502520521613214,0.078653900269182161,0.98601181052036035,pass,"
+            "0.12951370596024486\n"
         )
 
 
@@ -671,6 +678,57 @@ class TestValidateCommand:
         with (out / "validation.csv").open() as f:
             rows = list(csv.DictReader(f))
         assert [row["status"] for row in rows] == ["pass", "pass"]
+
+
+def coarse_validate(tmp_path, name, m, n_paths):
+    """``levyq validate`` on a shipped config at delta = 1/10 and M = m, to
+    t = 1/2 with a snapshot at 1/10, seed 42: its exit code and rows."""
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw.pop("output", None)
+    raw.update(
+        grid={"delta": "1/10", "m": m},
+        horizon={"t_end": "1/2", "snapshot_times": ["1/10"]},
+        queries=[],
+        validation={"enabled": True, "n_paths": n_paths, "seed": 42},
+    )
+    out = tmp_path / f"out_{n_paths}"
+    code = main(["validate", write_config(tmp_path, raw, name), "--out", str(out)])
+    with (out / "validation.csv").open() as f:
+        return code, list(csv.DictReader(f))
+
+
+class TestValidateBias:
+    """The empirical W1 of n paths is biased upward by up to J1 / sqrt(n);
+    validate allows for that, and still catches a bound that is too small."""
+
+    def test_small_sample_passes(self, tmp_path, capsys):
+        # 200 paths: at t = 1/10 the empirical W1 exceeds bound + 3 se by its
+        # upward bias, not by an error of the bound: 2 000 and 20 000 paths of
+        # the same run pass
+        code, rows = coarse_validate(tmp_path, "specneg_pareto.json", 20, 200)
+        assert code == EXIT_OK
+        est, se, bound, bias = (float(rows[0][k]) for k in (
+            "empirical_wd", "std_error", "certified_bound", "bias_allowance"))
+        assert est > bound + 3.0 * se
+        assert est <= bound + bias + 3.0 * se
+        for n_paths in (2000, 20000):
+            assert coarse_validate(tmp_path, "specneg_pareto.json", 20, n_paths)[0] == EXIT_OK
+
+    @pytest.mark.parametrize("n_paths", [2000, 20000])
+    @pytest.mark.parametrize("name, m", [("specneg_pareto.json", 20), ("mg1_uniform.json", 50)])
+    def test_bound_divided_by_ten_fails(self, tmp_path, monkeypatch, capsys, name, m, n_paths):
+        # at t = 1/10 most paths have not jumped, and the lift spreads their
+        # mass over an interval: the chain's true error sits near its bound,
+        # far above a tenth of it plus the allowance
+        def tenth(cfg):
+            res = _solve(cfg)
+            res.ledger = BoundLedger(res.ledger.b0 / 10.0, res.ledger.rows / 10.0)
+            return res
+
+        monkeypatch.setattr("levyq.cli._solve", tenth)
+        code, rows = coarse_validate(tmp_path, name, m, n_paths)
+        assert code == EXIT_VALIDATION
+        assert rows[0]["status"] == "fail"
 
 
 class TestShippedConfigs:

@@ -37,6 +37,14 @@ class TestSimulate:
         c = simulate(SimConfig(REF_MG1, GeneralMeasure.dirac(1.0), 2.0, 70_000, seed=6))
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    def test_integer_time_samples_like_float(self, kind):
+        # the drift since the last jump is a float even when t is an int
+        spec = ModelSpec(kind, 2.0, Uniform(0.5, 3.0))
+        a = simulate(SimConfig(spec, GeneralMeasure.dirac(0.5), 2, 5_000, seed=11))
+        b = simulate(SimConfig(spec, GeneralMeasure.dirac(0.5), 2.0, 5_000, seed=11))
+        assert np.array_equal(a, b)
+
     def test_batching_invariant_prefix(self):
         # the first paths do not depend on how many more are requested
         small = simulate(SimConfig(REF_MG1, GeneralMeasure.dirac(1.0), 1.0, 1000, 7))
@@ -234,6 +242,35 @@ class TestEmpiricalWasserstein:
     def test_refuses_bad_input(self, samples, n_boot, seed, match):
         with pytest.raises(ValueError, match=match):
             empirical_wasserstein(np.array(samples), self._lifted(), n_boot=n_boot, seed=seed)
+
+
+class TestBiasAllowance:
+    """J1(F_m) / sqrt(n), J1(F) = int sqrt(F (1 - F)), as an upper sum."""
+
+    def test_jensen_sum_over_intervals(self):
+        # F is linear on each interval: the value at the interval's mean F
+        # times its width, written out interval by interval
+        grid = Grid(0.5, 4)
+        m = LiftedDistribution(grid, 0.25, np.array([0.4, 0.2, 0.0, 0.15]))
+        edges = [0.25, 0.65, 0.85, 0.85, 1.0]
+        j1 = sum(0.5 * np.sqrt(f * (1.0 - f))
+                 for f in ((a + b) / 2.0 for a, b in zip(edges, edges[1:])))
+        assert oracle.bias_allowance(m, 400) == pytest.approx(j1 / 20.0, rel=1e-14, abs=0)
+
+    def test_covers_the_exact_integral(self):
+        # uniform on [0, 2]: J1 = 2 int_0^1 sqrt(u (1 - u)) du = pi / 4, and
+        # the upper sum comes down to it as the grid refines
+        values = []
+        for n in (4, 40, 400):
+            m = LiftedDistribution(Grid(2.0 / n, n), 0.0, np.full(n, 1.0 / n))
+            values.append(oracle.bias_allowance(m, 1))
+        assert all(v >= np.pi / 4 for v in values)
+        assert values[-1] == pytest.approx(np.pi / 4, rel=1e-3, abs=0)
+        assert values == sorted(values, reverse=True)
+
+    def test_point_mass_has_no_allowance(self):
+        m = LiftedDistribution(Grid(0.5, 4), 1.0, np.zeros(4))
+        assert oracle.bias_allowance(m, 10) == 0.0
 
 
 class TestSimConfig:
