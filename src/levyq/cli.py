@@ -272,6 +272,8 @@ def load_config(path: str) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
     if not isinstance(raw, dict):

@@ -92,37 +92,43 @@ class TransitionKernel:
 
     ``toeplitz[k + 1]`` holds the generic-row entry at offset k = j - i
     (M/G/1, rows i >= 2) or k = i - j (spectrally negative, columns j >= 2);
-    ``toeplitz[0]``, offset -1, carries the no-jump shift.  M/G/1 state 1's
-    row and the spectrally negative column j = 1 are stored densely; M/G/1
-    state 0 reads the band.  ``diag`` holds D(i, i) >= 0 per state.  Every
-    entry is a closed-form integral of the job-size CDF, exact up to rounding.
+    ``toeplitz[0]``, offset -1, carries the no-jump shift.  ``special`` is
+    the one vector stored densely: M/G/1 state 1's row, or the spectrally
+    negative column j = 1.  M/G/1 state 0 reads the band.  ``diag`` holds
+    D(i, i) >= 0 per state.  Every entry is a closed-form integral of the
+    job-size CDF, exact up to rounding.
 
     The state layout is the model's, not the grid's (see :meth:`states`): a
     state vector has one entry per entry of ``diag``.
 
     At construction the band's real FFT is cached: ``nfft`` is the smallest
-    5-smooth length >= len(body) + len(band) - 1, where the body is p[2:]
-    (M/G/1) or all n states (spectrally negative) and the band is
-    ``toeplitz`` (M/G/1) or ``toeplitz[::-1]`` (spectrally negative).  Each
-    :meth:`apply` then costs one rfft/irfft pair of that length.
+    5-smooth length >= n + max(L, 2) - 1, L = len(toeplitz), for a body of
+    n = m_delta states and the band ``toeplitz`` (M/G/1) or
+    ``toeplitz[::-1]`` (spectrally negative), padded to two taps.  The
+    M/G/1 body is p[1:] with slot 0 holding state 0, which reads the band
+    from column 0 exactly as a generic row 1 would; the spectrally negative
+    body is all of p.  Each :meth:`apply` then costs one rfft/irfft pair of
+    that length.
     """
 
     grid: Grid
     kind: ModelKind
     toeplitz: np.ndarray
     diag: np.ndarray
-    row1: np.ndarray | None = None
-    col1: np.ndarray | None = None
+    special: np.ndarray
     nfft: int = field(init=False)
     _band_fft: np.ndarray = field(init=False, repr=False)
+    _lo: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.grid.m_delta
+        band = np.zeros(max(len(self.toeplitz), 2))
+        band[: len(self.toeplitz)] = self.toeplitz
+        # _lo: the convolution entry c[_lo + a] that lands on array index a
         if self.kind is ModelKind.MG1:
-            body_len, band = n - 1, self.toeplitz
-        else:
-            body_len, band = n, self.toeplitz[::-1]
-        self.nfft = _fft_len(body_len + len(band) - 1)
+            self._lo = 0  # row i >= 1 in body slot i - 1 reaches column i - 1 + k
+        else:  # column 1's entry, c[len(band) - 2], is replaced by ``special``
+            band, self._lo = band[::-1], len(band) - 2
+        self.nfft = _fft_len(self.grid.m_delta + len(band) - 1)
         self._band_fft = np.fft.rfft(band, self.nfft)
 
     # -- application ---------------------------------------------------------
@@ -131,39 +137,20 @@ class TransitionKernel:
         """One chain step: p -> p P, exploiting the Toeplitz band."""
         if p.shape != self.diag.shape:
             raise GridError(f"state vector has shape {p.shape}, chain has {len(self.diag)} states")
-        if self.kind is ModelKind.MG1:
-            out = self._apply_mg1(p)
+        mg1 = self.kind is ModelKind.MG1
+        spec = np.fft.rfft(p[1:] if mg1 else p, self.nfft)
+        if mg1:  # put p[0] in slot 0 in place of p[1]: a constant in every bin
+            spec += p[0] - p[1]
+        spec *= self._band_fft
+        conv = np.fft.irfft(spec, self.nfft)[self._lo : self._lo + len(p)]
+        if mg1:
+            conv += p[1] * self.special
         else:
-            out = self._apply_specneg(p)
+            conv[0] = np.einsum("i,i", p, self.special)  # not BLAS's threaded dot
+        out = p * self.diag
+        out += conv
         out[out < 0.0] = 0.0  # convolution rounding noise
         return out
-
-    def _convolve(self, x: np.ndarray, length: int) -> np.ndarray:
-        """First ``length`` entries of the linear convolution of x with the band."""
-        spec = np.fft.rfft(x, self.nfft) * self._band_fft
-        return np.fft.irfft(spec, self.nfft)[:length]
-
-    def _apply_mg1(self, p: np.ndarray) -> np.ndarray:
-        n = self.grid.m_delta
-        head = p[0] * self.toeplitz  # state 0 reads the band
-        out = p[1] * self.row1
-        out[: len(head)] += head
-        q = p[2:]
-        if len(q):
-            # c[j - 1] = sum_i p[i] t[j - i] for the rows i >= 2
-            take = min(n, len(q) + len(self.toeplitz) - 1)
-            out[1 : 1 + take] += self._convolve(q, take)
-        out += p * self.diag
-        return out
-
-    def _apply_specneg(self, p: np.ndarray) -> np.ndarray:
-        n = self.grid.m_delta
-        out = np.zeros(n)
-        out[0] = float(np.einsum("i,i", p, self.col1))  # not BLAS's threaded dot
-        # states j >= 2 sit at c[L - 1 + (j - 2)], L = len(toeplitz)
-        L = len(self.toeplitz)
-        out[1:] += self._convolve(p, L - 1 + (n - 1))[L - 1 :]
-        return out + p * self.diag
 
     # -- dense reconstruction --------------------------------------------------
 
@@ -172,7 +159,7 @@ class TransitionKernel:
         n, band = self.grid.m_delta, self.toeplitz
         if self.kind is ModelKind.MG1:
             if i == 1:
-                r = self.row1.copy()
+                r = self.special.copy()
             else:
                 # states 0 and i >= 2: the band starts at column i - 1 (0 for i = 0)
                 r = np.zeros(n + 1)
@@ -183,7 +170,7 @@ class TransitionKernel:
         # spectrally negative: state i sits at array index i - 1
         r = np.zeros(n)
         a = i - 1
-        r[0] = self.col1[a]
+        r[0] = self.special[a]
         j = np.arange(max(2, i + 2 - len(band)), min(n, i + 1) + 1)
         r[j - 1] = band[i + 1 - j]  # columns j >= 2
         r[a] += self.diag[a]
@@ -269,8 +256,7 @@ def build_kernel(spec: ModelSpec, grid: Grid) -> TransitionKernel:
         kind=spec.kind,
         toeplitz=toeplitz,
         diag=diag,
-        row1=special if mg1 else None,
-        col1=None if mg1 else special,
+        special=special,
     )
 
 

@@ -195,15 +195,24 @@ class GeneralMeasure:
     pieces: list = field(default_factory=list)  # (a, b, mass), uniform on [a, b]
 
     def __post_init__(self):
-        atoms = [(float(x), float(w)) for x, w in self.atoms]
-        pieces = [(float(a), float(b), float(w)) for a, b, w in self.pieces]
+        def real(v, what):  # not float(): it takes bools and numeric strings
+            if not _is_finite_real(v):
+                raise ValueError(f"{what} must be finite numbers, got {v!r}")
+            return float(v)
+
+        atoms = [(real(x, "atom locations"), real(w, "atom masses")) for x, w in self.atoms]
+        pieces = [
+            (real(a, "uniform piece ends"), real(b, "uniform piece ends"),
+             real(w, "uniform piece masses"))
+            for a, b, w in self.pieces
+        ]
         for x, w in atoms:
-            if not (math.isfinite(x) and x >= 0):
-                raise ValueError(f"atom locations must be finite and >= 0, got {x!r}")
+            if not x >= 0:
+                raise ValueError(f"atom locations must be >= 0, got {x!r}")
             if w < 0:
                 raise ValueError("negative atom mass")
         for a, b, w in pieces:
-            if not (0 <= a < b and math.isfinite(b)):
+            if not 0 <= a < b:
                 raise ValueError(f"invalid uniform piece [{a}, {b}]")
             if w < 0:
                 raise ValueError("negative piece mass")
@@ -218,10 +227,6 @@ class GeneralMeasure:
     @classmethod
     def dirac(cls, x: float) -> "GeneralMeasure":
         return cls(atoms=[(x, 1.0)])
-
-    @classmethod
-    def uniform(cls, a: float, b: float) -> "GeneralMeasure":
-        return cls(pieces=[(a, b, 1.0)])
 
     # -- queries --------------------------------------------------------------
 

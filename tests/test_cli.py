@@ -343,8 +343,20 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "bad.json:2" in err
 
-    def test_missing_file(self):
-        assert main(["solve", "/nonexistent/config.json"]) == EXIT_CONFIG
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    def test_missing_file(self, tmp_path, capsys, monkeypatch, kind):
+        # a path that cannot be read as a UTF-8 text file is a config error
+        # (exit 2, no output directory), not a traceback
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-utf8":
+            path.write_bytes(b'{"model": "\xff"}')
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config file not found" in err if kind == "missing" else str(path) in err
+        assert not (tmp_path / "levyq-out").exists()
 
 
 class TestSolveCommand:
@@ -473,9 +485,9 @@ class TestCsvText:
             "interval_lo,interval_hi,mass,density\n"
             "0,0,0.77880078307140477,\n"
             "0,0.5,0.16074531712366674,0.32149063424733348\n"
-            "0.5,1,0.019514665543616971,0.039029331087233943\n"
-            "1,1.5,0.025767639428445482,0.051535278856890965\n"
-            "1.5,2,0.01517159483286596,0.030343189665731921\n"
+            "0.5,1,0.019514665543616978,0.039029331087233957\n"
+            "1,1.5,0.025767639428445493,0.051535278856890986\n"
+            "1.5,2,0.015171594832865964,0.030343189665731927\n"
         )
         assert (out / "ledger.csv").read_text() == (
             "step,time,jump_aggregation,jump_cut,truncation_weighted,slack,cumulative\n"

@@ -199,7 +199,7 @@ class TestSpecnegEntries:
         mid = (s[:-1] + s[1:]) / 2
         integral = float(np.sum(REF_SN.job.cdf(mid)) * 0.01 / 200_000)
         expected = np.exp(-REF_SN.lam * d) * REF_SN.lam * (d - integral)
-        assert kern.col1[499] == pytest.approx(expected, rel=1e-8)
+        assert kern.special[499] == pytest.approx(expected, rel=1e-8)
 
 
 class TestParetoNextToSpecialAlpha:
@@ -254,6 +254,21 @@ class TestDenseOracle:
             assert np.max(np.abs(kern.dense() - oracle)) < 1e-12
 
 
+# edge grids: one to seven states, with a band of length 1 (the jump leaves
+# the grid) or a band spanning the grid
+EDGE_SIZES = pytest.mark.parametrize("m_delta", [1, 2, 3, 7])
+EDGE_BANDS = pytest.mark.parametrize(
+    "job,delta",
+    [(Deterministic(0.05), 0.01), (Pareto(1.0, 1.5), 0.5)],
+    ids=["narrow-band", "full-band"],
+)
+EDGE_KINDS = pytest.mark.parametrize(
+    "kind",
+    [ModelKind.MG1, ModelKind.SPECTRALLY_NEGATIVE],
+    ids=["mg1", "specneg"],
+)
+
+
 class TestApply:
     def test_stationary_at_zero_arrival(self):
         spec = ModelSpec(ModelKind.MG1, 1e-12, Uniform(1.0, 5.0))
@@ -292,18 +307,9 @@ class TestApply:
         with pytest.raises(GridError):
             kern.apply(np.ones(62) / 62)
 
-    @pytest.mark.parametrize("m_delta", [1, 2, 3, 7])
-    @pytest.mark.parametrize(
-        "job,delta",
-        # band of length 1 (the jump leaves the grid) / band spanning the grid
-        [(Deterministic(0.05), 0.01), (Pareto(1.0, 1.5), 0.5)],
-        ids=["narrow-band", "full-band"],
-    )
-    @pytest.mark.parametrize(
-        "kind",
-        [ModelKind.MG1, ModelKind.SPECTRALLY_NEGATIVE],
-        ids=["mg1", "specneg"],
-    )
+    @EDGE_SIZES
+    @EDGE_BANDS
+    @EDGE_KINDS
     def test_edge_sizes_match_dense(self, kind, job, delta, m_delta):
         spec = ModelSpec(kind, 0.5, job)
         grid = Grid(delta, m_delta)
@@ -311,6 +317,24 @@ class TestApply:
         p = np.random.default_rng(m_delta).dirichlet(np.ones(len(kern.states())))
         out = kern.apply(p)
         assert np.max(np.abs(out - p @ kern.dense())) < 1e-14
+
+    @EDGE_SIZES
+    @EDGE_BANDS
+    @EDGE_KINDS
+    def test_special_and_first_slots_match_dense(self, kind, job, delta, m_delta):
+        # ``special`` is M/G/1 row 1 or spectrally negative column 1 (array
+        # index 0), less the diagonal; mass on array slots 0 and 1 reaches
+        # M/G/1 state 0's slot in the FFT body and the special vector
+        kern = build_kernel(ModelSpec(kind, 0.5, job), Grid(delta, m_delta))
+        dense = kern.dense()
+        a = 1 if kind is ModelKind.MG1 else 0
+        expected = (dense[a] if kind is ModelKind.MG1 else dense[:, a]).copy()
+        expected[a] -= kern.diag[a]
+        np.testing.assert_allclose(kern.special, expected, rtol=0.0, atol=1e-15)
+        first = np.eye(len(kern.states()))[:2]
+        for p in [*first, first.mean(axis=0)]:
+            p = p / p.sum()
+            assert np.max(np.abs(kern.apply(p) - p @ dense)) < 1e-14
 
 
 class TestStates:
@@ -342,11 +366,11 @@ class TestStates:
 def test_work_budget_leaves_kernel_bit_identical(monkeypatch, spec, budget):
     # grid values are sampled in work slices of elementwise job-size functions
     grid = Grid(0.01, 700)
-    parts = ("toeplitz", "diag", "row1", "col1")
+    parts = ("toeplitz", "diag", "special")
 
     def arrays():
         kern = build_kernel(spec, grid)
-        return [getattr(kern, a) for a in parts if getattr(kern, a) is not None]
+        return [getattr(kern, a) for a in parts]
 
     ref = arrays()
     monkeypatch.setattr(measure, "WORK_BUDGET", budget)
@@ -390,9 +414,8 @@ def test_each_law_primitive_evaluated_once_per_grid_point(kind):
             assert len(points) == 0, name
     # the counting law builds the same kernel as the plain one
     plain = build_kernel(ModelSpec(kind, 0.7, Uniform(0.3, 2.2)), grid)
-    for part in ("toeplitz", "diag", "row1", "col1"):
-        a, b = getattr(kern, part), getattr(plain, part)
-        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    for part in ("toeplitz", "diag", "special"):
+        assert getattr(kern, part).tobytes() == getattr(plain, part).tobytes()
 
 
 def test_fft_len_is_smallest_5_smooth():
@@ -476,7 +499,7 @@ class TestStochasticity:
                         moved = csum[min(i - 1, last)]
                         if i == n:
                             moved -= kern.toeplitz[0]
-                    expected.append(1.0 - kern.col1[a] - moved)
+                    expected.append(1.0 - kern.special[a] - moved)
                 got = kern.diag
             assert np.array_equal(got, np.maximum(expected, 0.0))
 

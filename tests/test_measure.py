@@ -91,7 +91,7 @@ class TestCdfOf:
         assert m.cdf(0.0) == 1.0
 
     def test_single_uniform_piece(self):
-        m = GeneralMeasure.uniform(0.0, 2.0)
+        m = GeneralMeasure(pieces=[(0.0, 2.0, 1.0)])
         assert m.cdf(1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_lift_of_dirac_interval(self):
@@ -139,7 +139,7 @@ class TestWasserstein:
         # half the interval width, exactly
         delta = 1 / 500
         d = wasserstein(
-            GeneralMeasure.dirac(1.0), GeneralMeasure.uniform(1.0 - delta, 1.0)
+            GeneralMeasure.dirac(1.0), GeneralMeasure(pieces=[(1.0 - delta, 1.0, 1.0)])
         )
         assert d == pytest.approx(0.001, abs=1e-12)
 
@@ -231,7 +231,6 @@ class TestThresholdMass:
         assert m.threshold_mass(0.0) == pytest.approx(0.75, abs=1e-14)
 
     def test_fractional_piece(self):
-        m = GeneralMeasure.uniform(0.0, 2.0)
         g = Grid(1.0, 2)
         lifted = LiftedDistribution(g, 0.0, np.array([0.5, 0.5]))
         assert lifted.threshold_mass(0.5) == pytest.approx(0.75, abs=1e-14)
@@ -250,9 +249,27 @@ class TestMeasureValidation:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: GeneralMeasure.dirac(np.inf), lambda: GeneralMeasure.uniform(0.0, np.inf)],
+        [
+            lambda: GeneralMeasure.dirac(np.inf),
+            lambda: GeneralMeasure(pieces=[(0.0, np.inf, 1.0)]),
+        ],
         ids=["dirac-inf", "uniform-inf"],
     )
     def test_infinite_location_refused(self, build):
         with pytest.raises(ValueError, match="atom locations|uniform piece"):
             build()
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"atoms": [(True, 1.0)]}, "atom locations"),
+            ({"atoms": [("2", 1.0)]}, "atom locations"),
+            ({"atoms": [(1.0, True)]}, "atom masses"),
+            ({"pieces": [(0.0, "3", 1.0)]}, "uniform piece ends"),
+        ],
+        ids=["bool-location", "string-location", "bool-mass", "string-piece-end"],
+    )
+    def test_bools_and_strings_refused(self, kwargs, field):
+        # float() would take each of these as a number
+        with pytest.raises(ValueError, match=field):
+            GeneralMeasure(**kwargs)
